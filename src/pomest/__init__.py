@@ -21,7 +21,6 @@ from .pom import (
     GridSpec,
     NaimarkExtension,
     Pom,
-    PomOutcome,
     ValidationReport,
     coherent_pom,
     identity_pom,

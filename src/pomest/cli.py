@@ -32,7 +32,8 @@ from .estimation import (
     optimal_estimate_no_info,
 )
 from .operators import DensityOperator, HermitianOperator, matrix_from_json
-from .pom import GridSpec, coherent_pom, pom_from_json, tetrahedral_pom, trine_pom, validate
+from .pom import (CompletenessError, GridSpec, coherent_pom, pom_from_json, tetrahedral_pom,
+                  trine_pom, validate)
 from .sampling import GENERATOR_NAME, make_rng, random_density, random_hermitian, random_pom
 from .relations import RelationReport
 
@@ -340,9 +341,9 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
         pom = coherent_pom(dim, grid)
         state = params.get("state", "vacuum")
         rho = _load_state({"state": state}, dim, seed)
-        reports = relations.heterodyne_suite(rho, pom)
-        reports.append(relations.check_uncanon(rho, pom, float(params.get("hbar", 1.0))))
-        return [_row(r, "heterodyne") for r in reports], {}
+        analysis = relations.heterodyne_analysis(rho, pom)
+        uncanon = relations.check_uncanon(analysis, float(params.get("hbar", 1.0)))
+        return [_row(r, "heterodyne") for r in analysis.reports + [uncanon]], {}
     if name == "linear":
         inputs = scenarios.LinearEstimateInputs(
             mean_x=float(params.get("mean_x", 0.0)),
@@ -454,7 +455,11 @@ def main(argv=None) -> int:
             tolerances=_env_tolerances(),
         )
         return run(config)
-    except ConfigError as exc:
+    # CompletenessError is a ValueError: the validation failures go first
+    except (relations.GridResolutionError, CompletenessError) as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ValueError as exc:  # ConfigError and invalid parameter values
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -93,27 +93,10 @@ def probabilities(pom: Pom, rho: DensityOperator) -> np.ndarray:
     """Outcome probabilities p_k = w_k tr[rho M_k], clipped of -1e-10 roundoff."""
     if pom.dim != rho.dim:
         raise DimensionMismatchError(f"POM dim {pom.dim} vs state dim {rho.dim}")
-    if pom.kets is not None:
-        raw = np.real(np.einsum("kn,nm,km->k", pom.kets.conj(), rho.matrix, pom.kets))
-    else:
-        raw = np.real(np.einsum("kij,ji->k", pom._operators, rho.matrix))
-    p = pom.weights * raw
+    p = pom.weights * np.real(pom.traces(rho.matrix))
     if p.min() < -1e-10:
         raise ValueError(f"probability {p.min():.3e} below tolerance: POM or state invalid")
     return np.clip(p, 0.0, None)
-
-
-def _traces_for_estimates(pom: Pom, a: HermitianOperator, rho: DensityOperator):
-    """Per-outcome tr[rho M_k] and Re tr[rho A M_k] (weights not applied)."""
-    if pom.kets is not None:
-        amp_rho = pom.kets.conj() @ rho.matrix  # row k: <a_k| rho
-        t = np.real(np.einsum("kn,kn->k", amp_rho, pom.kets))
-        ta = np.real(np.einsum("kn,kn->k", amp_rho, (a.matrix @ pom.kets.T).T))
-    else:
-        rho_a = rho.matrix @ a.matrix
-        t = np.real(np.einsum("kij,ji->k", pom._operators, rho.matrix))
-        ta = np.real(np.einsum("kij,ji->k", pom._operators, rho_a))
-    return t, ta
 
 
 def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOperator) -> float:
@@ -138,9 +121,7 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
     rho_m = rho.matrix
     a_rho_a = a.matrix @ rho_m @ a.matrix
     sym = a.matrix @ rho_m + rho_m @ a.matrix
-    t0 = np.real(np.einsum("kij,ji->k", pom._operators, a_rho_a))
-    t1 = np.real(np.einsum("kij,ji->k", pom._operators, sym))
-    t2 = np.real(np.einsum("kij,ji->k", pom._operators, rho_m))
+    t0, t1, t2 = (np.real(pom.traces(x)) for x in (a_rho_a, sym, rho_m))
     d2 = float(pom.weights @ (t0 - f * t1 + f * f * t2))
     if d2 < -1e-9:
         raise ValueError(f"statistical deviation squared is {d2:.3e}: positivity bug")
@@ -160,10 +141,8 @@ def hs_distance(a: HermitianOperator, pom: Pom) -> float:
         shifted = a.matrix @ pom.kets.T - values[None, :] * pom.kets.T  # column k: (A - m_k)|a_k>
         d2 = float(pom.weights @ np.sum(np.abs(shifted) ** 2, axis=0))
     else:
-        a2 = a.matrix @ a.matrix
-        t2 = np.real(np.einsum("kij,ji->k", pom._operators, a2))
-        t1 = np.real(np.einsum("kij,ji->k", pom._operators, a.matrix))
-        t0 = np.real(np.einsum("kii->k", pom._operators))
+        t2, t1, t0 = (np.real(pom.traces(x))
+                      for x in (a.matrix @ a.matrix, a.matrix, np.eye(pom.dim)))
         d2 = float(pom.weights @ (t2 - 2 * values * t1 + values**2 * t0))
     return float(np.sqrt(max(d2, 0.0)))
 
@@ -182,7 +161,13 @@ def optimal_estimate(a: HermitianOperator, pom: Pom, rho: DensityOperator,
     """
     if not (a.dim == rho.dim == pom.dim):
         raise DimensionMismatchError("operator, state and POM dimensions differ")
-    t, ta = _traces_for_estimates(pom, a, rho)
+    return _estimate_from_traces(a, pom, np.real(pom.traces(rho.matrix)),
+                                 np.real(pom.traces(rho.matrix @ a.matrix)), zero_tol)
+
+
+def _estimate_from_traces(a: HermitianOperator, pom: Pom, t: np.ndarray, ta: np.ndarray,
+                          zero_tol=ZERO_PROB_TOL) -> Estimator:
+    """Optimal estimate f_k = ta_k / t_k from t = tr[rho M_k], ta = Re tr[rho A M_k]."""
     zero = t < zero_tol
     f = np.where(zero, 0.0, ta / np.where(zero, 1.0, t))
     return Estimator(pom, f, meta="optimal-with-state", zero_probability=zero,
@@ -196,12 +181,8 @@ def optimal_estimate_no_info(a: HermitianOperator, pom: Pom) -> Estimator:
     """
     if a.dim != pom.dim:
         raise DimensionMismatchError("operator and POM dimensions differ")
-    if pom.kets is not None:
-        t = np.sum(np.abs(pom.kets) ** 2, axis=1)
-        ta = np.real(np.einsum("kn,kn->k", pom.kets.conj(), (a.matrix @ pom.kets.T).T))
-    else:
-        t = np.real(np.einsum("kii->k", pom._operators))
-        ta = np.real(np.einsum("kij,ji->k", pom._operators, a.matrix))
+    t = np.real(pom.traces(np.eye(pom.dim)))
+    ta = np.real(pom.traces(a.matrix))
     if np.any(t <= 0):
         raise ValueError("POM has a zero-trace outcome; no-information estimate undefined")
     f = ta / t
@@ -209,12 +190,8 @@ def optimal_estimate_no_info(a: HermitianOperator, pom: Pom) -> Estimator:
 
 
 def _bias_operator(est: Estimator, a: HermitianOperator) -> np.ndarray:
-    pom = est.pom
-    if pom.kets is not None:
-        acc = (pom.kets.T * (pom.weights * est.values)) @ pom.kets.conj()
-    else:
-        acc = np.einsum("k,kij->ij", pom.weights * est.values, pom._operators)
-    return acc - a.matrix
+    """sum_k w_k f_k M_k - A, which vanishes for a universally unbiased estimate."""
+    return est.pom.weighted_sum(est.pom.weights * est.values) - a.matrix
 
 
 def unbiased_correction(est: Estimator, a: HermitianOperator, tol=1e-8,
@@ -278,9 +255,15 @@ def _qubit_linear_correction(pom: Pom, a: HermitianOperator, tol, scale):
     return g
 
 
-def estimate_stats(est: Estimator, a: HermitianOperator, rho: DensityOperator) -> EstimateStats:
-    """Mean, rms dispersion of the estimate distribution, and inaccuracy."""
-    p = probabilities(est.pom, rho)
+def estimate_stats(est: Estimator, a: HermitianOperator, rho: DensityOperator,
+                   p: np.ndarray | None = None) -> EstimateStats:
+    """Mean, rms dispersion of the estimate distribution, and inaccuracy.
+
+    ``p`` takes the outcome probabilities of ``rho`` when the caller already
+    holds them; by default they are computed here.
+    """
+    if p is None:
+        p = probabilities(est.pom, rho)
     mean = float(p @ est.values)
     disp2 = float(p @ est.values**2) - mean * mean
     inaccuracy = statistical_deviation(a, est, rho)
@@ -309,8 +292,8 @@ def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator,
     avals = a_pom.values_array()
     abar = (a_pom.kets.T * avals) @ a_pom.kets.conj()
     sym = rho.matrix @ abar + abar @ rho.matrix
-    t = np.real(np.einsum("kn,nm,km->k", m_pom.kets.conj(), rho.matrix, m_pom.kets))
-    ta = np.real(np.einsum("kn,nm,km->k", m_pom.kets.conj(), sym, m_pom.kets)) / 2
+    t = np.real(m_pom.traces(rho.matrix))
+    ta = np.real(m_pom.traces(sym)) / 2
     zero = t < ZERO_PROB_TOL
     f = np.where(zero, 0.0, ta / np.where(zero, 1.0, t))
     return Estimator(m_pom, f, meta="optimal-with-state", zero_probability=zero)

@@ -129,21 +129,6 @@ class HermitianOperator:
         """Spectral norm."""
         return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
 
-    def __add__(self, other):
-        if isinstance(other, HermitianOperator):
-            return HermitianOperator(self.matrix + other.matrix)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, HermitianOperator):
-            return HermitianOperator(self.matrix - other.matrix)
-        return NotImplemented
-
-    def __mul__(self, scalar):
-        return HermitianOperator(self.matrix * float(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
 

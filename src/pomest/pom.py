@@ -33,7 +33,6 @@ from .operators import (
 
 __all__ = [
     "GridSpec",
-    "PomOutcome",
     "Pom",
     "ValidationReport",
     "CompletenessError",
@@ -104,16 +103,6 @@ class GridSpec:
         return cls(complex(re, im), float(data["radius"]), int(data["points_per_axis"]))
 
 
-@dataclass(frozen=True)
-class PomOutcome:
-    """One labeled outcome: value(s), quadrature weight and positive operator."""
-
-    label: str
-    value: object
-    weight: float
-    operator: np.ndarray
-
-
 class Pom:
     """Finite family of weighted positive operators summing to the identity.
 
@@ -164,12 +153,21 @@ class Pom:
         for k in range(self.n_outcomes):
             yield self.operator(k)
 
-    @property
-    def outcomes(self) -> list:
-        return [
-            PomOutcome(self.labels[k], self.values[k], float(self.weights[k]), self.operator(k))
-            for k in range(self.n_outcomes)
-        ]
+    def traces(self, x) -> np.ndarray:
+        """tr[x M_k] for every outcome k (weights not applied), as complex numbers.
+
+        With x = rho A this is tr[rho M_k] times the generalized weak value of
+        A at outcome k, whose real part gives the optimal estimate.
+        """
+        if self._kets is not None:
+            return np.einsum("kn,kn->k", self._kets.conj() @ x, self._kets)
+        return np.einsum("kij,ji->k", self._operators, x)
+
+    def weighted_sum(self, c) -> np.ndarray:
+        """sum_k c_k M_k for per-outcome coefficients c."""
+        if self._kets is not None:
+            return (self._kets.T * c) @ self._kets.conj()
+        return np.einsum("k,kij->ij", c, self._operators)
 
     def values_array(self, component=None) -> np.ndarray:
         """Outcome values as floats, selecting one component of pair values."""
@@ -179,7 +177,7 @@ class Pom:
 
     def completeness_operator(self) -> np.ndarray:
         """sum_k w_k M_k, which should be the identity."""
-        return _completeness(self)
+        return self.weighted_sum(self.weights)
 
     @classmethod
     def from_operators(cls, ops: Sequence, values=None, weights=None, labels=None, kind="generic"):
@@ -193,12 +191,6 @@ class Pom:
 
     def __repr__(self):
         return f"Pom(kind={self.kind!r}, dim={self.dim}, n_outcomes={self.n_outcomes})"
-
-
-def _completeness(pom: Pom) -> np.ndarray:
-    if pom.kets is not None:
-        return (pom.kets.T * pom.weights) @ pom.kets.conj()
-    return np.einsum("k,kij->ij", pom.weights, pom._operators)
 
 
 @dataclass
@@ -228,7 +220,7 @@ def validate(pom: Pom, positivity_tol=1e-10, completeness_tol=1e-8) -> Validatio
         min_eigs = np.zeros(pom.n_outcomes)
     else:
         min_eigs = np.array([np.linalg.eigvalsh(op)[0] for op in pom.operators()])
-    dev_mat = _completeness(pom) - np.eye(pom.dim)
+    dev_mat = pom.completeness_operator() - np.eye(pom.dim)
     deviation = float(np.abs(np.linalg.eigvalsh((dev_mat + dev_mat.conj().T) / 2)).max())
     passed = bool(min_eigs.min() >= -positivity_tol and deviation <= completeness_tol)
     return ValidationReport(passed, min_eigs, deviation, positivity_tol, completeness_tol,

@@ -19,13 +19,15 @@ import numpy as np
 
 from .estimation import (
     Estimator,
+    _bias_operator,
+    _estimate_from_traces,
     estimate_stats,
     optimal_estimate,
     optimal_estimate_no_info,
     probabilities,
     statistical_deviation,
 )
-from .operators import DensityOperator, HermitianOperator
+from .operators import DensityOperator, DimensionMismatchError, HermitianOperator
 from .pom import Pom
 
 __all__ = [
@@ -123,10 +125,9 @@ def check_geom(a: HermitianOperator, b: HermitianOperator, pom: Pom, rho: Densit
     DeltaA * DeltaB by the dispersion-inaccuracy Pythagorean identity; the
     observed gap between the two evaluations is recorded in the digest.
     """
-    est_a = optimal_estimate(a, pom, rho)
-    est_b = optimal_estimate(b, pom, rho)
-    sa = estimate_stats(est_a, a, rho)
-    sb = estimate_stats(est_b, b, rho)
+    p = probabilities(pom, rho)
+    sa = estimate_stats(optimal_estimate(a, pom, rho), a, rho, p)
+    sb = estimate_stats(optimal_estimate(b, pom, rho), b, rho, p)
     lhs = float(np.sqrt(sa.dispersion**2 + sa.inaccuracy**2) * np.sqrt(sb.dispersion**2 + sb.inaccuracy**2))
     rhs = commutator_bound(a, b, rho)
     direct = float(np.sqrt(a.variance(rho) * b.variance(rho)))
@@ -142,20 +143,14 @@ def check_accbound(a: HermitianOperator, pom: Pom, rho: DensityOperator,
     the effective elements E_k = w_k M_k, skipping zero-probability outcomes.
     Saturates for pure states measured by a complete (rank-one) family.
     """
-    est = optimal_estimate(a, pom, rho)
-    eps = statistical_deviation(a, est, rho)
-    if pom.kets is not None:
-        amp_rho_a = np.einsum("kn,nm,km->k", pom.kets.conj(), rho.matrix @ a.matrix, pom.kets)
-        imag = np.imag(amp_rho_a)
-        t = np.real(np.einsum("kn,nm,km->k", pom.kets.conj(), rho.matrix, pom.kets))
-        comm2 = 4 * imag**2
-    else:
-        ra = rho.matrix @ a.matrix
-        tr_ra = np.einsum("kij,ji->k", pom._operators, ra)
-        t = np.real(np.einsum("kij,ji->k", pom._operators, rho.matrix))
-        comm2 = 4 * np.imag(tr_ra) ** 2
+    if not (a.dim == rho.dim == pom.dim):
+        raise DimensionMismatchError("operator, state and POM dimensions differ")
+    # tr[rho [A, E_k]] = 2i w_k Im tr[rho A M_k]: one trace serves both sides
+    t = np.real(pom.traces(rho.matrix))
+    t_ra = pom.traces(rho.matrix @ a.matrix)
+    eps = statistical_deviation(a, _estimate_from_traces(a, pom, t, np.real(t_ra)), rho)
     keep = pom.weights * t > 1e-14
-    rhs = float(np.sum(pom.weights[keep] * comm2[keep] / (4 * t[keep])))
+    rhs = float(np.sum(pom.weights[keep] * np.imag(t_ra[keep]) ** 2 / t[keep]))
     return _report("accbound", eps**2, rhs, saturation_tol, numeric_tol,
                    {"n_outcomes_kept": int(keep.sum())})
 
@@ -170,25 +165,14 @@ def check_ungen(a: HermitianOperator, b: HermitianOperator, est_a: Estimator,
     """
     if est_a.pom is not est_b.pom:
         raise ValueError("both estimates must be functions of one measurement")
-    sa = estimate_stats(est_a, a, rho)
-    sb = estimate_stats(est_b, b, rho)
+    p = probabilities(est_a.pom, rho)
+    sa = estimate_stats(est_a, a, rho, p)
+    sb = estimate_stats(est_b, b, rho, p)
     lhs = sa.dispersion * sb.inaccuracy + sa.inaccuracy * sb.dispersion + sa.inaccuracy * sb.inaccuracy
     rhs = commutator_bound(a, b, rho)
     return _report("ungen", lhs, rhs, saturation_tol, numeric_tol,
                    {"disp_a": sa.dispersion, "eps_a": sa.inaccuracy,
                     "disp_b": sb.dispersion, "eps_b": sb.inaccuracy})
-
-
-def _unbiasedness_gap(est: Estimator, a: HermitianOperator, subspace_dim=None) -> float:
-    pom = est.pom
-    if pom.kets is not None:
-        acc = (pom.kets.T * (pom.weights * est.values)) @ pom.kets.conj()
-    else:
-        acc = np.einsum("k,kij->ij", pom.weights * est.values, pom._operators)
-    gap = acc - a.matrix
-    if subspace_dim is not None:
-        gap = gap[:subspace_dim, :subspace_dim]
-    return float(np.abs(gap).max())
 
 
 def check_uni(a: HermitianOperator, b: HermitianOperator, est_a: Estimator, est_b: Estimator,
@@ -200,8 +184,8 @@ def check_uni(a: HermitianOperator, b: HermitianOperator, est_a: Estimator, est_
     to ``unbiased_tol`` before checking; for POMs truncated from continuous
     families pass ``subspace_dim`` to verify it on the faithful leading block.
     """
-    gap_a = _unbiasedness_gap(est_a, a, subspace_dim)
-    gap_b = _unbiasedness_gap(est_b, b, subspace_dim)
+    gap_a, gap_b = (float(np.abs(_bias_operator(est, op)[:subspace_dim, :subspace_dim]).max())
+                    for est, op in ((est_a, a), (est_b, b)))
     if max(gap_a, gap_b) > unbiased_tol:
         raise UnbiasednessError(
             f"estimates are not universally unbiased (gaps {gap_a:.2e}, {gap_b:.2e})"
@@ -272,15 +256,15 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom, crosscheck_tol=SATURATIO
 
     est_1 = optimal_estimate(x1, pom, rho)
     est_2 = optimal_estimate(x2, pom, rho)
-    s1 = estimate_stats(est_1, x1, rho)
-    s2 = estimate_stats(est_2, x2, rho)
+    s1 = estimate_stats(est_1, x1, rho, p)
+    s2 = estimate_stats(est_2, x2, rho, p)
     eps2 = (s1.inaccuracy**2, s2.inaccuracy**2)
     disp = (s1.dispersion, s2.dispersion)
 
     ni_1 = optimal_estimate_no_info(x1, pom)
     ni_2 = optimal_estimate_no_info(x2, pom)
-    ni_s1 = estimate_stats(ni_1, x1, rho)
-    ni_s2 = estimate_stats(ni_2, x2, rho)
+    ni_s1 = estimate_stats(ni_1, x1, rho, p)
+    ni_s2 = estimate_stats(ni_2, x2, rho, p)
     noinfo_disp = (ni_s1.dispersion, ni_s2.dispersion)
 
     a1 = pom.values_array(0).reshape(n, n)
@@ -410,7 +394,7 @@ def heterodyne_suite(rho: DensityOperator, pom: Pom, **kwargs) -> list:
     return heterodyne_analysis(rho, pom, **kwargs).reports
 
 
-def check_uncanon(rho: DensityOperator, pom: Pom, hbar=1.0,
+def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0,
                   saturation_tol=SATURATION_TOL_GRID) -> RelationReport:
     """Canonical joint measurement mapped from the quadrature pair.
 
@@ -418,9 +402,9 @@ def check_uncanon(rho: DensityOperator, pom: Pom, hbar=1.0,
     sqrt(2 hbar) produces a canonically conjugate pair, so the product of
     the optimal-estimate dispersions maps to 2 hbar times the quadrature
     value, bounded below by hbar/4.  The digest records the ratio to the
-    universally-unbiased bound hbar.
+    universally-unbiased bound hbar.  Reads the dispersions of an existing
+    ``heterodyne_analysis`` result.
     """
-    analysis = heterodyne_analysis(rho, pom, saturation_tol=saturation_tol)
     product = 2 * hbar * analysis.disp[0] * analysis.disp[1]
     noinfo = 2 * hbar * analysis.noinfo_disp[0] * analysis.noinfo_disp[1]
     return _report("uncanon", product, hbar / 4, saturation_tol, saturation_tol,

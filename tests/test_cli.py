@@ -3,9 +3,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pomest.cli import EXIT_CONFIG, EXIT_OK, main
+from pomest import fock, relations
+from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from pomest.estimation import estimate_stats, probabilities
 from pomest.pom import pom_to_json, trine_pom
 
 
@@ -109,3 +112,49 @@ def test_suite_runs_green(tmp_path):
     assert doc["passed"] is True
     scenarios_seen = {r["scenario"] for r in doc["rows"]}
     assert {"relations", "epr", "thermal", "heterodyne", "linear", "squeezing"} <= scenarios_seen
+
+
+@pytest.mark.parametrize("params", [
+    {"points_per_axis": 12},  # GridResolutionError: Cramer-Rao fails on the coarse grid
+    {"radius": 2.0},  # CompletenessError: the grid does not cover the Fock space
+])
+def test_grid_failure_is_validation_error(params, capsys):
+    code = main(["scenario", "heterodyne", "--params", json.dumps(params)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
+def test_bad_parameter_value_is_config_error(capsys):
+    code = main(["scenario", "epr", "--params", '{"sigma": -1}'])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: sigma and tau must be positive\n"
+
+
+def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
+    analyses = []
+    original = relations.heterodyne_analysis
+
+    def spy(*args, **kwargs):
+        analyses.append(original(*args, **kwargs))
+        return analyses[-1]
+
+    monkeypatch.setattr(relations, "heterodyne_analysis", spy)
+    out = tmp_path / "het.json"
+    params = {"fock_dim": 16, "radius": 6.5, "points_per_axis": 101,
+              "state": "coherent:0.6,-0.2", "hbar": 0.5}
+    code = main(["scenario", "heterodyne", "--params", json.dumps(params), "--output", str(out)])
+    assert code == EXIT_OK
+    assert len(analyses) == 1
+    an = analyses[0]
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["relation_id"] for r in rows[:-1]] == [r.relation_id for r in an.reports]
+    assert rows[-1]["relation_id"] == "uncanon"
+    assert rows[-1]["lhs"] == 2 * 0.5 * an.disp[0] * an.disp[1]
+
+    # the analysis hands its probabilities to estimate_stats: same statistics
+    x1 = fock.quadratures(an.pom.dim)[0]
+    given = estimate_stats(an.est_1, x1, an.rho, p=probabilities(an.pom, an.rho))
+    assert given == estimate_stats(an.est_1, x1, an.rho)
+    assert np.array_equal(an.p, probabilities(an.pom, an.rho))

@@ -19,6 +19,7 @@ from pomest.estimation import (
 from pomest.operators import DensityOperator, HermitianOperator, Ket, PAULI_X, PAULI_Z
 from pomest.pom import (
     GridSpec,
+    Pom,
     coherent_pom,
     identity_pom,
     inefficient_photon_pom,
@@ -27,7 +28,9 @@ from pomest.pom import (
     tetrahedral_pom,
     trine_pom,
 )
+from pomest.relations import check_accbound
 from pomest.sampling import random_density, random_hermitian, random_pom, random_pure_ket
+from pomest.scenarios import log_partition_estimate
 
 
 def brute_force_optimal_values(a, pom, rho, n_grid=10_000):
@@ -378,3 +381,37 @@ def test_repeatability(rng):
     assert repeatability_check(d1, d2, rho)
     with pytest.raises(ValueError):
         repeatability_check(random_hermitian(4, rng), m, rho)
+
+
+def test_kets_and_operator_twins_agree(rng):
+    # one complete rank-one POM stored twice: as kets and as their projectors
+    d, n_out = 4, 9
+    raw = rng.normal(size=(n_out, d)) + 1j * rng.normal(size=(n_out, d))
+    weights = rng.uniform(0.5, 2.0, n_out)
+    vals, vecs = np.linalg.eigh((raw.T * weights) @ raw.conj())
+    kets = raw @ ((vecs * vals**-0.5) @ vecs.conj().T).T
+    values = rng.normal(size=n_out)
+    twin_kets = Pom(d, values, weights, kets=kets)
+    twin_ops = Pom(d, values, weights, operators=np.einsum("ki,kj->kij", kets, kets.conj()))
+    assert np.abs(twin_kets.completeness_operator() - np.eye(d)).max() < 1e-12
+    rho = random_density(d, rng)
+    a = random_hermitian(d, rng)
+    f = rng.normal(size=n_out)
+
+    def both(fn):
+        return fn(twin_kets), fn(twin_ops)
+
+    pairs = {
+        "probabilities": both(lambda pom: probabilities(pom, rho)),
+        "optimal_estimate": both(lambda pom: optimal_estimate(a, pom, rho).values),
+        "optimal_estimate_no_info": both(lambda pom: optimal_estimate_no_info(a, pom).values),
+        "statistical_deviation": both(lambda pom: statistical_deviation(a, Estimator(pom, f), rho)),
+        "hs_distance": both(lambda pom: hs_distance(a, pom)),
+        "check_accbound rhs": both(lambda pom: check_accbound(a, pom, rho).rhs),
+        # a coarse beta step: the default 1e-5 amplifies the paths' last-bit
+        # differences in tr[e^{-beta A} M_k] by 1/(2 beta rel_step) ~ 7e4
+        "log_partition_estimate": both(lambda pom: log_partition_estimate(a, pom, 0.7,
+                                                                          rel_step=1e-2)),
+    }
+    for name, (on_kets, on_ops) in pairs.items():
+        np.testing.assert_allclose(on_kets, on_ops, rtol=0, atol=1e-12, err_msg=name)

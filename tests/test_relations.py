@@ -263,14 +263,14 @@ def test_heterodyne_rejects_non_grid_pom(rng):
 def test_uncanon_levels(het_pom):
     dim = het_pom.dim
     coh = fock.coherent_ket(dim, 0.9).to_density()
-    rep = check_uncanon(coh, het_pom, hbar=1.0)
+    rep = check_uncanon(heterodyne_analysis(coh, het_pom), hbar=1.0)
     assert rep.lhs == pytest.approx(0.25, abs=1e-4)
     assert rep.saturated
     assert rep.inputs_digest["ratio_to_unbiased_bound"] == pytest.approx(0.25, abs=1e-3)
     # without prior information the product sits at the unbiased bound hbar
     assert rep.inputs_digest["noinfo_product"] == pytest.approx(1.0, abs=1e-3)
     thermal = fock.thermal_state(dim, 0.5)
-    rep_t = check_uncanon(thermal, het_pom, hbar=1.0)
+    rep_t = check_uncanon(heterodyne_analysis(thermal, het_pom), hbar=1.0)
     assert rep_t.lhs >= 0.25 - 1e-9
 
 
