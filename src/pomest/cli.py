@@ -324,11 +324,7 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
         at = 0.5 / np.tanh(beta)
         bt = 0.5 / np.cosh(beta / 2) ** 2
         xs = pom.values_array()
-        from .estimation import probabilities
-
-        rho = scenarios._thermal_state(h, beta)
-        p = probabilities(pom, rho)
-        keep = p > 1e-12
+        keep = est.probabilities > 1e-12
         gap = float(np.abs(est.values[keep] - (at + bt * xs[keep] ** 2)).max())
         rep = relations.RelationReport(
             "varsum", gap, 0.0, gap, gap < 1e-6, gap <= 1e-6, 1e-6, 1e-6,

@@ -60,6 +60,7 @@ class Estimator:
     meta: str = "custom"
     zero_probability: np.ndarray | None = None
     out_of_range: np.ndarray | None = None
+    probabilities: np.ndarray | None = None  # under the state it was made for, when already computed
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -25,6 +25,7 @@ __all__ = [
     "coherent_amplitudes",
     "fock_superposition",
     "displacement",
+    "displacements",
     "displacement_expm",
     "thermal_state",
     "oscillator_hamiltonian",
@@ -88,28 +89,28 @@ def fock_superposition(dim: int, coefficients) -> Ket:
     return Ket(amp)
 
 
-def displacement(dim: int, alpha: complex) -> np.ndarray:
-    """Truncation of the exact displacement matrix exp(a a† - a* a).
+def displacements(dim: int, alphas) -> np.ndarray:
+    """Truncated exact displacement matrices exp(a a† - a* a), shape (K, dim, dim).
 
-    Matrix elements follow the associated-Laguerre closed form; column 0 is
-    exactly the truncated coherent-state expansion of D(alpha)|0>.
+    Cahill-Glauber closed form: [m, n] = sqrt(n!/m!) e^{-|a|^2/2} a^(m-n) L_n^(m-n)(|a|^2)
+    for m >= n, and the same with m, n swapped and -a* for a above the diagonal.
     """
-    alpha = complex(alpha)
-    x = abs(alpha) ** 2
-    if x == 0:
-        return np.eye(dim, dtype=complex)
-    D = np.empty((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    loggam = gammaln(idx + 1)
-    for m in range(dim):
-        for n in range(dim):
-            if m >= n:
-                k, lo, al = m - n, n, alpha
-            else:
-                k, lo, al = n - m, m, -np.conjugate(alpha)
-            pref = np.exp(0.5 * (loggam[lo] - loggam[lo + k]) - x / 2)
-            D[m, n] = pref * al**k * eval_genlaguerre(lo, k, x)
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))[:, None, None]
+    # hypot rounds |a| as Python's abs(complex) does; np.abs differs in the last bit
+    x = np.hypot(alphas.real, alphas.imag) ** 2
+    m, n = np.indices((dim, dim))
+    k, lo = np.abs(m - n), np.minimum(m, n)
+    loggam = gammaln(np.arange(dim) + 1)
+    al = np.where(m >= n, alphas, -np.conjugate(alphas))
+    pref = np.exp(0.5 * (loggam[lo] - loggam[lo + k]) - x / 2)
+    D = pref * al**k * eval_genlaguerre(lo, k, x)
+    D[x[:, 0, 0] == 0] = np.eye(dim)
     return D
+
+
+def displacement(dim: int, alpha: complex) -> np.ndarray:
+    """Truncation of the exact displacement matrix D(alpha); see ``displacements``."""
+    return displacements(dim, [alpha])[0]
 
 
 def displacement_expm(dim: int, alpha: complex) -> np.ndarray:

@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 
+_GRID_CHUNK = 256  # grid points per displacement batch: bounds imageband_pom's temporaries
+
+
 class CompletenessError(ValueError):
     """Grid too small: the renormalization correction is no longer a correction."""
 
@@ -227,10 +230,10 @@ def validate(pom: Pom, positivity_tol=1e-10, completeness_tol=1e-8) -> Validatio
                             pom.renorm_correction)
 
 
-def _renormalize_kets(kets, weights, dim, max_correction):
-    gram = (kets.T * weights) @ kets.conj()
-    gram = (gram + gram.conj().T) / 2
-    vals, vecs = np.linalg.eigh(gram)
+def _inverse_sqrt(total, max_correction):
+    """T^{-1/2} of the completeness operator T, with its mean and max eigenvalue corrections."""
+    total = (total + total.conj().T) / 2
+    vals, vecs = np.linalg.eigh(total)
     if vals.min() <= 0:
         raise CompletenessError(
             f"grid completeness operator is singular (min eigenvalue {vals.min():.3e})"
@@ -244,7 +247,11 @@ def _renormalize_kets(kets, weights, dim, max_correction):
             f"renormalization correction {mean_corr:.3f} exceeds {max_correction:.2f}; "
             "enlarge the grid or reduce the Fock dimension"
         )
-    inv_sqrt = (vecs * vals**-0.5) @ vecs.conj().T
+    return (vecs * vals**-0.5) @ vecs.conj().T, mean_corr, max_corr
+
+
+def _renormalize_kets(kets, weights, max_correction):
+    inv_sqrt, mean_corr, max_corr = _inverse_sqrt((kets.T * weights) @ kets.conj(), max_correction)
     return kets @ inv_sqrt.T, mean_corr, max_corr
 
 
@@ -258,7 +265,7 @@ def coherent_pom(fock_dim: int, grid: GridSpec, max_renorm_correction=0.1) -> Po
     alphas, cell = grid.points()
     weights = np.full(alphas.size, cell / np.pi)
     kets = fock.coherent_amplitudes(fock_dim, alphas)
-    kets, mean_corr, max_corr = _renormalize_kets(kets, weights, fock_dim, max_renorm_correction)
+    kets, mean_corr, max_corr = _renormalize_kets(kets, weights, max_renorm_correction)
     values = [(float(a.real), float(a.imag)) for a in alphas]
     labels = [f"a=({a.real:.6g},{a.imag:.6g})" for a in alphas]
     pom = Pom(fock_dim, values, weights, kets=kets, labels=labels,
@@ -290,33 +297,27 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
     labels = [f"a=({a.real:.6g},{a.imag:.6g})" for a in alphas]
 
     vals, vecs = np.linalg.eigh((rho_c + rho_c.conj().T) / 2)
-    rank = int(np.sum(vals > 1e-12))
-    if rank == 1:
+    chunks = [slice(s, s + _GRID_CHUNK) for s in range(0, alphas.size, _GRID_CHUNK)]
+    if int(np.sum(vals > 1e-12)) == 1:
         base = vecs[:, -1] * np.sqrt(vals[-1])
-        kets = np.array([fock.displacement(fock_dim, a) @ base for a in alphas])
-        kets, mean_corr, max_corr = _renormalize_kets(kets, weights, fock_dim, max_renorm_correction)
+        kets = np.concatenate([fock.displacements(fock_dim, alphas[c]) @ base for c in chunks])
+        kets, mean_corr, max_corr = _renormalize_kets(kets, weights, max_renorm_correction)
         return Pom(fock_dim, values, weights, kets=kets, labels=labels,
                    kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
                    meta={"max_renorm_correction": max_corr})
 
-    ops = np.array([
-        (lambda D: D @ rho_c @ D.conj().T)(fock.displacement(fock_dim, a)) for a in alphas
-    ])
-    total = np.einsum("k,kij->ij", weights, ops)
-    total = (total + total.conj().T) / 2
-    tvals, tvecs = np.linalg.eigh(total)
-    if tvals.min() <= 0:
-        raise CompletenessError("grid completeness operator is singular")
-    mean_corr = float(abs(tvals.mean() - 1.0))
-    if mean_corr > max_renorm_correction:
-        raise CompletenessError(
-            f"renormalization correction {mean_corr:.3f} exceeds {max_renorm_correction:.2f}"
-        )
-    inv_sqrt = (tvecs * tvals**-0.5) @ tvecs.conj().T
-    ops = np.einsum("ij,kjl,lm->kim", inv_sqrt, ops, inv_sqrt)
+    # one (K, d, d) stack, filled and renormalized in place chunk by chunk
+    ops = np.empty((alphas.size, fock_dim, fock_dim), dtype=complex)
+    for c in chunks:
+        D = fock.displacements(fock_dim, alphas[c])
+        np.matmul(D @ rho_c, D.conj().transpose(0, 2, 1), out=ops[c])
+    inv_sqrt, mean_corr, max_corr = _inverse_sqrt(np.einsum("k,kij->ij", weights, ops),
+                                                  max_renorm_correction)
+    for c in chunks:
+        np.matmul(inv_sqrt @ ops[c], inv_sqrt, out=ops[c])
     return Pom(fock_dim, values, weights, operators=ops, labels=labels,
                kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
-               meta={"max_renorm_correction": float(np.abs(tvals - 1).max())})
+               meta={"max_renorm_correction": max_corr})
 
 
 def inefficient_photon_pom(fock_dim: int, eta: float, max_faithful_outcome=None,

@@ -108,7 +108,7 @@ def thermal_energy_estimate(h: HermitianOperator, pom: Pom, beta: float,
             f"thermal estimate disagrees with the log-partition route by {gap:.2e}"
         )
     return Estimator(est.pom, est.values, meta="thermal", zero_probability=est.zero_probability,
-                     out_of_range=est.out_of_range)
+                     out_of_range=est.out_of_range, probabilities=p)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from pomest import fock, relations
+from pomest import estimation, fock, relations, scenarios
 from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from pomest.estimation import estimate_stats, probabilities
 from pomest.pom import pom_to_json, trine_pom
@@ -158,3 +158,16 @@ def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
     given = estimate_stats(an.est_1, x1, an.rho, p=probabilities(an.pom, an.rho))
     assert given == estimate_stats(an.est_1, x1, an.rho)
     assert np.array_equal(an.p, probabilities(an.pom, an.rho))
+
+
+def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):
+    calls = []
+    for module, name in ((scenarios, "_thermal_state"), (estimation, "probabilities")):
+        def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    code = main(["scenario", "thermal", "--output", str(tmp_path / "thermal.json")])
+    assert code == EXIT_OK
+    assert sorted(calls) == ["_thermal_state", "probabilities"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pomest import fock
 from pomest.estimation import probabilities
 from pomest.operators import tensor
 from pomest.pom import (
+    _GRID_CHUNK,
     CompletenessError,
     GridSpec,
     TruncationTailError,
@@ -122,6 +125,38 @@ def test_imageband_vacuum_signal_radially_symmetric():
     p = probabilities(pom, vac).reshape(41, 41)
     # quarter-turn symmetry of the grid maps the distribution onto itself
     assert np.abs(p - np.rot90(p)).max() < 1e-10
+
+
+def _imageband_reference(dim, grid, imageband):
+    """Per-point T^{-1/2} D rho' D† T^{-1/2} and the (mean, max) eigenvalue corrections of T."""
+    rho_c = np.zeros((dim, dim), dtype=complex)
+    rho_c[: imageband.dim, : imageband.dim] = imageband_conjugate(imageband)
+    alphas, cell = grid.points()
+    ops = []
+    for a in alphas:
+        d = fock.displacement(dim, a)
+        ops.append(d @ rho_c @ d.conj().T)
+    total = cell / np.pi * np.sum(ops, axis=0)
+    vals, vecs = np.linalg.eigh((total + total.conj().T) / 2)
+    inv_sqrt = (vecs * vals**-0.5) @ vecs.conj().T
+    return [inv_sqrt @ op @ inv_sqrt for op in ops], abs(vals.mean() - 1), np.abs(vals - 1).max()
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("offset", [-1, 0, 1])  # K below, equal to, not a multiple of the chunk
+def test_imageband_chunks_match_per_point_reference(rank, offset, rng):
+    side = math.isqrt(_GRID_CHUNK)
+    assert side * side == _GRID_CHUNK
+    grid = GridSpec(0.3 - 0.2j, 5.0, side + offset)
+    imageband = random_density(3, rng, rank=rank)
+    pom = imageband_pom(8, grid, imageband)
+    ref, mean_corr, max_corr = _imageband_reference(8, grid, imageband)
+    assert (pom.kets is not None) == (rank == 1)
+    got = np.array(list(pom.operators()))
+    assert got.shape[0] == (side + offset) ** 2
+    assert np.abs(got - ref).max() < 1e-12
+    assert pom.renorm_correction == pytest.approx(mean_corr, abs=1e-12)
+    assert pom.meta["max_renorm_correction"] == pytest.approx(max_corr, abs=1e-12)
 
 
 def test_inefficient_photon_pom_eta_one_projective():
