@@ -60,9 +60,9 @@ from .relations import (
     check_uncanon,
     check_ungen,
     check_uni,
+    check_varsum,
     commutator_bound,
     heterodyne_analysis,
-    heterodyne_suite,
 )
 from .scenarios import (
     EprParams,

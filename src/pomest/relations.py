@@ -5,10 +5,12 @@ inequality, the slack and a saturation flag.  Reports are oriented so that
 the theorem reads lhs >= rhs; for the one upper bound (``tracefish``) the
 bound itself is stored as lhs so that a passing report always has
 ``slack = lhs - rhs >= -numeric_tol``.  Equality-type relations
-(``varsum``, ``fishident``) are judged on |slack|.
+(``varsum``, ``fishident``, the CLI's ``thermalgap`` and ``completeness``)
+are judged on |slack|.  ``report`` builds every RelationReport and
+``RelationReport.to_json`` is the one row serializer.
 
 Exact finite-dimensional checks default to saturation tolerance 1e-6;
-grid-quadrature checks (the heterodyne suite) use 1e-3.
+grid-quadrature checks (``heterodyne_analysis``) use 1e-3.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .pom import Pom
 
 __all__ = [
     "RelationReport",
+    "report",
     "GridResolutionError",
     "UnbiasednessError",
     "commutator_bound",
@@ -39,10 +42,10 @@ __all__ = [
     "check_accbound",
     "check_ungen",
     "check_uni",
+    "check_varsum",
     "check_uncanon",
     "HeterodyneAnalysis",
     "heterodyne_analysis",
-    "heterodyne_suite",
     "SATURATION_TOL_EXACT",
     "SATURATION_TOL_GRID",
     "NUMERIC_TOL",
@@ -52,7 +55,7 @@ SATURATION_TOL_EXACT = 1e-6
 SATURATION_TOL_GRID = 1e-3
 NUMERIC_TOL = 1e-9
 
-EQUALITY_RELATIONS = {"varsum", "fishident"}
+EQUALITY_RELATIONS = {"varsum", "fishident", "thermalgap", "completeness"}
 
 
 class GridResolutionError(RuntimeError):
@@ -82,25 +85,23 @@ class RelationReport:
     numeric_tol: float
     inputs_digest: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
+    def to_json(self, scenario: str) -> dict:
+        """One report row; ``tolerance`` is the saturation tolerance."""
         return {
+            "scenario": scenario,
             "relation_id": self.relation_id,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "slack": self.slack,
             "saturated": self.saturated,
+            "tolerance": self.saturation_tol,
             "passed": self.passed,
-            "saturation_tol": self.saturation_tol,
-            "numeric_tol": self.numeric_tol,
             "inputs_digest": self.inputs_digest,
         }
 
-    def csv_row(self, scenario="") -> list:
-        return [scenario, self.relation_id, repr(self.lhs), repr(self.rhs),
-                repr(self.slack), self.saturated, repr(self.saturation_tol)]
 
-
-def _report(relation_id, lhs, rhs, saturation_tol, numeric_tol=NUMERIC_TOL, digest=None):
+def report(relation_id, lhs, rhs, saturation_tol, numeric_tol=NUMERIC_TOL, digest=None):
+    """The RelationReport for lhs >= rhs, or lhs = rhs for an equality relation."""
     slack = lhs - rhs
     if relation_id in EQUALITY_RELATIONS:
         passed = abs(slack) <= max(saturation_tol, numeric_tol)
@@ -131,8 +132,8 @@ def check_geom(a: HermitianOperator, b: HermitianOperator, pom: Pom, rho: Densit
     lhs = float(np.sqrt(sa.dispersion**2 + sa.inaccuracy**2) * np.sqrt(sb.dispersion**2 + sb.inaccuracy**2))
     rhs = commutator_bound(a, b, rho)
     direct = float(np.sqrt(a.variance(rho) * b.variance(rho)))
-    return _report("geom", lhs, rhs, saturation_tol, numeric_tol,
-                   {"delta_a_delta_b": direct, "pythagoras_gap": abs(lhs - direct)})
+    return report("geom", lhs, rhs, saturation_tol, numeric_tol,
+                  {"delta_a_delta_b": direct, "pythagoras_gap": abs(lhs - direct)})
 
 
 def check_accbound(a: HermitianOperator, pom: Pom, rho: DensityOperator,
@@ -151,8 +152,8 @@ def check_accbound(a: HermitianOperator, pom: Pom, rho: DensityOperator,
     eps = statistical_deviation(a, _estimate_from_traces(a, pom, t, np.real(t_ra)), rho)
     keep = pom.weights * t > 1e-14
     rhs = float(np.sum(pom.weights[keep] * np.imag(t_ra[keep]) ** 2 / t[keep]))
-    return _report("accbound", eps**2, rhs, saturation_tol, numeric_tol,
-                   {"n_outcomes_kept": int(keep.sum())})
+    return report("accbound", eps**2, rhs, saturation_tol, numeric_tol,
+                  {"n_outcomes_kept": int(keep.sum())})
 
 
 def check_ungen(a: HermitianOperator, b: HermitianOperator, est_a: Estimator,
@@ -170,9 +171,9 @@ def check_ungen(a: HermitianOperator, b: HermitianOperator, est_a: Estimator,
     sb = estimate_stats(est_b, b, rho, p)
     lhs = sa.dispersion * sb.inaccuracy + sa.inaccuracy * sb.dispersion + sa.inaccuracy * sb.inaccuracy
     rhs = commutator_bound(a, b, rho)
-    return _report("ungen", lhs, rhs, saturation_tol, numeric_tol,
-                   {"disp_a": sa.dispersion, "eps_a": sa.inaccuracy,
-                    "disp_b": sb.dispersion, "eps_b": sb.inaccuracy})
+    return report("ungen", lhs, rhs, saturation_tol, numeric_tol,
+                  {"disp_a": sa.dispersion, "eps_a": sa.inaccuracy,
+                   "disp_b": sb.dispersion, "eps_b": sb.inaccuracy})
 
 
 def check_uni(a: HermitianOperator, b: HermitianOperator, est_a: Estimator, est_b: Estimator,
@@ -193,8 +194,16 @@ def check_uni(a: HermitianOperator, b: HermitianOperator, est_a: Estimator, est_
     eps_a = statistical_deviation(a, est_a, rho)
     eps_b = statistical_deviation(b, est_b, rho)
     rhs = commutator_bound(a, b, rho)
-    return _report("uni", eps_a * eps_b, rhs, saturation_tol, numeric_tol,
-                   {"eps_a": eps_a, "eps_b": eps_b, "unbiased_gap": max(gap_a, gap_b)})
+    return report("uni", eps_a * eps_b, rhs, saturation_tol, numeric_tol,
+                  {"eps_a": eps_a, "eps_b": eps_b, "unbiased_gap": max(gap_a, gap_b)})
+
+
+def check_varsum(a: HermitianOperator, pom: Pom, rho: DensityOperator,
+                 saturation_tol=1e-10, numeric_tol=1e-10) -> RelationReport:
+    """Pythagorean identity Var A = disp^2 + eps^2 for the optimal estimate."""
+    stats = estimate_stats(optimal_estimate(a, pom, rho), a, rho)
+    return report("varsum", a.variance(rho), stats.dispersion**2 + stats.inaccuracy**2,
+                  saturation_tol, numeric_tol)
 
 
 @dataclass
@@ -375,23 +384,18 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom, crosscheck_tol=SATURATIO
               "excluded_mass": excluded_mass}
     # quadrature relations pass at the grid tolerance, not at exact arithmetic
     reports = [
-        _report("unbest", disp[0] * disp[1], 0.125, saturation_tol, saturation_tol, digest),
-        _report("accbest", eps_sum, 0.25, saturation_tol, saturation_tol, digest),
-        _report("fishbound", eps2[0], F[1, 1] / 16, saturation_tol, saturation_tol,
-                dict(digest, quadrature=1)),
-        _report("fishbound", eps2[1], F[0, 0] / 16, saturation_tol, saturation_tol,
-                dict(digest, quadrature=2)),
-        _report("tracefish", 4.0, tr_f, saturation_tol, saturation_tol, digest),
-        _report("fishident", eps_sum, 0.5 - tr_f / 16, saturation_tol, saturation_tol, digest),
+        report("unbest", disp[0] * disp[1], 0.125, saturation_tol, saturation_tol, digest),
+        report("accbest", eps_sum, 0.25, saturation_tol, saturation_tol, digest),
+        report("fishbound", eps2[0], F[1, 1] / 16, saturation_tol, saturation_tol,
+               dict(digest, quadrature=1)),
+        report("fishbound", eps2[1], F[0, 0] / 16, saturation_tol, saturation_tol,
+               dict(digest, quadrature=2)),
+        report("tracefish", 4.0, tr_f, saturation_tol, saturation_tol, digest),
+        report("fishident", eps_sum, 0.5 - tr_f / 16, saturation_tol, saturation_tol, digest),
     ]
     return HeterodyneAnalysis(pom, rho, p, Q.ravel(), est_1, est_2, disp, eps2,
                               noinfo_disp, F, fisher_marginal, cov_q, cov_opt,
                               excluded_mass, cc_max, cc_pts, mat_gap, reports)
-
-
-def heterodyne_suite(rho: DensityOperator, pom: Pom, **kwargs) -> list:
-    """RelationReports for the dispersion, inaccuracy and Fisher relations."""
-    return heterodyne_analysis(rho, pom, **kwargs).reports
 
 
 def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0,
@@ -407,7 +411,7 @@ def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0,
     """
     product = 2 * hbar * analysis.disp[0] * analysis.disp[1]
     noinfo = 2 * hbar * analysis.noinfo_disp[0] * analysis.noinfo_disp[1]
-    return _report("uncanon", product, hbar / 4, saturation_tol, saturation_tol,
-                   digest={"hbar": hbar, "unbiased_bound": hbar,
-                           "ratio_to_unbiased_bound": product / hbar,
-                           "noinfo_product": noinfo})
+    return report("uncanon", product, hbar / 4, saturation_tol, saturation_tol,
+                  digest={"hbar": hbar, "unbiased_bound": hbar,
+                          "ratio_to_unbiased_bound": product / hbar,
+                          "noinfo_product": noinfo})

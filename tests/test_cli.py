@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,16 @@ from pomest import estimation, fock, relations, scenarios
 from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from pomest.estimation import estimate_stats, probabilities
 from pomest.pom import pom_to_json, trine_pom
+
+TRINE_FIXTURE = str(Path(__file__).resolve().parents[1] / "fixtures" / "trine.json")
+ROW_KEYS = {"scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance", "passed",
+            "inputs_digest"}
+
+
+def _assert_row_schema(rows):
+    for row in rows:
+        assert set(row) == ROW_KEYS
+        assert row["slack"] == row["lhs"] - row["rhs"]
 
 
 @pytest.fixture
@@ -112,14 +123,16 @@ def test_suite_runs_green(tmp_path):
     assert doc["passed"] is True
     scenarios_seen = {r["scenario"] for r in doc["rows"]}
     assert {"relations", "epr", "thermal", "heterodyne", "linear", "squeezing"} <= scenarios_seen
+    _assert_row_schema(doc["rows"])
 
 
-@pytest.mark.parametrize("params", [
-    {"points_per_axis": 12},  # GridResolutionError: Cramer-Rao fails on the coarse grid
-    {"radius": 2.0},  # CompletenessError: the grid does not cover the Fock space
+@pytest.mark.parametrize("scenario, params", [
+    ("heterodyne", {"points_per_axis": 12}),  # GridResolutionError: Cramer-Rao fails
+    ("heterodyne", {"radius": 2.0}),  # CompletenessError: the grid does not cover the Fock space
+    ("epr", {"points": 256}),  # GridResolutionError: the grid misses the closed form by 0.27
 ])
-def test_grid_failure_is_validation_error(params, capsys):
-    code = main(["scenario", "heterodyne", "--params", json.dumps(params)])
+def test_grid_failure_is_validation_error(scenario, params, capsys):
+    code = main(["scenario", scenario, "--params", json.dumps(params)])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
@@ -171,3 +184,52 @@ def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):
     code = main(["scenario", "thermal", "--output", str(tmp_path / "thermal.json")])
     assert code == EXIT_OK
     assert sorted(calls) == ["_thermal_state", "probabilities"]
+
+
+@pytest.mark.parametrize("params", [
+    {"hbar": 1e6, "numeric": False},  # closed-form roundoff: slack -1.2e-10
+    {"hbar": 1e4, "sigma": 95, "tau": 95},  # a validated 72^2 grid: slack -4.2e-3
+])
+def test_epr_tolerances_scale_with_hbar(params, capsys):
+    assert main(["scenario", "epr", "--params", json.dumps(params)]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["relation_id"] for r in rows] == ["ungen"] * len(rows)
+    assert all(r["slack"] < 0 for r in rows)
+
+
+def test_linear_row_is_ungen_and_judged_on_its_slack(capsys):
+    # eps_lin < eps_raw rounds to equality here; the row still has slack +0.5
+    params = {"var_xprime": 1e-20, "var_pprime": 2.5e19}
+    assert main(["scenario", "linear", "--params", json.dumps(params)]) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["relation_id"] == "ungen"
+    assert row["slack"] == pytest.approx(0.5)
+
+
+def test_completeness_tolerance_is_applied(monkeypatch, capsys):
+    monkeypatch.setenv("POMEST_COMPLETENESS_TOL", "1e-20")
+    assert main(["validate", "--pom", TRINE_FIXTURE]) == EXIT_VALIDATION
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["validation"]["completeness_tol"] == 1e-20
+    assert doc["rows"][0]["tolerance"] == 1e-20
+    assert doc["rows"][0]["passed"] is False
+    assert "tolerances" not in doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "linear"],
+    ["scenario", "squeezing"],
+    ["scenario", "thermal"],
+    ["scenario", "epr", "--params", '{"numeric": false}'],
+    ["validate", "--pom", TRINE_FIXTURE],
+], ids=["linear", "squeezing", "thermal", "epr", "validate"])
+def test_rows_share_one_schema_and_are_deterministic(argv, capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    rows = json.loads(outputs[0])["rows"]
+    _assert_row_schema(rows)
+    if argv[:2] == ["scenario", "thermal"]:
+        assert [r["relation_id"] for r in rows] == ["thermalgap"]

@@ -14,7 +14,6 @@ from pomest.relations import (
     check_uni,
     commutator_bound,
     heterodyne_analysis,
-    heterodyne_suite,
 )
 from pomest.sampling import random_density, random_hermitian, random_pom, random_pure_ket
 
@@ -257,7 +256,7 @@ def test_heterodyne_fisher_identities(het_pom):
 def test_heterodyne_rejects_non_grid_pom(rng):
     rho = random_density(2, rng)
     with pytest.raises(ValueError):
-        heterodyne_suite(rho, trine_pom())
+        heterodyne_analysis(rho, trine_pom())
 
 
 def test_uncanon_levels(het_pom):
