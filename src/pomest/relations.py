@@ -198,12 +198,11 @@ def check_uni(a: HermitianOperator, b: HermitianOperator, est_a: Estimator, est_
                   {"eps_a": eps_a, "eps_b": eps_b, "unbiased_gap": max(gap_a, gap_b)})
 
 
-def check_varsum(a: HermitianOperator, pom: Pom, rho: DensityOperator,
-                 saturation_tol=1e-10, numeric_tol=1e-10) -> RelationReport:
+def check_varsum(a: HermitianOperator, pom: Pom, rho: DensityOperator) -> RelationReport:
     """Pythagorean identity Var A = disp^2 + eps^2 for the optimal estimate."""
     stats = estimate_stats(optimal_estimate(a, pom, rho), a, rho)
     return report("varsum", a.variance(rho), stats.dispersion**2 + stats.inaccuracy**2,
-                  saturation_tol, numeric_tol)
+                  1e-10, 1e-10)
 
 
 @dataclass

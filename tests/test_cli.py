@@ -216,6 +216,25 @@ def test_completeness_tolerance_is_applied(monkeypatch, capsys):
     assert "tolerances" not in doc
 
 
+def test_validate_row_covers_completeness_and_document_positivity(tmp_path, capsys):
+    # complete (M_1 + M_2 = 1) but M_2 has eigenvalue -0.5
+    def entry(label, diag):
+        matrix = [[[diag[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [diag[1], 0.0]]]
+        return {"label": label, "matrix": matrix, "value": 0.0, "weight": 1.0}
+
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"dim": 2, "outcomes": [entry("a", [1.5, 0.5]),
+                                                       entry("b", [-0.5, 0.5])]}))
+    assert main(["validate", "--pom", str(path)]) == EXIT_VALIDATION
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert doc["validation"]["min_eigenvalue"] == pytest.approx(-0.5)
+    (row,) = doc["rows"]
+    assert row["relation_id"] == "completeness"
+    assert row["lhs"] == 0.0
+    assert row["passed"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["scenario", "linear"],
     ["scenario", "squeezing"],
