@@ -100,11 +100,6 @@ class GridSpec:
             "points_per_axis": self.points_per_axis,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "GridSpec":
-        re, im = data["center"]
-        return cls(complex(re, im), float(data["radius"]), int(data["points_per_axis"]))
-
 
 class Pom:
     """Finite family of weighted positive operators summing to the identity.

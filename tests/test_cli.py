@@ -129,7 +129,7 @@ def test_suite_runs_green(tmp_path):
 @pytest.mark.parametrize("scenario, params", [
     ("heterodyne", {"points_per_axis": 12}),  # GridResolutionError: Cramer-Rao fails
     ("heterodyne", {"radius": 2.0}),  # CompletenessError: the grid does not cover the Fock space
-    ("epr", {"points": 256}),  # GridResolutionError: the grid misses the closed form by 0.27
+    ("epr", {"points": 256}),  # GridResolutionError: the grid misses the closed form by 4.3e-3
 ])
 def test_grid_failure_is_validation_error(scenario, params, capsys):
     code = main(["scenario", scenario, "--params", json.dumps(params)])
@@ -188,13 +188,24 @@ def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("params", [
     {"hbar": 1e6, "numeric": False},  # closed-form roundoff: slack -1.2e-10
-    {"hbar": 1e4, "sigma": 95, "tau": 95},  # a validated 72^2 grid: slack -4.2e-3
+    {"hbar": 1e4, "sigma": 95, "tau": 95},  # a validated 72^2 grid: slack -6.2e-3
 ])
 def test_epr_tolerances_scale_with_hbar(params, capsys):
     assert main(["scenario", "epr", "--params", json.dumps(params)]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["relation_id"] for r in rows] == ["ungen"] * len(rows)
     assert all(r["slack"] < 0 for r in rows)
+
+
+@pytest.mark.parametrize("params", [
+    {"hbar": 10, "sigma": 1, "tau": 10},
+    {"hbar": 1e4, "sigma": 100, "tau": 100},
+])
+def test_epr_grid_where_momentum_dispersion_vanishes(params, capsys):
+    # sigma tau = hbar makes the closed-form disp_p 0; the grid is still judged
+    code = main(["scenario", "epr", "--params", json.dumps(params)])
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_linear_row_is_ungen_and_judged_on_its_slack(capsys):

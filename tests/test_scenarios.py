@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pomest import fock
+from pomest import fock, scenarios
 from pomest.estimation import probabilities
 from pomest.operators import HermitianOperator, Ket
 from pomest.pom import projective_pom
@@ -234,6 +236,8 @@ def test_epr_numeric_matches_closed_form():
     assert rep.rel_err_disp_x < 1e-3
     assert rep.rel_err_disp_p < 1e-3
     assert rep.rel_err_eps_p < 1e-3
+    # the exact momentum derivative leaves eps_p well inside the grid tolerance
+    assert rep.rel_err_eps_p < 1e-5
     assert rep.numeric.eps_x == pytest.approx(0.0, abs=1e-10)
     # slack of the universal relation stays nonnegative at grid tolerance
     assert rep.numeric.ungen_lhs - rep.numeric.ungen_rhs >= -1e-3
@@ -242,6 +246,33 @@ def test_epr_numeric_matches_closed_form():
     c0, c1 = rep.numeric.p_estimate_coeff
     assert c0 == pytest.approx(rep.closed.p_estimate_coeff[0], abs=1e-3)
     assert c1 == pytest.approx(rep.closed.p_estimate_coeff[1], abs=1e-3)
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def test_epr_numeric_strips_cover_the_grid(monkeypatch):
+    # 1000 rows end in a partial strip; a single strip over the whole grid is the reference
+    assert 1000 % scenarios._EPR_STRIP
+    strips = epr_numeric(EprParams(), 1000, validate=False)
+    monkeypatch.setattr(scenarios, "_EPR_STRIP", 1000)
+    whole = epr_numeric(EprParams(), 1000, validate=False)
+    assert _leaves(dataclasses.astuple(strips)) == pytest.approx(
+        _leaves(dataclasses.astuple(whole)), rel=1e-12, abs=1e-12)
+
+
+def test_epr_numeric_holds_no_full_grid():
+    n = 2304
+    tracemalloc.start()
+    try:
+        epr_numeric(EprParams(), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(complex).itemsize
 
 
 def test_epr_numeric_rejects_hopeless_grid():
