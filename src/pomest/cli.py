@@ -42,7 +42,8 @@ EXIT_RELATION = 1
 EXIT_VALIDATION = 2
 EXIT_CONFIG = 3
 
-CSV_COLUMNS = ["scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance"]
+CSV_COLUMNS = ["scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance",
+               "pass_tolerance", "passed"]
 
 ENV_PREFIX = "POMEST_"
 ENV_TOLERANCES = {

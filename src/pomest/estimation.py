@@ -111,14 +111,10 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
         raise DimensionMismatchError("operator, state and POM dimensions differ")
     f = est.values
     if pom.kets is not None:
-        # per outcome: <a_k|(A-f) rho (A-f)|a_k> with rho in eigenform
-        vals, vecs = np.linalg.eigh(rho.matrix)
-        vals = np.clip(vals, 0.0, None)
-        cols = vecs[:, vals > 1e-16]
-        lam = vals[vals > 1e-16]
-        amp = pom.kets.conj() @ (a.matrix @ cols) - f[:, None] * (pom.kets.conj() @ cols)
-        d2 = float(pom.weights @ (np.abs(amp) ** 2 @ lam))
-        return float(np.sqrt(max(d2, 0.0)))
+        cols, lam = _eigenform(rho)
+        amps = pom.project(np.hstack([cols, a.matrix @ cols]))
+        return _deviation_from_projection(pom.weights, amps[:, lam.size:], amps[:, :lam.size],
+                                          f, lam)
     rho_m = rho.matrix
     a_rho_a = a.matrix @ rho_m @ a.matrix
     sym = a.matrix @ rho_m + rho_m @ a.matrix
@@ -129,23 +125,34 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
     return float(np.sqrt(max(d2, 0.0)))
 
 
+def _eigenform(rho: DensityOperator):
+    """rho = V diag(lam) V†: the eigenvectors V (d, r) and eigenvalues lam > 1e-16."""
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    keep = vals > 1e-16
+    return vecs[:, keep], vals[keep]
+
+
+def _deviation_from_projection(weights, amp_a, amp, f, lam) -> float:
+    """Root of D^2 = sum_k w_k sum_n lam_n |<a_k|A|v_n> - f_k <a_k|v_n>|^2.
+
+    ``amp_a`` and ``amp`` are the (K, r) projections of the kets onto A V and
+    V for rho = V diag(lam) V†; each outcome's term is manifestly nonnegative.
+    """
+    d2 = float(weights @ (np.abs(amp_a - f[:, None] * amp) ** 2 @ lam))
+    return float(np.sqrt(max(d2, 0.0)))
+
+
 def hs_distance(a: HermitianOperator, pom: Pom) -> float:
     """State-independent distance d^2 = sum_k w_k tr[M_k (A - m_k)^2].
 
     Uses the POM's own outcome values; proportional to the average of the
-    squared statistical deviation over uniformly random pure states.
+    squared statistical deviation over uniformly random pure states, and
+    equal to dim times that deviation at the maximally mixed state.
     """
     if a.dim != pom.dim:
         raise DimensionMismatchError("operator and POM dimensions differ")
-    values = pom.values_array()
-    if pom.kets is not None:
-        shifted = a.matrix @ pom.kets.T - values[None, :] * pom.kets.T  # column k: (A - m_k)|a_k>
-        d2 = float(pom.weights @ np.sum(np.abs(shifted) ** 2, axis=0))
-    else:
-        t2, t1, t0 = (np.real(pom.traces(x))
-                      for x in (a.matrix @ a.matrix, a.matrix, np.eye(pom.dim)))
-        d2 = float(pom.weights @ (t2 - 2 * values * t1 + values**2 * t0))
-    return float(np.sqrt(max(d2, 0.0)))
+    mixed = DensityOperator.maximally_mixed(pom.dim)
+    return float(np.sqrt(pom.dim) * statistical_deviation(a, measurement_estimator(pom), mixed))
 
 
 def _out_of_range(values, a: HermitianOperator):
@@ -182,8 +189,13 @@ def optimal_estimate_no_info(a: HermitianOperator, pom: Pom) -> Estimator:
     """
     if a.dim != pom.dim:
         raise DimensionMismatchError("operator and POM dimensions differ")
-    t = np.real(pom.traces(np.eye(pom.dim)))
-    ta = np.real(pom.traces(a.matrix))
+    return _no_info_from_traces(a, pom, np.real(pom.traces(np.eye(pom.dim))),
+                                np.real(pom.traces(a.matrix)))
+
+
+def _no_info_from_traces(a: HermitianOperator, pom: Pom, t: np.ndarray,
+                         ta: np.ndarray) -> Estimator:
+    """No-information estimate f_k = ta_k / t_k from t = tr M_k, ta = Re tr[A M_k]."""
     if np.any(t <= 0):
         raise ValueError("POM has a zero-trace outcome; no-information estimate undefined")
     f = ta / t
@@ -265,10 +277,14 @@ def estimate_stats(est: Estimator, a: HermitianOperator, rho: DensityOperator,
     """
     if p is None:
         p = probabilities(est.pom, rho)
-    mean = float(p @ est.values)
-    disp2 = float(p @ est.values**2) - mean * mean
-    inaccuracy = statistical_deviation(a, est, rho)
-    return EstimateStats(mean, float(np.sqrt(max(disp2, 0.0))), inaccuracy, rho)
+    mean, dispersion = _mean_and_dispersion(p, est.values)
+    return EstimateStats(mean, dispersion, statistical_deviation(a, est, rho), rho)
+
+
+def _mean_and_dispersion(p: np.ndarray, values: np.ndarray):
+    """Mean and rms dispersion of the values under the outcome probabilities p."""
+    mean = float(p @ values)
+    return mean, float(np.sqrt(max(float(p @ values**2) - mean * mean, 0.0)))
 
 
 def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator,

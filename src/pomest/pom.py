@@ -120,16 +120,24 @@ class Pom:
             raise ValueError("outcome weights must be positive")
         self._operators = None if operators is None else np.asarray(operators, dtype=complex)
         self._kets = None if kets is None else np.asarray(kets, dtype=complex)
-        n = self.n_outcomes
-        if labels is None:
-            labels = [str(v) for v in self.values]
-        self.labels = list(labels)
-        if not (len(self.values) == len(self.labels) == self.weights.size == n):
+        self._labels = None if labels is None else list(labels)
+        n_labels = len(self.values) if labels is None else len(self._labels)
+        if not (len(self.values) == n_labels == self.weights.size == self.n_outcomes):
             raise ValueError("values, labels and weights must match the outcome count")
         self.kind = kind
         self.grid = grid
         self.renorm_correction = renorm_correction
         self.meta = dict(meta or {})
+
+    @property
+    def labels(self) -> list:
+        """Outcome labels, by default formatted on first read: ``a=(x,y)`` on grids, else str(value)."""
+        if self._labels is None:
+            if self.grid is not None:
+                self._labels = [f"a=({x:.6g},{y:.6g})" for x, y in self.values]
+            else:
+                self._labels = [str(v) for v in self.values]
+        return self._labels
 
     @property
     def n_outcomes(self) -> int:
@@ -158,8 +166,18 @@ class Pom:
         A at outcome k, whose real part gives the optimal estimate.
         """
         if self._kets is not None:
-            return np.einsum("kn,kn->k", self._kets.conj() @ x, self._kets)
-        return np.einsum("kij,ji->k", self._operators, x)
+            return np.vecdot(self._kets, self._kets @ x.T)
+        return self._operators.reshape(len(self._operators), -1) @ x.T.ravel()
+
+    def project(self, columns) -> np.ndarray:
+        """Overlaps <a_k|c_j> of every ket with every column of the (d, m) array.
+
+        Row k is ``kets[k].conj() @ columns``; the kets themselves are never
+        conjugated, only the small column stack and the (K, m) result.
+        """
+        if self._kets is None:
+            raise ValueError("projection needs a rank-one (kets) POM")
+        return np.conj(self._kets @ np.conj(columns))
 
     def weighted_sum(self, c) -> np.ndarray:
         """sum_k c_k M_k for per-outcome coefficients c."""
@@ -261,12 +279,10 @@ def coherent_pom(fock_dim: int, grid: GridSpec, max_renorm_correction=0.1) -> Po
     weights = np.full(alphas.size, cell / np.pi)
     kets = fock.coherent_amplitudes(fock_dim, alphas)
     kets, mean_corr, max_corr = _renormalize_kets(kets, weights, max_renorm_correction)
-    values = [(float(a.real), float(a.imag)) for a in alphas]
-    labels = [f"a=({a.real:.6g},{a.imag:.6g})" for a in alphas]
-    pom = Pom(fock_dim, values, weights, kets=kets, labels=labels,
-              kind="coherent-grid", grid=grid, renorm_correction=mean_corr,
-              meta={"max_renorm_correction": max_corr})
-    return pom
+    values = list(zip(alphas.real.tolist(), alphas.imag.tolist()))
+    return Pom(fock_dim, values, weights, kets=kets,
+               kind="coherent-grid", grid=grid, renorm_correction=mean_corr,
+               meta={"max_renorm_correction": max_corr})
 
 
 def imageband_conjugate(imageband: DensityOperator) -> np.ndarray:
@@ -288,8 +304,7 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
     rho_c[: imageband.dim, : imageband.dim] = imageband_conjugate(imageband)
     alphas, cell = grid.points()
     weights = np.full(alphas.size, cell / np.pi)
-    values = [(float(a.real), float(a.imag)) for a in alphas]
-    labels = [f"a=({a.real:.6g},{a.imag:.6g})" for a in alphas]
+    values = list(zip(alphas.real.tolist(), alphas.imag.tolist()))
 
     vals, vecs = np.linalg.eigh((rho_c + rho_c.conj().T) / 2)
     chunks = [slice(s, s + _GRID_CHUNK) for s in range(0, alphas.size, _GRID_CHUNK)]
@@ -297,7 +312,7 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
         base = vecs[:, -1] * np.sqrt(vals[-1])
         kets = np.concatenate([fock.displacements(fock_dim, alphas[c]) @ base for c in chunks])
         kets, mean_corr, max_corr = _renormalize_kets(kets, weights, max_renorm_correction)
-        return Pom(fock_dim, values, weights, kets=kets, labels=labels,
+        return Pom(fock_dim, values, weights, kets=kets,
                    kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
                    meta={"max_renorm_correction": max_corr})
 
@@ -310,7 +325,7 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
                                                   max_renorm_correction)
     for c in chunks:
         np.matmul(inv_sqrt @ ops[c], inv_sqrt, out=ops[c])
-    return Pom(fock_dim, values, weights, operators=ops, labels=labels,
+    return Pom(fock_dim, values, weights, operators=ops,
                kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
                meta={"max_renorm_correction": max_corr})
 

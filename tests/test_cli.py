@@ -13,8 +13,8 @@ from pomest.estimation import estimate_stats, probabilities
 from pomest.pom import pom_to_json, trine_pom
 
 TRINE_FIXTURE = str(Path(__file__).resolve().parents[1] / "fixtures" / "trine.json")
-ROW_KEYS = {"scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance", "passed",
-            "inputs_digest"}
+ROW_KEYS = {"scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance",
+            "pass_tolerance", "passed", "inputs_digest"}
 
 
 def _assert_row_schema(rows):
@@ -78,8 +78,14 @@ def test_relations_csv_columns(tmp_path):
     assert code == EXIT_OK
     with open(out) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance"]
+    assert rows[0] == ["scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance",
+                       "pass_tolerance", "passed"]
     assert len(rows) > 3
+    # geom, accbound and ungen pass at the numeric tolerance, below the saturation one
+    tols = {r[1]: (float(r[6]), float(r[7])) for r in rows[1:]}
+    assert tols["geom"] == tols["accbound"] == tols["ungen"] == (1e-6, 1e-9)
+    assert tols["varsum"] == (1e-10, 1e-10)
+    assert all(r[8] == "True" for r in rows[1:])
 
 
 def test_estimate_command(tmp_path):
@@ -170,7 +176,8 @@ def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
     x1 = fock.quadratures(an.pom.dim)[0]
     given = estimate_stats(an.est_1, x1, an.rho, p=probabilities(an.pom, an.rho))
     assert given == estimate_stats(an.est_1, x1, an.rho)
-    assert np.array_equal(an.p, probabilities(an.pom, an.rho))
+    # the analysis takes p from its projection of the kets, not from Pom.traces
+    np.testing.assert_allclose(an.p, probabilities(an.pom, an.rho), rtol=0, atol=1e-15)
 
 
 def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):

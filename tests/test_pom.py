@@ -10,6 +10,7 @@ from pomest.pom import (
     _GRID_CHUNK,
     CompletenessError,
     GridSpec,
+    Pom,
     TruncationTailError,
     coherent_pom,
     imageband_conjugate,
@@ -276,3 +277,30 @@ def test_probability_normalization_across_families(rng):
             p = probabilities(pom, rho)
             assert p.min() >= -1e-10
             assert abs(p.sum() - 1.0) < 1e-8
+
+
+def test_traces_and_project_match_their_definitions(rng):
+    d, n_kets = 5, 7
+    x = random_density(d, rng).matrix @ random_hermitian(d, rng).matrix  # rho A: not Hermitian
+    kets = rng.normal(size=(n_kets, d)) + 1j * rng.normal(size=(n_kets, d))
+    cols = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    on_kets = Pom(d, np.arange(n_kets, dtype=float), np.ones(n_kets), kets=kets)
+    on_ops = random_pom(d, 6, rng)
+    for pom in (on_kets, on_ops):
+        expect = [np.trace(x @ pom.operator(k)) for k in range(pom.n_outcomes)]
+        np.testing.assert_allclose(pom.traces(x), expect, rtol=0, atol=1e-12)
+    expect = [kets[k].conj() @ cols for k in range(n_kets)]
+    np.testing.assert_allclose(on_kets.project(cols), expect, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        on_ops.project(cols)
+
+
+def test_grid_labels_and_values_from_the_grid_points():
+    grid = GridSpec(0.25 - 0.5j, 2.0, 5)
+    alphas, _ = grid.points()
+    ib = fock.coherent_ket(4, 0.3).to_density()
+    for pom in (coherent_pom(4, grid), imageband_pom(4, grid, ib)):
+        assert pom.values == [(float(a.real), float(a.imag)) for a in alphas]
+        assert pom.labels == [f"a=({a.real:.6g},{a.imag:.6g})" for a in alphas]
+    assert projective_pom(fock.quadratures(3)[0]).labels == [
+        str(v) for v in projective_pom(fock.quadratures(3)[0]).values]

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from pomest import fock
-from pomest.estimation import Estimator, optimal_estimate, optimal_estimate_no_info
+from pomest.estimation import (
+    Estimator,
+    estimate_stats,
+    optimal_estimate,
+    optimal_estimate_no_info,
+    probabilities,
+)
 from pomest.operators import DensityOperator, HermitianOperator, Ket, PAULI_X, PAULI_Y
-from pomest.pom import GridSpec, coherent_pom, projective_pom, trine_pom
+from pomest.pom import GridSpec, Pom, coherent_pom, projective_pom, trine_pom
 from pomest.relations import (
     UnbiasednessError,
     check_accbound,
@@ -277,3 +283,36 @@ def test_commutator_bound_quadratures():
     x1, x2 = fock.quadratures(30)
     vac = fock.vacuum_ket(30).to_density()
     assert commutator_bound(x1, x2, vac) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_heterodyne_analysis_matches_reference_route(monkeypatch):
+    dim = 12
+    pom = coherent_pom(dim, GridSpec(0j, 6.5, 101))
+    coherent = fock.coherent_ket(dim, 0.7 - 0.4j).to_density()
+    mixed = DensityOperator(0.6 * coherent.matrix + 0.4 * fock.number_ket(dim, 1).to_density().matrix)
+    operands = []
+    for name in ("traces", "project"):
+        def spy(self, x, _original=getattr(Pom, name), _name=name):
+            operands.append((_name, np.array(x)))
+            return _original(self, x)
+        monkeypatch.setattr(Pom, name, spy)
+    for rho in (coherent, mixed):
+        operands.clear()
+        an = heterodyne_analysis(rho, pom)
+        # one projection of the kets, and no operand traced twice
+        assert [name for name, _ in operands].count("project") == 1
+        traced = [x for name, x in operands if name == "traces"]
+        for i, x in enumerate(traced):
+            assert not any(y.shape == x.shape and np.array_equal(x, y) for y in traced[i + 1:])
+        # the reference route: separate estimate, statistics and no-information calls
+        p = probabilities(pom, rho)
+        keep = p > 1e-8
+        for j, x in enumerate(fock.quadratures(dim)):
+            est = optimal_estimate(x, pom, rho)
+            stats = estimate_stats(est, x, rho, p)
+            noinfo = estimate_stats(optimal_estimate_no_info(x, pom), x, rho, p)
+            got = (an.est_1, an.est_2)[j]
+            np.testing.assert_allclose(got.values[keep], est.values[keep], rtol=0, atol=1e-12)
+            assert an.disp[j] == pytest.approx(stats.dispersion, rel=0, abs=1e-12)
+            assert an.eps2[j] == pytest.approx(stats.inaccuracy**2, rel=0, abs=1e-12)
+            assert an.noinfo_disp[j] == pytest.approx(noinfo.dispersion, rel=0, abs=1e-12)
