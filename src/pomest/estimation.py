@@ -189,13 +189,8 @@ def optimal_estimate_no_info(a: HermitianOperator, pom: Pom) -> Estimator:
     """
     if a.dim != pom.dim:
         raise DimensionMismatchError("operator and POM dimensions differ")
-    return _no_info_from_traces(a, pom, np.real(pom.traces(np.eye(pom.dim))),
-                                np.real(pom.traces(a.matrix)))
-
-
-def _no_info_from_traces(a: HermitianOperator, pom: Pom, t: np.ndarray,
-                         ta: np.ndarray) -> Estimator:
-    """No-information estimate f_k = ta_k / t_k from t = tr M_k, ta = Re tr[A M_k]."""
+    t = np.real(pom.traces(np.eye(pom.dim)))
+    ta = np.real(pom.traces(a.matrix))
     if np.any(t <= 0):
         raise ValueError("POM has a zero-trace outcome; no-information estimate undefined")
     f = ta / t

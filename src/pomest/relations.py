@@ -26,7 +26,6 @@ from .estimation import (
     _eigenform,
     _estimate_from_traces,
     _mean_and_dispersion,
-    _no_info_from_traces,
     estimate_stats,
     optimal_estimate,
     probabilities,
@@ -290,8 +289,8 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom, crosscheck_tol=SATURATIO
         ests.append(est)
         disp.append(_mean_and_dispersion(p, est.values)[1])
         eps2.append(_deviation_from_projection(pom.weights, amp_x, amp, est.values, lam) ** 2)
-        noinfo = _no_info_from_traces(x, pom, t_id, np.real(pom.traces(x.matrix)))
-        noinfo_disp.append(_mean_and_dispersion(p, noinfo.values)[1])
+        # no-information estimate tr[X_j M_k] / tr M_k; tr M_k = |a_k|^2 > 0 on a grid
+        noinfo_disp.append(_mean_and_dispersion(p, np.real(pom.traces(x.matrix)) / t_id)[1])
     est_1, est_2 = ests
     disp, eps2, noinfo_disp = tuple(disp), tuple(eps2), tuple(noinfo_disp)
 
