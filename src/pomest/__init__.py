@@ -39,9 +39,11 @@ from .estimation import (
     EstimateStats,
     Estimator,
     NotCorrectableError,
+    OptimalAnalysis,
     estimate_stats,
     hs_distance,
     measurement_estimator,
+    optimal_analysis,
     optimal_estimate,
     optimal_estimate_complete_pom,
     optimal_estimate_no_info,

@@ -39,6 +39,8 @@ __all__ = [
     "optimal_estimate_no_info",
     "unbiased_correction",
     "estimate_stats",
+    "OptimalAnalysis",
+    "optimal_analysis",
     "optimal_estimate_complete_pom",
     "repeatability_check",
     "measurement_estimator",
@@ -111,10 +113,8 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
         raise DimensionMismatchError("operator, state and POM dimensions differ")
     f = est.values
     if pom.kets is not None:
-        cols, lam = _eigenform(rho)
-        amps = pom.project(np.hstack([cols, a.matrix @ cols]))
-        return _deviation_from_projection(pom.weights, amps[:, lam.size:], amps[:, :lam.size],
-                                          f, lam)
+        amp, (amp_a,), lam = _projection(pom, rho, (a,))
+        return _deviation_from_projection(pom.weights, amp_a, amp, f, lam)
     rho_m = rho.matrix
     a_rho_a = a.matrix @ rho_m @ a.matrix
     sym = a.matrix @ rho_m + rho_m @ a.matrix
@@ -125,11 +125,18 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
     return float(np.sqrt(max(d2, 0.0)))
 
 
-def _eigenform(rho: DensityOperator):
-    """rho = V diag(lam) V†: the eigenvectors V (d, r) and eigenvalues lam > 1e-16."""
+def _projection(pom: Pom, rho: DensityOperator, observables):
+    """One projection of the kets onto [V, A_1 V, A_2 V, ...] for rho = V diag(lam) V†.
+
+    Returns the (K, r) overlaps <a_k|V>, the list of (K, r) overlaps
+    <a_k|A_j V>, and the eigenvalues lam > 1e-16.
+    """
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > 1e-16
-    return vecs[:, keep], vals[keep]
+    cols, lam = vecs[:, keep], vals[keep]
+    amps = pom.project(np.hstack([cols] + [a.matrix @ cols for a in observables]))
+    r = lam.size
+    return amps[:, :r], [amps[:, j * r:(j + 1) * r] for j in range(1, len(observables) + 1)], lam
 
 
 def _deviation_from_projection(weights, amp_a, amp, f, lam) -> float:
@@ -189,12 +196,15 @@ def optimal_estimate_no_info(a: HermitianOperator, pom: Pom) -> Estimator:
     """
     if a.dim != pom.dim:
         raise DimensionMismatchError("operator and POM dimensions differ")
-    t = np.real(pom.traces(np.eye(pom.dim)))
-    ta = np.real(pom.traces(a.matrix))
+    f = _no_info_values(np.real(pom.traces(np.eye(pom.dim))), np.real(pom.traces(a.matrix)))
+    return Estimator(pom, f, meta="no-info", out_of_range=_out_of_range(f, a))
+
+
+def _no_info_values(t: np.ndarray, ta: np.ndarray) -> np.ndarray:
+    """No-information estimate f_k = ta_k / t_k from t = tr M_k, ta = Re tr[A M_k]."""
     if np.any(t <= 0):
         raise ValueError("POM has a zero-trace outcome; no-information estimate undefined")
-    f = ta / t
-    return Estimator(pom, f, meta="no-info", out_of_range=_out_of_range(f, a))
+    return ta / t
 
 
 def _bias_operator(est: Estimator, a: HermitianOperator) -> np.ndarray:
@@ -280,6 +290,42 @@ def _mean_and_dispersion(p: np.ndarray, values: np.ndarray):
     """Mean and rms dispersion of the values under the outcome probabilities p."""
     mean = float(p @ values)
     return mean, float(np.sqrt(max(float(p @ values**2) - mean * mean, 0.0)))
+
+
+@dataclass
+class OptimalAnalysis:
+    """Per observable: optimal estimate, its dispersion and inaccuracy, no-information dispersion."""
+
+    estimates: list
+    dispersions: tuple
+    inaccuracies: tuple
+    noinfo_dispersions: tuple
+
+
+def optimal_analysis(observables, pom: Pom, rho: DensityOperator,
+                     p: np.ndarray) -> OptimalAnalysis:
+    """``optimal_estimate``, ``estimate_stats`` and the no-information
+    dispersion of each observable, from one projection of the kets onto
+    [V, A_1 V, A_2 V, ...] for rho = V diag(lam) V† and one tr M_k.
+
+    ``p`` holds the outcome probabilities ``probabilities(pom, rho)``.
+    """
+    if pom.kets is None:
+        raise ValueError("optimal_analysis needs a POM of rank-one kets")
+    if any(a.dim != pom.dim for a in observables) or rho.dim != pom.dim:
+        raise DimensionMismatchError("operator, state and POM dimensions differ")
+    amp, amp_as, lam = _projection(pom, rho, observables)
+    t = np.abs(amp) ** 2 @ lam
+    t_id = np.real(pom.traces(np.eye(pom.dim)))
+    estimates, dispersions, inaccuracies, noinfo = [], [], [], []
+    for a, amp_a in zip(observables, amp_as):
+        est = _estimate_from_traces(a, pom, t, np.real(amp * amp_a.conj()) @ lam)
+        estimates.append(est)
+        dispersions.append(_mean_and_dispersion(p, est.values)[1])
+        inaccuracies.append(_deviation_from_projection(pom.weights, amp_a, amp, est.values, lam))
+        f_ni = _no_info_values(t_id, np.real(pom.traces(a.matrix)))
+        noinfo.append(_mean_and_dispersion(p, f_ni)[1])
+    return OptimalAnalysis(estimates, tuple(dispersions), tuple(inaccuracies), tuple(noinfo))
 
 
 def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator,

@@ -22,11 +22,9 @@ import numpy as np
 from .estimation import (
     Estimator,
     _bias_operator,
-    _deviation_from_projection,
-    _eigenform,
     _estimate_from_traces,
-    _mean_and_dispersion,
     estimate_stats,
+    optimal_analysis,
     optimal_estimate,
     probabilities,
     statistical_deviation,
@@ -268,31 +266,15 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom, crosscheck_tol=SATURATIO
     from . import fock
 
     n, h = _grid_shape(pom)
-    if rho.dim != pom.dim:
-        raise DimensionMismatchError(f"POM dim {pom.dim} vs state dim {rho.dim}")
     x1, x2 = fock.quadratures(pom.dim)
-    # one projection of the kets onto [V, X1 V, X2 V], rho = V diag(lam) V†,
-    # serves tr[rho M_k], Re tr[rho X_j M_k] and both inaccuracies
-    cols, lam = _eigenform(rho)
-    r = lam.size
-    amps = pom.project(np.hstack([cols, x1.matrix @ cols, x2.matrix @ cols]))
-    amp = amps[:, :r]
-    t = np.abs(amp) ** 2 @ lam
-    p = pom.weights * t
-    Q = (t / np.pi).reshape(n, n)
+    p = probabilities(pom, rho)
+    Q = (p / pom.weights / np.pi).reshape(n, n)
 
-    t_id = np.real(pom.traces(np.eye(pom.dim)))
-    ests, disp, eps2, noinfo_disp = [], [], [], []
-    for j, x in enumerate((x1, x2), start=1):
-        amp_x = amps[:, j * r:(j + 1) * r]
-        est = _estimate_from_traces(x, pom, t, np.real(amp * amp_x.conj()) @ lam)
-        ests.append(est)
-        disp.append(_mean_and_dispersion(p, est.values)[1])
-        eps2.append(_deviation_from_projection(pom.weights, amp_x, amp, est.values, lam) ** 2)
-        # no-information estimate tr[X_j M_k] / tr M_k; tr M_k = |a_k|^2 > 0 on a grid
-        noinfo_disp.append(_mean_and_dispersion(p, np.real(pom.traces(x.matrix)) / t_id)[1])
-    est_1, est_2 = ests
-    disp, eps2, noinfo_disp = tuple(disp), tuple(eps2), tuple(noinfo_disp)
+    opt = optimal_analysis((x1, x2), pom, rho, p)
+    est_1, est_2 = opt.estimates
+    disp = opt.dispersions
+    eps2 = tuple(e**2 for e in opt.inaccuracies)
+    noinfo_disp = opt.noinfo_dispersions
 
     a1 = pom.values_array(0).reshape(n, n)
     a2 = pom.values_array(1).reshape(n, n)

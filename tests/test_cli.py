@@ -176,8 +176,7 @@ def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
     x1 = fock.quadratures(an.pom.dim)[0]
     given = estimate_stats(an.est_1, x1, an.rho, p=probabilities(an.pom, an.rho))
     assert given == estimate_stats(an.est_1, x1, an.rho)
-    # the analysis takes p from its projection of the kets, not from Pom.traces
-    np.testing.assert_allclose(an.p, probabilities(an.pom, an.rho), rtol=0, atol=1e-15)
+    assert np.array_equal(an.p, probabilities(an.pom, an.rho))
 
 
 def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):

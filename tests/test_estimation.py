@@ -8,6 +8,7 @@ from pomest.estimation import (
     estimate_stats,
     hs_distance,
     measurement_estimator,
+    optimal_analysis,
     optimal_estimate,
     optimal_estimate_complete_pom,
     optimal_estimate_no_info,
@@ -236,6 +237,33 @@ def test_no_info_spin_pom_reads_direction():
     est = optimal_estimate_no_info(sz, pom)
     mz = np.array([m[2] for m in pom.values])
     assert np.abs(est.values - mz / 2).max() < 1e-12
+
+
+def test_optimal_analysis_matches_separate_calls(rng):
+    d, n_kets = 5, 9
+    kets = rng.normal(size=(n_kets, d)) + 1j * rng.normal(size=(n_kets, d))
+    pom = Pom(d, np.arange(n_kets, dtype=float), rng.uniform(0.5, 1.5, n_kets), kets=kets)
+    obs = (random_hermitian(d, rng), random_hermitian(d, rng))
+    rho = DensityOperator(0.7 * random_pure_ket(d, rng).to_density().matrix
+                          + 0.3 * random_pure_ket(d, rng).to_density().matrix)
+    p = probabilities(pom, rho)
+    an = optimal_analysis(obs, pom, rho, p)
+    for j, a in enumerate(obs):
+        est = optimal_estimate(a, pom, rho)
+        stats = estimate_stats(est, a, rho, p)
+        noinfo = estimate_stats(optimal_estimate_no_info(a, pom), a, rho, p)
+        np.testing.assert_allclose(an.estimates[j].values, est.values, rtol=0, atol=1e-12)
+        assert an.dispersions[j] == pytest.approx(stats.dispersion, rel=0, abs=1e-12)
+        assert an.inaccuracies[j] == pytest.approx(stats.inaccuracy, rel=0, abs=1e-12)
+        assert an.noinfo_dispersions[j] == pytest.approx(noinfo.dispersion, rel=0, abs=1e-12)
+    # a zero ket has tr M_k = 0: the no-information estimate is undefined
+    kets[3] = 0
+    pom = Pom(d, np.arange(n_kets, dtype=float), np.ones(n_kets), kets=kets)
+    with pytest.raises(ValueError, match="zero-trace"):
+        optimal_analysis(obs, pom, rho, probabilities(pom, rho))
+    pom = random_pom(d, 4, rng)
+    with pytest.raises(ValueError, match="kets"):
+        optimal_analysis(obs, pom, rho, probabilities(pom, rho))
 
 
 def test_unbiased_correction_noop_when_unbiased(rng):
