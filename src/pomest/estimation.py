@@ -316,7 +316,7 @@ def optimal_analysis(observables, pom: Pom, rho: DensityOperator,
         raise DimensionMismatchError("operator, state and POM dimensions differ")
     amp, amp_as, lam = _projection(pom, rho, observables)
     t = np.abs(amp) ** 2 @ lam
-    t_id = np.real(pom.traces(np.eye(pom.dim)))
+    t_id = np.vecdot(pom.kets, pom.kets).real
     estimates, dispersions, inaccuracies, noinfo = [], [], [], []
     for a, amp_a in zip(observables, amp_as):
         est = _estimate_from_traces(a, pom, t, np.real(amp * amp_a.conj()) @ lam)

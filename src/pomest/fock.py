@@ -62,18 +62,24 @@ def number_ket(dim: int, n: int) -> Ket:
 def coherent_amplitudes(dim: int, alphas) -> np.ndarray:
     """Truncated coherent-state amplitudes for an array of alphas, shape (K, dim).
 
-    Row k holds e^{-|a|^2/2} a^n / sqrt(n!) for alpha = alphas[k].
+    Row k holds e^{-|a|^2/2} a^n / sqrt(n!) for alpha = alphas[k].  The
+    magnitude is exp(-|a|^2/2 + n log|a| - log(n!)/2), which neither
+    overflows nor underflows where the amplitude is representable; the phase
+    e^{i n arg a} is a running product along n, scaled by the magnitude in
+    place.  The plain recurrence a_n = a_{n-1} a / sqrt(n) from e^{-|a|^2/2}
+    is not used: its start underflows to 0 beyond |a| of about 37.6.  Rows
+    with a = 0 come out as the exact vacuum.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     n = np.arange(dim)
     mag = np.abs(alphas)
-    # log-domain magnitudes; zero amplitudes patched in afterwards
-    logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), 0.0)
-    log_amp = -0.5 * mag[:, None] ** 2 + n[None, :] * logmag[:, None] - 0.5 * gammaln(n + 1)[None, :]
-    phase = np.exp(1j * n[None, :] * np.angle(alphas)[:, None])
-    amp = np.exp(log_amp) * phase
-    amp[mag == 0] = 0.0
-    amp[mag == 0, 0] = 1.0
+    nonzero = mag > 0
+    amp = np.empty((alphas.size, dim), dtype=complex)
+    amp[:, 0] = 1.0
+    amp[:, 1:] = np.where(nonzero, np.exp(1j * np.angle(alphas)), 0)[:, None]
+    np.cumprod(amp, axis=1, out=amp)
+    logmag = np.log(mag, out=np.zeros_like(mag), where=nonzero)
+    amp *= np.exp(-0.5 * mag[:, None] ** 2 + n * logmag[:, None] - 0.5 * gammaln(n + 1))
     return amp
 
 

@@ -15,6 +15,7 @@ kets only; outcome matrices are materialized on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -186,10 +187,12 @@ class Pom:
         return np.einsum("k,kij->ij", c, self._operators)
 
     def values_array(self, component=None) -> np.ndarray:
-        """Outcome values as floats, selecting one component of pair values."""
-        if component is None:
-            return np.asarray([float(v) for v in self.values])
-        return np.asarray([float(v[component]) for v in self.values])
+        """Outcome values as floats, selecting one component of tuple values."""
+        if component is not None:
+            return np.fromiter(map(itemgetter(component), self.values), float, self.n_outcomes)
+        if isinstance(self.values[0], tuple):
+            raise ValueError("outcome values are tuples; select one with component")
+        return np.fromiter(self.values, float, self.n_outcomes)
 
     def completeness_operator(self) -> np.ndarray:
         """sum_k w_k M_k, which should be the identity."""

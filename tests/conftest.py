@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pomest.sampling import make_rng
 
@@ -12,3 +13,9 @@ def rng():
 def haar_pure(dim, rng):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+# Property tests draw the same examples on every run and keep no example
+# database, so Tier-1 stays reproducible.
+settings.register_profile("pomest", derandomize=True, database=None, deadline=None, max_examples=200)
+settings.load_profile("pomest")

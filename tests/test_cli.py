@@ -151,6 +151,15 @@ def test_bad_parameter_value_is_config_error(capsys):
     assert err == "config error: sigma and tau must be positive\n"
 
 
+def test_measurement_estimate_of_pair_values_needs_a_component(capsys):
+    params = {"pom": "coherent", "mode": "measurement", "fock_dim": 6,
+              "grid": {"radius": 3.0, "points_per_axis": 21}}
+    code = main(["estimate", "--params", json.dumps(params)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "component" in err and err.count("\n") == 1
+
+
 def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
     analyses = []
     original = relations.heterodyne_analysis

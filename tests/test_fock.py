@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
 from pomest import fock
@@ -19,6 +21,57 @@ def test_coherent_ket_poisson_amplitudes():
     n = np.arange(30)
     ref = np.exp(-abs(alpha) ** 2 / 2) * alpha**n * np.exp(-0.5 * gammaln(n + 1))
     assert np.abs(ket.amplitudes - ref).max() < 1e-12
+
+
+def _coherent_reference(dim, alphas):
+    """The closed form e^{-|a|^2/2} a^n / sqrt(n!) evaluated in long double.
+
+    log n! is the double-precision ``gammaln`` table the kernel also reads;
+    its rounding, about 1e-12 of the amplitude near n = 1600, is common to
+    both sides and not what the comparison checks.
+    """
+    a = np.atleast_1d(np.asarray(alphas, dtype=complex)).astype(np.clongdouble)
+    n = np.arange(dim)
+    r = np.abs(a)
+    unit = np.divide(a, r, out=np.zeros_like(a), where=r > 0)
+    log_r = np.log(r, out=np.zeros_like(r), where=r > 0)
+    log_mag = -r[:, None] ** 2 / 2 + n * log_r[:, None] - gammaln(n + 1).astype(np.longdouble) / 2
+    return np.exp(log_mag) * unit[:, None] ** n
+
+
+@pytest.mark.parametrize("grid, dim", [(GridSpec(0j, 7.0, 160), 40), (GridSpec(0j, 9.0, 140), 60)])
+def test_coherent_amplitudes_match_long_double_reference(grid, dim):
+    alphas, _ = grid.points()
+    err = np.abs(fock.coherent_amplitudes(dim, alphas) - _coherent_reference(dim, alphas))
+    assert err.max() <= 1.5e-14
+
+
+def test_coherent_amplitudes_zero_row_is_the_exact_vacuum():
+    amp = fock.coherent_amplitudes(12, [0.5, 0j, -1j])
+    assert np.array_equal(amp[1], fock.vacuum_ket(12).amplitudes)
+
+
+@pytest.mark.parametrize("alpha", [40, 30 + 30j, -25j])
+def test_coherent_amplitudes_far_from_the_origin(alpha):
+    # e^{-|a|^2/2} underflows to 0 here, so a recurrence started from it fails
+    dim = 1700
+    amp = fock.coherent_amplitudes(dim, [alpha])[0]
+    ref = _coherent_reference(dim, [alpha])[0]
+    assert np.all(np.isfinite(amp))
+    big = np.abs(ref) > 1e-8
+    assert big.sum() > 200
+    assert (np.abs(amp - ref)[big] / np.abs(ref[big])).max() <= 1e-12
+
+
+@given(dim=st.integers(1, 80), r=st.floats(0, 12), theta=st.floats(-np.pi, np.pi))
+@example(dim=2, r=2.2250738585e-313, theta=0.0)  # subnormal |alpha|: alpha / |alpha| is nan there
+def test_coherent_amplitudes_property(dim, r, theta):
+    alpha = r * complex(np.cos(theta), np.sin(theta))
+    amp = fock.coherent_amplitudes(dim, [alpha])[0]
+    assert np.abs(amp - _coherent_reference(dim, [alpha])[0]).max() <= 1.5e-14
+    # the running phase product and the rounded log-magnitudes leave a
+    # relative error of order n eps on |amp_n|^2, so the bound scales with dim
+    assert np.sum(np.abs(amp) ** 2) <= 1 + 2 * dim * np.finfo(float).eps
 
 
 def test_displacement_matches_generator_exponential():

@@ -304,3 +304,18 @@ def test_grid_labels_and_values_from_the_grid_points():
         assert pom.labels == [f"a=({a.real:.6g},{a.imag:.6g})" for a in alphas]
     off_grid = projective_pom(fock.quadratures(3)[0])
     assert off_grid.labels == [str(v) for v in off_grid.values]
+
+
+@pytest.mark.parametrize("pom", [
+    Pom(2, [0, 1.5, np.float32(0.1), np.int64(-3), True], np.ones(5), kets=np.ones((5, 2))),
+    coherent_pom(4, GridSpec(0.25 - 0.5j, 2.0, 5)),
+    tetrahedral_pom(),
+], ids=["scalar", "pair", "triple"])
+def test_values_array_equals_the_float_loop(pom):
+    if isinstance(pom.values[0], tuple):
+        for c in range(len(pom.values[0])):
+            assert np.array_equal(pom.values_array(c), [float(v[c]) for v in pom.values])
+        with pytest.raises(ValueError, match="component"):
+            pom.values_array()
+    else:
+        assert np.array_equal(pom.values_array(), [float(v) for v in pom.values])

@@ -316,3 +316,21 @@ def test_heterodyne_analysis_matches_reference_route(monkeypatch):
             assert an.disp[j] == pytest.approx(stats.dispersion, rel=0, abs=1e-12)
             assert an.eps2[j] == pytest.approx(stats.inaccuracy**2, rel=0, abs=1e-12)
             assert an.noinfo_disp[j] == pytest.approx(noinfo.dispersion, rel=0, abs=1e-12)
+
+
+def test_heterodyne_analysis_traces_rho_and_the_quadratures_only(monkeypatch):
+    pom = coherent_pom(12, GridSpec(0j, 6.5, 101))
+    rho = fock.coherent_ket(12, 0.7 - 0.4j).to_density()
+    traced = []
+
+    def spy(self, x, _original=Pom.traces):
+        traced.append(np.array(x))
+        return _original(self, x)
+
+    monkeypatch.setattr(Pom, "traces", spy)
+    heterodyne_analysis(rho, pom)
+    x1, x2 = fock.quadratures(12)
+    assert len(traced) == 3
+    for x, expect in zip(traced, (rho.matrix, x1.matrix, x2.matrix)):
+        assert np.array_equal(x, expect)
+    assert not any(np.array_equal(x, np.eye(12)) for x in traced)
