@@ -196,8 +196,14 @@ def optimal_estimate_no_info(a: HermitianOperator, pom: Pom) -> Estimator:
     """
     if a.dim != pom.dim:
         raise DimensionMismatchError("operator and POM dimensions differ")
-    f = _no_info_values(np.real(pom.traces(np.eye(pom.dim))), np.real(pom.traces(a.matrix)))
+    f = _no_info_values(_outcome_traces(pom), np.real(pom.traces(a.matrix)))
     return Estimator(pom, f, meta="no-info", out_of_range=_out_of_range(f, a))
+
+
+def _outcome_traces(pom: Pom) -> np.ndarray:
+    """tr M_k for every outcome; on a kets POM the squared ket norms, with no identity product."""
+    k = pom.kets
+    return np.real(pom.traces(np.eye(pom.dim)) if k is None else np.vecdot(k, k))
 
 
 def _no_info_values(t: np.ndarray, ta: np.ndarray) -> np.ndarray:
@@ -316,7 +322,7 @@ def optimal_analysis(observables, pom: Pom, rho: DensityOperator,
         raise DimensionMismatchError("operator, state and POM dimensions differ")
     amp, amp_as, lam = _projection(pom, rho, observables)
     t = np.abs(amp) ** 2 @ lam
-    t_id = np.vecdot(pom.kets, pom.kets).real
+    t_id = _outcome_traces(pom)
     estimates, dispersions, inaccuracies, noinfo = [], [], [], []
     for a, amp_a in zip(observables, amp_as):
         est = _estimate_from_traces(a, pom, t, np.real(amp * amp_a.conj()) @ lam)

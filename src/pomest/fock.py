@@ -79,7 +79,10 @@ def coherent_amplitudes(dim: int, alphas) -> np.ndarray:
     amp[:, 1:] = np.where(nonzero, np.exp(1j * np.angle(alphas)), 0)[:, None]
     np.cumprod(amp, axis=1, out=amp)
     logmag = np.log(mag, out=np.zeros_like(mag), where=nonzero)
-    amp *= np.exp(-0.5 * mag[:, None] ** 2 + n * logmag[:, None] - 0.5 * gammaln(n + 1))
+    logamp = np.outer(logmag, n)
+    logamp += -0.5 * mag[:, None] ** 2
+    logamp -= 0.5 * gammaln(n + 1)
+    amp *= np.exp(logamp, out=logamp)
     return amp
 
 

@@ -46,12 +46,9 @@ def random_pom(dim: int, n_outcomes: int, rng):
     """Random full-rank POM: PSD pieces whitened to sum to the identity."""
     from .pom import Pom  # local import to avoid a cycle
 
-    pieces = []
-    for _ in range(n_outcomes):
-        g = _complex_normal(rng, dim, dim)
-        pieces.append(g @ g.conj().T)
-    total = np.sum(pieces, axis=0)
-    vals, vecs = np.linalg.eigh(total)
+    g = rng.normal(size=(n_outcomes, 2, dim, dim))  # per outcome: real, then imaginary part
+    g = g[:, 0] + 1j * g[:, 1]
+    pieces = g @ g.conj().swapaxes(1, 2)
+    vals, vecs = np.linalg.eigh(pieces.sum(axis=0))
     whiten = (vecs * vals**-0.5) @ vecs.conj().T
-    ops = [whiten @ p @ whiten for p in pieces]
-    return Pom.from_operators(ops, values=np.arange(n_outcomes, dtype=float), kind="random")
+    return Pom.from_operators(whiten @ pieces @ whiten, values=np.arange(n_outcomes, dtype=float), kind="random")

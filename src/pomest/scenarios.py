@@ -270,6 +270,11 @@ def recommended_epr_points(params: EprParams, points_per_scale=8, reach_sigmas=5
     return best, length
 
 
+def _nearest_row(x, v):
+    """Index of the grid point nearest v (an edge point when v lies off the grid)."""
+    return int(np.abs(x - v).argmin())
+
+
 def epr_numeric(params: EprParams, points: int, length: float | None = None,
                 validate=True, rel_tol=1e-3, prob_floor=1e-13) -> EprNumericReport:
     """Grid evaluation of the EPR estimates via the product position (x)
@@ -281,10 +286,10 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     outcome from the pure-state formula.  The momentum P acts through the
     exact derivative of the Gaussian, P psi = -i hbar psi d/dx log psi,
     point by point, so only the partner axis is transformed and every grid
-    row is independent.  The rows are streamed in strips of ``_EPR_STRIP``:
-    a first pass finds the norm and the largest outcome probability (which
-    sets the ``prob_floor`` cut), a second accumulates the moments and the
-    weighted affine fit.  No N x N array is ever held.  With ``validate``
+    row is independent.  The rows are streamed in strips of ``_EPR_STRIP``, in
+    one pass, mode strip (x = a/2) first: its largest outcome probability sets
+    the ``prob_floor`` cut, and the pass reruns with the global peak if a later
+    strip peaks higher.  No N x N array is ever held.  With ``validate``
     set, deviations from the closed forms beyond ``rel_tol`` raise
     GridResolutionError; the dispersion of P is compared on the scale of the
     prior momentum spread sqrt(disp_p^2 + eps_p^2), which is never 0.
@@ -322,37 +327,36 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     p_rel = toeplitz(1j * hb * rel / (2 * s2))
     p_tot = hankel(params.p0 / 2 + 1j * t2 * tot / (2 * hb))
     strips = [slice(r, r + _EPR_STRIP) for r in range(0, n, _EPR_STRIP)]
-
-    def strip(rows):  # psi on the rows and its partner-momentum amplitudes
-        psi = psi_rel[rows] * psi_tot[rows]
-        return psi, np.fft.fft(psi, axis=1, norm="ortho")
-
-    norm2 = peak = 0.0
-    for rows in strips:
-        prob = np.abs(strip(rows)[1]) ** 2
-        norm2 += float(prob.sum())
-        peak = max(peak, float(prob.max()))
-
-    # sums over the unnormalized prob, divided by the norm below; on the kept outcomes
-    # prob * f_p = Re overlap, and the eps_p^2 density is Im overlap^2 / prob
-    px = np.empty(n)
-    w = np.zeros(n)
-    fw_cols = np.zeros(n)
-    ffw = eps_p2 = 0.0
-    for rows in strips:
-        psi, phi = strip(rows)
-        g = np.fft.fft(psi * (p_rel[rows] + p_tot[rows]), axis=1, norm="ortho")
-        prob = np.abs(phi) ** 2
-        overlap = g * np.conj(phi)
-        keep = prob > prob_floor * peak
-        inv = np.divide(1.0, prob, out=np.zeros_like(prob), where=keep)
-        pf = overlap.real * keep
-        im = overlap.imag
-        px[rows] = prob.sum(axis=1)
-        w += prob.sum(axis=0)
-        fw_cols += pf.sum(axis=0)
-        ffw += float((pf * pf * inv).sum())
-        eps_p2 += float((im * im * inv).sum())
+    strips.insert(0, strips.pop(_nearest_row(x, params.a / 2) // _EPR_STRIP))
+    peak = 0.0
+    for _ in range(2):
+        # sums over the unnormalized prob, divided by the norm below; on the kept outcomes
+        # prob * f_p = Re overlap, and the eps_p^2 density is Im overlap^2 / prob
+        px = np.empty(n)
+        w = np.zeros(n)
+        fw_cols = np.zeros(n)
+        ffw = eps_p2 = top = 0.0
+        for rows in strips:
+            psi = psi_rel[rows] * psi_tot[rows]
+            phi = np.fft.fft(psi, axis=1, norm="ortho")
+            g = np.fft.fft(psi * (p_rel[rows] + p_tot[rows]), axis=1, norm="ortho")
+            prob = np.abs(phi) ** 2
+            top = max(top, float(prob.max()))
+            peak = peak or top  # the first strip with any weight sets the cut
+            overlap = g * np.conj(phi)
+            keep = prob > prob_floor * peak
+            inv = np.divide(1.0, prob, out=np.zeros_like(prob), where=keep)
+            pf = overlap.real * keep
+            im = overlap.imag
+            px[rows] = prob.sum(axis=1)
+            w += prob.sum(axis=0)
+            fw_cols += pf.sum(axis=0)
+            ffw += float((pf * pf * inv).sum())
+            eps_p2 += float((im * im * inv).sum())
+        if top <= peak:
+            break
+        peak = top  # a later strip peaked higher: rerun with the global peak
+    norm2 = float(px.sum())
     px /= norm2
     w /= norm2
     fw_cols /= norm2

@@ -239,6 +239,22 @@ def test_no_info_spin_pom_reads_direction():
     assert np.abs(est.values - mz / 2).max() < 1e-12
 
 
+def test_no_info_on_kets_traces_no_identity(monkeypatch):
+    pom = coherent_pom(8, GridSpec(0j, 4.0, 21))
+    x1, _ = fock.quadratures(8)
+    expect = optimal_estimate_no_info(x1, Pom.from_operators(list(pom.operators()), pom.values))
+    traced = []
+
+    def spy(self, x, _original=Pom.traces):
+        traced.append(np.array(x))
+        return _original(self, x)
+
+    monkeypatch.setattr(Pom, "traces", spy)
+    est = optimal_estimate_no_info(x1, pom)
+    assert len(traced) == 1 and np.array_equal(traced[0], x1.matrix)
+    np.testing.assert_allclose(est.values, expect.values, rtol=0, atol=1e-12)
+
+
 def test_optimal_analysis_matches_separate_calls(rng):
     d, n_kets = 5, 9
     kets = rng.normal(size=(n_kets, d)) + 1j * rng.normal(size=(n_kets, d))

@@ -63,6 +63,30 @@ def test_coherent_amplitudes_far_from_the_origin(alpha):
     assert (np.abs(amp - ref)[big] / np.abs(ref[big])).max() <= 1e-12
 
 
+def _coherent_one_expression(dim, alphas):
+    """The kernel with its log-magnitudes formed in a single expression."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    n = np.arange(dim)
+    mag = np.abs(alphas)
+    nonzero = mag > 0
+    amp = np.empty((alphas.size, dim), dtype=complex)
+    amp[:, 0] = 1.0
+    amp[:, 1:] = np.where(nonzero, np.exp(1j * np.angle(alphas)), 0)[:, None]
+    np.cumprod(amp, axis=1, out=amp)
+    logmag = np.log(mag, out=np.zeros_like(mag), where=nonzero)
+    amp *= np.exp(-0.5 * mag[:, None] ** 2 + n * logmag[:, None] - 0.5 * gammaln(n + 1))
+    return amp
+
+
+@pytest.mark.parametrize("dim, alphas", [
+    (40, GridSpec(0j, 7.0, 160).points()[0]),
+    (60, GridSpec(0j, 9.0, 140).points()[0]),
+    (1700, [40, 30 + 30j, -25j]),
+])
+def test_coherent_log_magnitudes_in_place_are_bit_identical(dim, alphas):
+    assert np.array_equal(fock.coherent_amplitudes(dim, alphas), _coherent_one_expression(dim, alphas))
+
+
 @given(dim=st.integers(1, 80), r=st.floats(0, 12), theta=st.floats(-np.pi, np.pi))
 @example(dim=2, r=2.2250738585e-313, theta=0.0)  # subnormal |alpha|: alpha / |alpha| is nan there
 def test_coherent_amplitudes_property(dim, r, theta):

@@ -275,6 +275,58 @@ def test_epr_numeric_holds_no_full_grid():
     assert peak < n * n * np.dtype(complex).itemsize
 
 
+def _count_ffts(monkeypatch):
+    calls = []
+
+    def spy(*args, _original=np.fft.fft, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    return calls
+
+
+def test_epr_numeric_one_pass_takes_two_ffts_per_strip(monkeypatch):
+    params = EprParams()
+    points, _ = recommended_epr_points(params)
+    calls = _count_ffts(monkeypatch)
+    epr_numeric(params, points)
+    assert len(calls) == 2 * math.ceil(points / scenarios._EPR_STRIP)
+
+
+def test_epr_numeric_reruns_when_a_later_strip_peaks_higher(monkeypatch):
+    n = 1000
+    strips = math.ceil(n / scenarios._EPR_STRIP)
+    normal = epr_numeric(EprParams(a=0.4), n, validate=False)
+    calls = _count_ffts(monkeypatch)
+    # an edge strip first: its peak is far below the global one, so the pass reruns
+    monkeypatch.setattr(scenarios, "_nearest_row", lambda x, v: 0)
+    rerun = epr_numeric(EprParams(a=0.4), n, validate=False)
+    assert len(calls) == 4 * strips
+    assert _leaves(dataclasses.astuple(rerun)) == pytest.approx(
+        _leaves(dataclasses.astuple(normal)), rel=1e-12, abs=1e-12)
+
+
+def test_epr_numeric_mode_row_clipped_to_the_grid_edge(monkeypatch):
+    # a/2 lies beyond the last row; the weight sits in the grid's top rows
+    n, length, params = 256, 4.0, EprParams(a=8.3)
+    rows = []
+
+    def nearest(x, v, _original=scenarios._nearest_row):
+        rows.append(_original(x, v))
+        return rows[-1]
+
+    monkeypatch.setattr(scenarios, "_nearest_row", nearest)
+    calls = _count_ffts(monkeypatch)
+    clipped = epr_numeric(params, n, length=length, validate=False)
+    assert rows == [n - 1]
+    assert len(calls) == 2 * math.ceil(n / scenarios._EPR_STRIP)
+    monkeypatch.setattr(scenarios, "_EPR_STRIP", n)
+    whole = epr_numeric(params, n, length=length, validate=False)
+    assert _leaves(dataclasses.astuple(clipped)) == pytest.approx(
+        _leaves(dataclasses.astuple(whole)), rel=1e-12, abs=1e-12)
+
+
 def test_epr_numeric_rejects_hopeless_grid():
     with pytest.raises(GridResolutionError):
         epr_numeric(EprParams(), 64, length=4.0)
