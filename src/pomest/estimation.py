@@ -356,11 +356,8 @@ def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator,
     avals = a_pom.values_array()
     abar = (a_pom.kets.T * avals) @ a_pom.kets.conj()
     sym = rho.matrix @ abar + abar @ rho.matrix
-    t = np.real(m_pom.traces(rho.matrix))
-    ta = np.real(m_pom.traces(sym)) / 2
-    zero = t < ZERO_PROB_TOL
-    f = np.where(zero, 0.0, ta / np.where(zero, 1.0, t))
-    return Estimator(m_pom, f, meta="optimal-with-state", zero_probability=zero)
+    return _estimate_from_traces(HermitianOperator(abar), m_pom, np.real(m_pom.traces(rho.matrix)),
+                                 np.real(m_pom.traces(sym)) / 2)
 
 
 def repeatability_check(a: HermitianOperator, m: HermitianOperator, rho: DensityOperator,

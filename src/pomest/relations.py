@@ -9,7 +9,7 @@ bound itself is stored as lhs so that a passing report always has
 are judged on |slack|.  ``report`` builds every RelationReport and
 ``RelationReport.to_json`` is the one row serializer.
 
-Exact finite-dimensional checks default to saturation tolerance 1e-6;
+Exact finite-dimensional checks use saturation tolerance 1e-6;
 grid-quadrature checks (``heterodyne_analysis``) use 1e-3.
 """
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fock
 from .estimation import (
     Estimator,
     _bias_operator,
@@ -126,8 +127,7 @@ def commutator_bound(a: HermitianOperator, b: HermitianOperator, rho: DensityOpe
     return float(abs(np.trace(rho.matrix @ comm))) / 2
 
 
-def check_geom(a: HermitianOperator, b: HermitianOperator, pom: Pom, rho: DensityOperator,
-               saturation_tol=SATURATION_TOL_EXACT, numeric_tol=NUMERIC_TOL) -> RelationReport:
+def check_geom(a: HermitianOperator, b: HermitianOperator, pom: Pom, rho: DensityOperator) -> RelationReport:
     """Geometric relation for optimal estimates of two observables.
 
     lhs = sqrt(disp_A^2 + eps_A^2) * sqrt(disp_B^2 + eps_B^2), which equals
@@ -140,12 +140,11 @@ def check_geom(a: HermitianOperator, b: HermitianOperator, pom: Pom, rho: Densit
     lhs = float(np.sqrt(sa.dispersion**2 + sa.inaccuracy**2) * np.sqrt(sb.dispersion**2 + sb.inaccuracy**2))
     rhs = commutator_bound(a, b, rho)
     direct = float(np.sqrt(a.variance(rho) * b.variance(rho)))
-    return report("geom", lhs, rhs, saturation_tol, numeric_tol,
+    return report("geom", lhs, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
                   {"delta_a_delta_b": direct, "pythagoras_gap": abs(lhs - direct)})
 
 
-def check_accbound(a: HermitianOperator, pom: Pom, rho: DensityOperator,
-                   saturation_tol=SATURATION_TOL_EXACT, numeric_tol=NUMERIC_TOL) -> RelationReport:
+def check_accbound(a: HermitianOperator, pom: Pom, rho: DensityOperator) -> RelationReport:
     """Incompatibility lower bound on the optimal estimate's inaccuracy.
 
     lhs = eps(A_opt)^2; rhs sums |tr[rho [A, E_k]]|^2 / (4 tr[rho E_k]) over
@@ -160,13 +159,12 @@ def check_accbound(a: HermitianOperator, pom: Pom, rho: DensityOperator,
     eps = statistical_deviation(a, _estimate_from_traces(a, pom, t, np.real(t_ra)), rho)
     keep = pom.weights * t > 1e-14
     rhs = float(np.sum(pom.weights[keep] * np.imag(t_ra[keep]) ** 2 / t[keep]))
-    return report("accbound", eps**2, rhs, saturation_tol, numeric_tol,
+    return report("accbound", eps**2, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
                   {"n_outcomes_kept": int(keep.sum())})
 
 
 def check_ungen(a: HermitianOperator, b: HermitianOperator, est_a: Estimator,
-                est_b: Estimator, rho: DensityOperator,
-                saturation_tol=SATURATION_TOL_EXACT, numeric_tol=NUMERIC_TOL) -> RelationReport:
+                est_b: Estimator, rho: DensityOperator) -> RelationReport:
     """Universal joint-measurement relation for arbitrary estimates f, g.
 
     lhs = disp_A eps_B + eps_A disp_B + eps_A eps_B >= |<[A,B]>|/2 = rhs.
@@ -179,14 +177,13 @@ def check_ungen(a: HermitianOperator, b: HermitianOperator, est_a: Estimator,
     sb = estimate_stats(est_b, b, rho, p)
     lhs = sa.dispersion * sb.inaccuracy + sa.inaccuracy * sb.dispersion + sa.inaccuracy * sb.inaccuracy
     rhs = commutator_bound(a, b, rho)
-    return report("ungen", lhs, rhs, saturation_tol, numeric_tol,
+    return report("ungen", lhs, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
                   {"disp_a": sa.dispersion, "eps_a": sa.inaccuracy,
                    "disp_b": sb.dispersion, "eps_b": sb.inaccuracy})
 
 
 def check_uni(a: HermitianOperator, b: HermitianOperator, est_a: Estimator, est_b: Estimator,
-              rho: DensityOperator, unbiased_tol=1e-8, subspace_dim=None,
-              saturation_tol=SATURATION_TOL_EXACT, numeric_tol=NUMERIC_TOL) -> RelationReport:
+              rho: DensityOperator, unbiased_tol=1e-8, subspace_dim=None) -> RelationReport:
     """Product relation eps_A eps_B >= |<[A,B]>|/2 for universally unbiased estimates.
 
     The hypothesis sum_k w_k f_k M_k = A (and likewise for B) is verified up
@@ -202,7 +199,7 @@ def check_uni(a: HermitianOperator, b: HermitianOperator, est_a: Estimator, est_
     eps_a = statistical_deviation(a, est_a, rho)
     eps_b = statistical_deviation(b, est_b, rho)
     rhs = commutator_bound(a, b, rho)
-    return report("uni", eps_a * eps_b, rhs, saturation_tol, numeric_tol,
+    return report("uni", eps_a * eps_b, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
                   {"eps_a": eps_a, "eps_b": eps_b, "unbiased_gap": max(gap_a, gap_b)})
 
 
@@ -220,7 +217,6 @@ class HeterodyneAnalysis:
     pom: Pom
     rho: DensityOperator
     p: np.ndarray
-    q_values: np.ndarray
     est_1: Estimator
     est_2: Estimator
     disp: tuple
@@ -229,7 +225,6 @@ class HeterodyneAnalysis:
     fisher: np.ndarray
     fisher_marginal: tuple
     cov_q: np.ndarray
-    cov_opt: np.ndarray
     excluded_mass: float
     crosscheck_max: float
     crosscheck_points: int
@@ -241,132 +236,99 @@ class HeterodyneAnalysis:
         return float(self.fisher[0, 0] + self.fisher[1, 1])
 
 
-def _grid_shape(pom: Pom):
-    if pom.grid is None:
-        raise ValueError("POM carries no grid; heterodyne analysis needs a phase-space grid")
-    n = pom.grid.points_per_axis
-    return n, pom.grid.step
+def _fisher(q, step):
+    """Fisher matrix step^ndim sum (d_i q)(d_j q)/q of a sampled density q.
+
+    Central differences over the interior points where q > 0; the boundary
+    ring and the zeros of q carry weight 0.  Returns the gradient (ndim
+    stacked arrays of q's shape), the matrix and the mask of weighted points.
+    """
+    g = np.reshape(np.gradient(q, step), (q.ndim, -1))
+    interior = (slice(1, -1),) * q.ndim
+    mask = np.zeros(q.shape, dtype=bool)
+    mask[interior] = q[interior] > 0
+    w = np.divide(1.0, q, out=np.zeros(q.shape), where=mask).ravel()
+    return g.reshape(q.ndim, *q.shape), step**q.ndim * ((g * w) @ g.T), mask
 
 
-def heterodyne_analysis(rho: DensityOperator, pom: Pom, crosscheck_tol=SATURATION_TOL_GRID,
-                        q_floor=1e-14, saturation_tol=SATURATION_TOL_GRID) -> HeterodyneAnalysis:
+def _extrapolated_fisher(q, step):
+    """``_fisher`` with one step-doubling Richardson pass, (4 F_h - F_2h) / 3
+    on every second point; it removes the clean O(step^2) error at zeros of q."""
+    g, f_h, mask = _fisher(q, step)
+    f_2h = _fisher(q[(slice(None, None, 2),) * q.ndim], 2 * step)[1]
+    return g, (4 * f_h - f_2h) / 3, mask
+
+
+def _cov(p, v):
+    """Covariance matrix of the stacked value rows v under the probabilities p."""
+    m = v @ p
+    return (v * p) @ v.T - np.outer(m, m)
+
+
+def _crosscheck(q, a, f, dq, step):
+    """Largest gap between the direct estimates f and the log-gradient form
+    a + dq/(4q), and the number of points where it is certified.
+
+    A point is certified on the interior, where q and its four neighbours
+    along each axis are resolved and a step-halving (Richardson) error
+    estimate of the central difference dq is below half the grid tolerance.
+    """
+    qmax = q.max()
+    check = np.zeros(q.shape, dtype=bool)
+    check[2:-2, 2:-2] = q[2:-2, 2:-2] > 1e-6 * qmax
+    for shift in (1, 2, -1, -2):
+        for ax in (0, 1):
+            check &= np.roll(q, shift, axis=ax) > 1e-14 * qmax
+    d2q = np.zeros_like(dq)
+    d2q[0, 2:-2] = (q[4:] - q[:-4]) / (4 * step)
+    d2q[1, :, 2:-2] = (q[:, 4:] - q[:, :-4]) / (4 * step)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rich = np.abs(dq - d2q) / np.where(q > 0, q, 1.0) / 3 * 0.25
+        gap = np.abs(a + 0.25 * dq / q - f)
+    certified = check & (rich < 0.5 * SATURATION_TOL_GRID).all(axis=0)
+    return float(gap[:, certified].max(initial=0.0)), int(certified.sum())
+
+
+def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     """Estimates, dispersions, inaccuracies and Fisher data for a grid POM.
 
     The two quadratures are estimated twice: directly from the state and the
     outcome operators, and from the gradient of log Q as
     alpha_j + (1/4) d_j log Q.  The two routes are compared on interior
     points where a step-halving (Richardson) error estimate certifies the
-    finite difference; disagreement beyond ``crosscheck_tol`` raises
+    finite difference; disagreement beyond the grid tolerance raises
     GridResolutionError.  The Fisher matrix is integrated as (dQ)(dQ)/Q on
     interior points with the boundary ring excluded and its probability mass
     reported.
     """
-    if pom.kind not in ("coherent-grid",):
+    if pom.kind != "coherent-grid" or pom.grid is None:
         raise ValueError("heterodyne analysis requires a vacuum-imageband (coherent) grid POM")
-    from . import fock
-
-    n, h = _grid_shape(pom)
-    x1, x2 = fock.quadratures(pom.dim)
+    n, h = pom.grid.points_per_axis, pom.grid.step
     p = probabilities(pom, rho)
     Q = (p / pom.weights / np.pi).reshape(n, n)
 
-    opt = optimal_analysis((x1, x2), pom, rho, p)
+    opt = optimal_analysis(fock.quadratures(pom.dim), pom, rho, p)
     est_1, est_2 = opt.estimates
     disp = opt.dispersions
     eps2 = tuple(e**2 for e in opt.inaccuracies)
-    noinfo_disp = opt.noinfo_dispersions
 
-    a1 = pom.values_array(0).reshape(n, n)
-    a2 = pom.values_array(1).reshape(n, n)
+    dQ, F, fmask = _extrapolated_fisher(Q, h)
     pm = p.reshape(n, n)
-
-    # central-difference gradient of Q on interior points
-    def _gradient_fisher(q, step):
-        g1 = np.zeros_like(q)
-        g2 = np.zeros_like(q)
-        g1[1:-1, :] = (q[2:, :] - q[:-2, :]) / (2 * step)
-        g2[:, 1:-1] = (q[:, 2:] - q[:, :-2]) / (2 * step)
-        mask = np.zeros_like(q, dtype=bool)
-        mask[1:-1, 1:-1] = True
-        mask &= q > 0
-        mat = np.zeros((2, 2))
-        for (i, gi) in ((0, g1), (1, g2)):
-            for (j, gj) in ((0, g1), (1, g2)):
-                mat[i, j] = step * step * np.sum(
-                    np.where(mask, gi * gj / np.where(mask, q, 1.0), 0.0)
-                )
-        return g1, g2, mat, mask
-
-    dQ1, dQ2, F_h, fmask = _gradient_fisher(Q, h)
-    # the quadrature error at zeros of Q is clean O(h^2): one step-doubling
-    # Richardson pass removes it
-    _, _, F_2h, _ = _gradient_fisher(Q[::2, ::2], 2 * h)
-    F = (4 * F_h - F_2h) / 3
     excluded_mass = float(pm.sum() - pm[fmask].sum())
+    # marginal Fisher informations for the Cramer-Rao intermediate step
+    fisher_marginal = tuple(float(_extrapolated_fisher(Q.sum(axis=ax) * h, h)[1][0, 0])
+                            for ax in (1, 0))
 
-    # marginal Fisher informations for the Cramer-Rao intermediate step,
-    # extrapolated the same way as the joint matrix
-    def _marginal_fisher(qm, step):
-        dm = np.zeros_like(qm)
-        dm[1:-1] = (qm[2:] - qm[:-2]) / (2 * step)
-        ok = qm > 0
-        ok[0] = ok[-1] = False
-        return float(step * np.sum(dm[ok] ** 2 / qm[ok]))
+    a = np.stack([pom.values_array(0), pom.values_array(1)])
+    f = np.stack([est_1.values, est_2.values])
+    cov_q = _cov(p, a)
+    mat_gap = float(np.abs(_cov(p, f) - (cov_q + F / 16 - np.eye(2) / 2)).max())
 
-    marg = []
-    for axis in (1, 0):
-        qm = Q.sum(axis=axis) * h
-        marg.append((4 * _marginal_fisher(qm, h) - _marginal_fisher(qm[::2], 2 * h)) / 3)
-    fisher_marginal = (marg[0], marg[1])
-
-    # covariances of the outcome pair and of the optimal estimates
-    def _cov(v1, v2):
-        m1 = float((pm * v1).sum())
-        m2 = float((pm * v2).sum())
-        c = np.empty((2, 2))
-        c[0, 0] = float((pm * v1 * v1).sum()) - m1 * m1
-        c[1, 1] = float((pm * v2 * v2).sum()) - m2 * m2
-        c[0, 1] = c[1, 0] = float((pm * v1 * v2).sum()) - m1 * m2
-        return c
-
-    cov_q = _cov(a1, a2)
-    f1 = est_1.values.reshape(n, n)
-    f2 = est_2.values.reshape(n, n)
-    cov_opt = _cov(f1, f2)
-    mat_gap = float(np.abs(cov_opt - (cov_q + F / 16 - np.eye(2) / 2)).max())
-
-    # gradient-form estimates and the certified cross-check
-    qmax = Q.max()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g1 = a1 + 0.25 * dQ1 / Q
-        g2 = a2 + 0.25 * dQ2 / Q
-    # step-halving error estimate: compare the h and 2h central differences
-    check = np.zeros_like(Q, dtype=bool)
-    check[2:-2, 2:-2] = True
-    check &= Q > 1e-6 * qmax
-    for shift in (1, 2):
-        for ax in (0, 1):
-            check &= np.roll(Q, shift, axis=ax) > q_floor * qmax
-            check &= np.roll(Q, -shift, axis=ax) > q_floor * qmax
-    cc_max = 0.0
-    cc_pts = 0
-    if check.any():
-        d2Q1 = np.zeros_like(Q)
-        d2Q2 = np.zeros_like(Q)
-        d2Q1[2:-2, :] = (Q[4:, :] - Q[:-4, :]) / (4 * h)
-        d2Q2[:, 2:-2] = (Q[:, 4:] - Q[:, :-4]) / (4 * h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rich1 = np.abs(dQ1 - d2Q1) / np.where(Q > 0, Q, 1.0) / 3 * 0.25
-            rich2 = np.abs(dQ2 - d2Q2) / np.where(Q > 0, Q, 1.0) / 3 * 0.25
-        certified = check & (rich1 < 0.5 * crosscheck_tol) & (rich2 < 0.5 * crosscheck_tol)
-        if certified.any():
-            cc_max = float(max(np.abs(g1 - f1)[certified].max(),
-                               np.abs(g2 - f2)[certified].max()))
-            cc_pts = int(certified.sum())
-    if cc_pts and cc_max > crosscheck_tol:
+    cc_max, cc_pts = _crosscheck(Q, a.reshape(2, n, n), f.reshape(2, n, n), dQ, h)
+    if cc_max > SATURATION_TOL_GRID:
         raise GridResolutionError(
             f"direct and log-gradient estimates disagree by {cc_max:.2e} "
-            f"on {cc_pts} certified points (tol {crosscheck_tol:.1e})"
+            f"on {cc_pts} certified points (tol {SATURATION_TOL_GRID:.1e})"
         )
 
     # Cramer-Rao intermediates are theorems; violations beyond quadrature
@@ -383,23 +345,21 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom, crosscheck_tol=SATURATIO
     digest = {"state_purity": rho.purity(), "grid": pom.grid.to_json(),
               "excluded_mass": excluded_mass}
     # quadrature relations pass at the grid tolerance, not at exact arithmetic
+    tol = SATURATION_TOL_GRID
     reports = [
-        report("unbest", disp[0] * disp[1], 0.125, saturation_tol, saturation_tol, digest),
-        report("accbest", eps_sum, 0.25, saturation_tol, saturation_tol, digest),
-        report("fishbound", eps2[0], F[1, 1] / 16, saturation_tol, saturation_tol,
-               dict(digest, quadrature=1)),
-        report("fishbound", eps2[1], F[0, 0] / 16, saturation_tol, saturation_tol,
-               dict(digest, quadrature=2)),
-        report("tracefish", 4.0, tr_f, saturation_tol, saturation_tol, digest),
-        report("fishident", eps_sum, 0.5 - tr_f / 16, saturation_tol, saturation_tol, digest),
+        report("unbest", disp[0] * disp[1], 0.125, tol, tol, digest),
+        report("accbest", eps_sum, 0.25, tol, tol, digest),
+        report("fishbound", eps2[0], F[1, 1] / 16, tol, tol, dict(digest, quadrature=1)),
+        report("fishbound", eps2[1], F[0, 0] / 16, tol, tol, dict(digest, quadrature=2)),
+        report("tracefish", 4.0, tr_f, tol, tol, digest),
+        report("fishident", eps_sum, 0.5 - tr_f / 16, tol, tol, digest),
     ]
-    return HeterodyneAnalysis(pom, rho, p, Q.ravel(), est_1, est_2, disp, eps2,
-                              noinfo_disp, F, fisher_marginal, cov_q, cov_opt,
-                              excluded_mass, cc_max, cc_pts, mat_gap, reports)
+    return HeterodyneAnalysis(pom, rho, p, est_1, est_2, disp, eps2, opt.noinfo_dispersions,
+                              F, fisher_marginal, cov_q, excluded_mass, cc_max, cc_pts,
+                              mat_gap, reports)
 
 
-def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0,
-                  saturation_tol=SATURATION_TOL_GRID) -> RelationReport:
+def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0) -> RelationReport:
     """Canonical joint measurement mapped from the quadrature pair.
 
     The quadrature pair has commutator i/2; rescaling both outcomes by
@@ -411,7 +371,7 @@ def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0,
     """
     product = 2 * hbar * analysis.disp[0] * analysis.disp[1]
     noinfo = 2 * hbar * analysis.noinfo_disp[0] * analysis.noinfo_disp[1]
-    return report("uncanon", product, hbar / 4, saturation_tol, saturation_tol,
+    return report("uncanon", product, hbar / 4, SATURATION_TOL_GRID, SATURATION_TOL_GRID,
                   digest={"hbar": hbar, "unbiased_bound": hbar,
                           "ratio_to_unbiased_bound": product / hbar,
                           "noinfo_product": noinfo})

@@ -289,10 +289,11 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     row is independent.  The rows are streamed in strips of ``_EPR_STRIP``, in
     one pass, mode strip (x = a/2) first: its largest outcome probability sets
     the ``prob_floor`` cut, and the pass reruns with the global peak if a later
-    strip peaks higher.  No N x N array is ever held.  With ``validate``
-    set, deviations from the closed forms beyond ``rel_tol`` raise
-    GridResolutionError; the dispersion of P is compared on the scale of the
-    prior momentum spread sqrt(disp_p^2 + eps_p^2), which is never 0.
+    strip peaks higher.  No N x N array is ever held.  A state beyond the
+    grid's reach (every sampled amplitude 0) raises GridResolutionError, and
+    so, with ``validate`` set, do deviations from the closed forms beyond
+    ``rel_tol``; the dispersion of P is compared on the scale of the prior
+    momentum spread sqrt(disp_p^2 + eps_p^2), which is never 0.
     """
     from .relations import GridResolutionError
 
@@ -357,6 +358,8 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
             break
         peak = top  # a later strip peaked higher: rerun with the global peak
     norm2 = float(px.sum())
+    if norm2 == 0:  # every sampled amplitude underflowed
+        raise GridResolutionError("the EPR state lies beyond the grid's reach")
     px /= norm2
     w /= norm2
     fw_cols /= norm2

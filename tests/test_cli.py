@@ -223,6 +223,15 @@ def test_epr_grid_where_momentum_dispersion_vanishes(params, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_epr_state_beyond_the_grid_is_a_validation_error(capsys):
+    # every sampled amplitude underflows to 0 at a = 100 on the 512^2 grid
+    assert main(["scenario", "epr", "--params", json.dumps({"a": 100, "points": 512})]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "beyond the grid's reach" in err
+
+
 def test_linear_row_is_ungen_and_judged_on_its_slack(capsys):
     # eps_lin < eps_raw rounds to equality here; the row still has slack +0.5
     params = {"var_xprime": 1e-20, "var_pprime": 2.5e19}

@@ -385,6 +385,15 @@ def test_complete_pom_matches_quadratic_form_minimization(rng):
     avals = a_pom.values_array()
     abar = (a_pom.kets.T * avals) @ a_pom.kets.conj()
     a2bar = (a_pom.kets.T * avals**2) @ a_pom.kets.conj()
+    # the closed form <m| rho Abar + Abar rho |m> / (2 <m| rho |m>), bit for bit
+    t = np.real(m_pom.traces(rho.matrix))
+    ta = np.real(m_pom.traces(rho.matrix @ abar + abar @ rho.matrix)) / 2
+    zero = t < 1e-14
+    assert np.array_equal(est.values, np.where(zero, 0.0, ta / np.where(zero, 1.0, t)))
+    assert np.array_equal(est.zero_probability, zero)
+    # weak values outside Abar's spectrum are flagged, not altered
+    assert np.array_equal(est.out_of_range,
+                          (est.values < avals.min() - 1e-12) | (est.values > avals.max() + 1e-12))
 
     def gen_dev2(f):
         mbar = (m_pom.kets.T * f) @ m_pom.kets.conj()

@@ -13,6 +13,8 @@ from pomest.operators import DensityOperator, HermitianOperator, Ket, PAULI_X, P
 from pomest.pom import GridSpec, Pom, coherent_pom, projective_pom, trine_pom
 from pomest.relations import (
     UnbiasednessError,
+    _extrapolated_fisher,
+    _fisher,
     check_accbound,
     check_geom,
     check_uncanon,
@@ -334,3 +336,62 @@ def test_heterodyne_analysis_traces_rho_and_the_quadratures_only(monkeypatch):
     for x, expect in zip(traced, (rho.matrix, x1.matrix, x2.matrix)):
         assert np.array_equal(x, expect)
     assert not any(np.array_equal(x, np.eye(12)) for x in traced)
+
+
+def _reference_gradient_fisher(q, step):
+    # the joint Fisher matrix as a 2x2 double loop over masked central differences
+    g1 = np.zeros_like(q)
+    g2 = np.zeros_like(q)
+    g1[1:-1, :] = (q[2:, :] - q[:-2, :]) / (2 * step)
+    g2[:, 1:-1] = (q[:, 2:] - q[:, :-2]) / (2 * step)
+    mask = np.zeros_like(q, dtype=bool)
+    mask[1:-1, 1:-1] = True
+    mask &= q > 0
+    mat = np.zeros((2, 2))
+    for (i, gi) in ((0, g1), (1, g2)):
+        for (j, gj) in ((0, g1), (1, g2)):
+            mat[i, j] = step * step * np.sum(
+                np.where(mask, gi * gj / np.where(mask, q, 1.0), 0.0)
+            )
+    return g1, g2, mat, mask
+
+
+def _reference_marginal_fisher(qm, step):
+    dm = np.zeros_like(qm)
+    dm[1:-1] = (qm[2:] - qm[:-2]) / (2 * step)
+    ok = qm > 0
+    ok[0] = ok[-1] = False
+    return float(step * np.sum(dm[ok] ** 2 / qm[ok]))
+
+
+@pytest.mark.parametrize("state", ["coherent", "thermal"])
+def test_fisher_kernel_matches_reference_loops(state):
+    dim = 12
+    grid = GridSpec(0j, 6.5, 101)
+    pom = coherent_pom(dim, grid)
+    rho = (fock.coherent_ket(dim, 0.7 - 0.4j).to_density() if state == "coherent"
+           else fock.thermal_state(dim, 0.8))
+    n, h = grid.points_per_axis, grid.step
+    q = (probabilities(pom, rho) / pom.weights / np.pi).reshape(n, n)
+    g1, g2, ref, ref_mask = _reference_gradient_fisher(q, h)
+    g, mat, mask = _fisher(q, h)
+    # relative to the matrix scale: the off-diagonal of a symmetric Q cancels to ~1e-9
+    np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    assert np.array_equal(mask, ref_mask)
+    # the interior gradient is the same central difference, bit for bit
+    assert np.array_equal(g[0][1:-1], g1[1:-1]) and np.array_equal(g[1][:, 1:-1], g2[:, 1:-1])
+    for ax in (1, 0):
+        qm = q.sum(axis=ax) * h
+        (marginal,), = _fisher(qm, h)[1]
+        assert marginal == pytest.approx(_reference_marginal_fisher(qm, h), rel=1e-13, abs=0)
+
+
+def test_extrapolated_fisher_removes_the_step_squared_error():
+    # a density with a double zero between grid points, F = 3; on a plain Gaussian
+    # the central-difference error is sinh(h^2)/h^2 - 1 = O(h^4), with nothing to extrapolate
+    h = 0.1
+    x = h * (np.arange(-90, 91) + 0.37)
+    q = x**2 * np.exp(-x**2 / 2) / np.sqrt(2 * np.pi)
+    plain = _fisher(q, h)[1][0, 0]
+    extrapolated = _extrapolated_fisher(q, h)[1][0, 0]
+    assert abs(extrapolated - 3) < abs(plain - 3) / 10

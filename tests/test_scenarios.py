@@ -275,6 +275,12 @@ def test_epr_numeric_holds_no_full_grid():
     assert peak < n * n * np.dtype(complex).itemsize
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_epr_numeric_state_beyond_the_grid_raises(validate):
+    with pytest.raises(GridResolutionError, match="beyond the grid's reach"):
+        epr_numeric(EprParams(a=100), 512, validate=validate)
+
+
 def _count_ffts(monkeypatch):
     calls = []
 
