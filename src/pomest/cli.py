@@ -27,20 +27,23 @@ import numpy as np
 
 from . import fock, relations, scenarios
 from .estimation import (
-    Estimator,
     measurement_estimator,
+    optimal_analysis,
     optimal_estimate,
     optimal_estimate_no_info,
+    probabilities,
 )
 from .operators import DensityOperator, HermitianOperator, matrix_from_json
-from .pom import (CompletenessError, GridSpec, coherent_pom, pom_from_json, tetrahedral_pom,
-                  trine_pom, validate)
+from .pom import (CompletenessError, GridSpec, coherent_pom, pom_from_json, projective_pom,
+                  tetrahedral_pom, trine_pom, validate)
 from .sampling import GENERATOR_NAME, make_rng, random_density, random_hermitian, random_pom
 
 EXIT_OK = 0
 EXIT_RELATION = 1
 EXIT_VALIDATION = 2
 EXIT_CONFIG = 3
+
+RELATION_IDS = ("geom", "accbound", "ungen", "varsum")
 
 CSV_COLUMNS = ["scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance",
                "pass_tolerance", "passed"]
@@ -81,10 +84,13 @@ def _load_params(raw: str | None) -> dict:
     try:
         if raw.startswith("@"):
             with open(raw[1:], "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.loads(raw)
+                raw = fh.read()
+        params = json.loads(raw)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse --params: {exc}") from exc
+    if not isinstance(params, dict):
+        raise ConfigError(f"--params must be a JSON object, not {type(params).__name__}")
+    return params
 
 
 def _atomic_write(path: str, payload: str):
@@ -204,12 +210,17 @@ def _cmd_estimate(config: RunConfig) -> int:
 
 
 def _relation_instances(config: RunConfig) -> list:
-    """Randomized property batches for the finite-dimensional relations."""
+    """Randomized property batches for the finite-dimensional relations, one
+    ``optimal_analysis`` of the pair (A, B) per instance."""
     params = config.params
     which = params.get("relations", "all")
     if which == "all":
-        which = ["geom", "accbound", "ungen", "varsum"]
-    instances = int(params.get("instances", 100))
+        which = RELATION_IDS
+    elif not isinstance(which, list) or not which or any(r not in RELATION_IDS for r in which):
+        raise ConfigError(f"relations must be \"all\" or a list from {list(RELATION_IDS)}, not {which!r}")
+    instances = params.get("instances", 100)
+    if not isinstance(instances, int) or isinstance(instances, bool) or instances < 1:
+        raise ConfigError(f"instances must be a positive integer, not {instances!r}")
     dims = params.get("dims", [2, 3, 4, 5])
     rng = make_rng(config.seed)
     rows = []
@@ -220,18 +231,18 @@ def _relation_instances(config: RunConfig) -> list:
         rho = random_density(dim, rng)
         a = random_hermitian(dim, rng)
         b = random_hermitian(dim, rng)
+        an = optimal_analysis((a, b), pom, rho, probabilities(pom, rho))
+        f, g = (est.values for est in an.estimates)
         reps = []
         if "geom" in which:
-            reps.append(relations.check_geom(a, b, pom, rho))
+            reps.append(relations.check_geom(an))
         if "accbound" in which:
-            reps.append(relations.check_accbound(a, pom, rho))
+            reps.append(relations.check_accbound(an))
         if "ungen" in which:
             noise = rng.normal(size=pom.n_outcomes)
-            est_a = Estimator(pom, optimal_estimate(a, pom, rho).values + noise)
-            est_b = Estimator(pom, optimal_estimate(b, pom, rho).values)
-            reps.append(relations.check_ungen(a, b, est_a, est_b, rho))
+            reps.append(relations.check_ungen(an, f + noise, g))
         if "varsum" in which:
-            reps.append(relations.check_varsum(a, pom, rho))
+            reps.append(relations.check_varsum(an))
         for rep in reps:
             rep.inputs_digest.update(instance=i, dim=dim, outcomes=n_out)
             rows.append(rep.to_json("relations"))
@@ -280,8 +291,6 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
         beta = float(params.get("beta", 1.0))
         dim = int(params.get("fock_dim", max(80, int(33 / beta) + 40)))
         h = fock.oscillator_hamiltonian(dim)
-        from .pom import projective_pom
-
         pom = projective_pom(fock.position_operator(dim))
         est = scenarios.thermal_energy_estimate(h, pom, beta)
         at = 0.5 / np.tanh(beta)

@@ -14,7 +14,7 @@ f_k = tr[A M_k]/tr[M_k] instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 ZERO_PROB_TOL = 1e-14
+BIAS_TOL = 1e-8  # on the bias operator sum_k w_k f_k M_k - A
+OVERLAP_TOL = 1e-10
+REPEATABILITY_TOL = 1e-10
 
 
 class NotCorrectableError(ValueError):
@@ -105,47 +108,40 @@ def probabilities(pom: Pom, rho: DensityOperator) -> np.ndarray:
 def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOperator) -> float:
     """Root of D^2 = sum_k w_k tr[(A - f_k) rho (A - f_k) M_k].
 
-    Accumulated per outcome in a manifestly nonnegative form; a total below
-    -1e-9 signals a positivity bug upstream and raises.
+    A total below -1e-9 signals a positivity bug upstream and raises.
     """
-    pom = est.pom
-    if not (a.dim == rho.dim == pom.dim):
+    t, (t_a,), (t_aa,) = _state_traces(est.pom, rho, (a,))
+    return _deviation(est.pom.weights, t, t_a, t_aa, est.values)
+
+
+def _state_traces(pom: Pom, rho: DensityOperator, observables):
+    """t = tr[rho M_k], t_a[j] = tr[rho A_j M_k] (complex) and t_aa[j] = tr[A_j rho A_j M_k].
+
+    On a kets POM, from one projection of the kets onto [V, A_1 V, A_2 V, ...]
+    for rho = V diag(lam) V† (eigenvalues lam > 1e-16); on outcome operators,
+    from ``Pom.traces``.
+    """
+    if any(a.dim != pom.dim for a in observables) or rho.dim != pom.dim:
         raise DimensionMismatchError("operator, state and POM dimensions differ")
-    f = est.values
-    if pom.kets is not None:
-        amp, (amp_a,), lam = _projection(pom, rho, (a,))
-        return _deviation_from_projection(pom.weights, amp_a, amp, f, lam)
-    rho_m = rho.matrix
-    a_rho_a = a.matrix @ rho_m @ a.matrix
-    sym = a.matrix @ rho_m + rho_m @ a.matrix
-    t0, t1, t2 = (np.real(pom.traces(x)) for x in (a_rho_a, sym, rho_m))
-    d2 = float(pom.weights @ (t0 - f * t1 + f * f * t2))
-    if d2 < -1e-9:
-        raise ValueError(f"statistical deviation squared is {d2:.3e}: positivity bug")
-    return float(np.sqrt(max(d2, 0.0)))
-
-
-def _projection(pom: Pom, rho: DensityOperator, observables):
-    """One projection of the kets onto [V, A_1 V, A_2 V, ...] for rho = V diag(lam) V†.
-
-    Returns the (K, r) overlaps <a_k|V>, the list of (K, r) overlaps
-    <a_k|A_j V>, and the eigenvalues lam > 1e-16.
-    """
+    if pom.kets is None:
+        r = rho.matrix
+        t_a = np.array([pom.traces(r @ a.matrix) for a in observables])
+        t_aa = np.real([pom.traces(a.matrix @ r @ a.matrix) for a in observables])
+        return np.real(pom.traces(r)), t_a, t_aa
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > 1e-16
     cols, lam = vecs[:, keep], vals[keep]
     amps = pom.project(np.hstack([cols] + [a.matrix @ cols for a in observables]))
-    r = lam.size
-    return amps[:, :r], [amps[:, j * r:(j + 1) * r] for j in range(1, len(observables) + 1)], lam
+    blocks = amps.reshape(pom.n_outcomes, -1, lam.size).transpose(1, 0, 2)  # V, A_1 V, ...
+    amp, amp_a = blocks[0], blocks[1:]
+    return np.abs(amp) ** 2 @ lam, (amp * amp_a.conj()) @ lam, np.abs(amp_a) ** 2 @ lam
 
 
-def _deviation_from_projection(weights, amp_a, amp, f, lam) -> float:
-    """Root of D^2 = sum_k w_k sum_n lam_n |<a_k|A|v_n> - f_k <a_k|v_n>|^2.
-
-    ``amp_a`` and ``amp`` are the (K, r) projections of the kets onto A V and
-    V for rho = V diag(lam) V†; each outcome's term is manifestly nonnegative.
-    """
-    d2 = float(weights @ (np.abs(amp_a - f[:, None] * amp) ** 2 @ lam))
+def _deviation(weights, t, t_a, t_aa, f) -> float:
+    """Root of D^2 = sum_k w_k (t_aa - 2 f_k Re t_a + f_k^2 t) from the outcome traces."""
+    d2 = float(weights @ (t_aa - 2 * f * np.real(t_a) + f * f * t))
+    if d2 < -1e-9:
+        raise ValueError(f"statistical deviation squared is {d2:.3e}: positivity bug")
     return float(np.sqrt(max(d2, 0.0)))
 
 
@@ -156,8 +152,6 @@ def hs_distance(a: HermitianOperator, pom: Pom) -> float:
     squared statistical deviation over uniformly random pure states, and
     equal to dim times that deviation at the maximally mixed state.
     """
-    if a.dim != pom.dim:
-        raise DimensionMismatchError("operator and POM dimensions differ")
     mixed = DensityOperator.maximally_mixed(pom.dim)
     return float(np.sqrt(pom.dim) * statistical_deviation(a, measurement_estimator(pom), mixed))
 
@@ -167,23 +161,22 @@ def _out_of_range(values, a: HermitianOperator):
     return (values < spec[0] - 1e-12) | (values > spec[-1] + 1e-12)
 
 
-def optimal_estimate(a: HermitianOperator, pom: Pom, rho: DensityOperator,
-                     zero_tol=ZERO_PROB_TOL) -> Estimator:
+def optimal_estimate(a: HermitianOperator, pom: Pom, rho: DensityOperator) -> Estimator:
     """Deviation-minimizing estimate f_k = tr[rho(M_k A + A M_k)] / (2 tr[rho M_k]).
 
-    Outcomes with tr[rho M_k] below ``zero_tol`` are flagged and assigned 0;
-    any finite value there yields identical statistics.
+    Outcomes with tr[rho M_k] below ``ZERO_PROB_TOL`` are flagged and assigned
+    0; any finite value there yields identical statistics.
     """
     if not (a.dim == rho.dim == pom.dim):
         raise DimensionMismatchError("operator, state and POM dimensions differ")
     return _estimate_from_traces(a, pom, np.real(pom.traces(rho.matrix)),
-                                 np.real(pom.traces(rho.matrix @ a.matrix)), zero_tol)
+                                 np.real(pom.traces(rho.matrix @ a.matrix)))
 
 
-def _estimate_from_traces(a: HermitianOperator, pom: Pom, t: np.ndarray, ta: np.ndarray,
-                          zero_tol=ZERO_PROB_TOL) -> Estimator:
+def _estimate_from_traces(a: HermitianOperator, pom: Pom, t: np.ndarray,
+                          ta: np.ndarray) -> Estimator:
     """Optimal estimate f_k = ta_k / t_k from t = tr[rho M_k], ta = Re tr[rho A M_k]."""
-    zero = t < zero_tol
+    zero = t < ZERO_PROB_TOL
     f = np.where(zero, 0.0, ta / np.where(zero, 1.0, t))
     return Estimator(pom, f, meta="optimal-with-state", zero_probability=zero,
                      out_of_range=_out_of_range(f, a))
@@ -213,68 +206,60 @@ def _no_info_values(t: np.ndarray, ta: np.ndarray) -> np.ndarray:
     return ta / t
 
 
-def _bias_operator(est: Estimator, a: HermitianOperator) -> np.ndarray:
+def _bias_operator(pom: Pom, f, a: HermitianOperator) -> np.ndarray:
     """sum_k w_k f_k M_k - A, which vanishes for a universally unbiased estimate."""
-    return est.pom.weighted_sum(est.pom.weights * est.values) - a.matrix
+    return pom.weighted_sum(pom.weights * f) - a.matrix
 
 
-def unbiased_correction(est: Estimator, a: HermitianOperator, tol=1e-8,
-                        subspace_dim=None) -> Estimator:
+def unbiased_correction(est: Estimator, a: HermitianOperator, subspace_dim=None) -> Estimator:
     """Trade distance for bias when the bias has removable structure.
 
     Handles two patterns: a scalar bias sum_k w_k f_k M_k = A + r (subtract
     r), and, for qubit POMs, a linear bias removable with the ansatz
     g_k = c + v . m_k in the Bloch parametrization M_k = q_k (1 + sigma . m_k).
-    Anything else raises ``NotCorrectableError``.  For POMs truncated from an
+    Anything else raises ``NotCorrectableError``; both patterns must hold to
+    ``BIAS_TOL`` times max(1, max |A_ij|).  For POMs truncated from an
     infinite-dimensional family, ``subspace_dim`` restricts the pattern match
     to the leading block where the truncation is faithful.
     """
     pom = est.pom
-    bias = _bias_operator(est, a)
+    bias = _bias_operator(pom, est.values, a)
     if subspace_dim is not None:
         bias = bias[:subspace_dim, :subspace_dim]
     block = bias.shape[0]
     scale = max(1.0, float(np.abs(a.matrix).max()))
     r = np.real(np.trace(bias)) / block
-    if np.abs(bias - r * np.eye(block)).max() <= tol * scale:
+    if np.abs(bias - r * np.eye(block)).max() <= BIAS_TOL * scale:
         return Estimator(pom, est.values - r, meta="unbiased-corrected",
                          zero_probability=est.zero_probability)
     if pom.dim == 2:
-        corrected = _qubit_linear_correction(pom, a, tol, scale)
+        corrected = _qubit_linear_correction(pom, a, scale)
         if corrected is not None:
             return Estimator(pom, corrected, meta="unbiased-corrected")
     raise NotCorrectableError("bias operator is neither scalar nor qubit-linear within tolerance")
 
 
-def _qubit_linear_correction(pom: Pom, a: HermitianOperator, tol, scale):
+def _qubit_linear_correction(pom: Pom, a: HermitianOperator, scale):
     """Solve sum_k w_k g_k M_k = A with g_k affine in the outcome Bloch vector."""
     paulis = (PAULI_X, PAULI_Y, PAULI_Z)
     q = np.empty(pom.n_outcomes)
     m = np.empty((pom.n_outcomes, 3))
     for k, op in enumerate(pom.operators()):
         q[k] = np.real(np.trace(op)) / 2
-        if q[k] <= tol:
+        if q[k] <= BIAS_TOL:
             return None
         m[k] = [np.real(np.trace(op @ s)) / (2 * q[k]) for s in paulis]
         model = q[k] * (np.eye(2) + sum(c * s for c, s in zip(m[k], paulis)))
-        if np.abs(model - op).max() > tol * scale:
+        if np.abs(model - op).max() > BIAS_TOL * scale:
             return None
-    wq = pom.weights * q
-    a0 = np.real(np.trace(a.matrix)) / 2
-    avec = np.array([np.real(np.trace(a.matrix @ s)) / 2 for s in paulis])
-    u = wq @ m
-    lam = (m.T * wq) @ m
-    system = np.zeros((4, 4))
-    system[0, 0] = wq.sum()
-    system[0, 1:] = u
-    system[1:, 0] = u
-    system[1:, 1:] = lam
+    basis = np.hstack([np.ones((pom.n_outcomes, 1)), m])  # g_k = basis_k . (c, v)
+    coeffs = [np.real(np.trace(a.matrix @ s)) / 2 for s in (np.eye(2),) + paulis]
     try:
-        sol = np.linalg.solve(system, np.concatenate([[a0], avec]))
+        sol = np.linalg.solve((basis.T * (pom.weights * q)) @ basis, coeffs)
     except np.linalg.LinAlgError:
         return None
-    g = sol[0] + m @ sol[1:]
-    if np.abs(_bias_operator(Estimator(pom, g), a)).max() > tol * scale:
+    g = basis @ sol
+    if np.abs(_bias_operator(pom, g, a)).max() > BIAS_TOL * scale:
         return None
     return g
 
@@ -300,47 +285,58 @@ def _mean_and_dispersion(p: np.ndarray, values: np.ndarray):
 
 @dataclass
 class OptimalAnalysis:
-    """Per observable: optimal estimate, its dispersion and inaccuracy, no-information dispersion."""
+    """Optimal estimates of several observables from one set of outcome traces.
 
-    estimates: list
-    dispersions: tuple
-    inaccuracies: tuple
-    noinfo_dispersions: tuple
+    ``t`` = tr[rho M_k], ``t_a[j]`` = tr[rho A_j M_k] (complex) and
+    ``t_aa[j]`` = tr[A_j rho A_j M_k] give the estimates f_k = Re t_a / t and
+    the deviation D^2 = sum_k w_k (t_aa - 2 f_k Re t_a + f_k^2 t) of any value
+    vector f; dispersions are taken under the outcome probabilities ``p``.
+    """
+
+    observables: tuple
+    pom: Pom
+    rho: DensityOperator
+    p: np.ndarray
+    t: np.ndarray
+    t_a: np.ndarray
+    t_aa: np.ndarray
+    estimates: list = field(init=False)
+    dispersions: tuple = field(init=False)
+    inaccuracies: tuple = field(init=False)
+
+    def __post_init__(self):
+        self.estimates = [_estimate_from_traces(a, self.pom, self.t, np.real(t_a))
+                          for a, t_a in zip(self.observables, self.t_a)]
+        self.dispersions = tuple(self.dispersion(est.values) for est in self.estimates)
+        self.inaccuracies = tuple(self.deviation(j, est.values) for j, est in enumerate(self.estimates))
+
+    def deviation(self, j: int, f) -> float:
+        """Statistical deviation of observable j estimated by the values f."""
+        return _deviation(self.pom.weights, self.t, self.t_a[j], self.t_aa[j], np.asarray(f, float))
+
+    def dispersion(self, f) -> float:
+        """Rms dispersion of the values f under the outcome probabilities."""
+        return _mean_and_dispersion(self.p, np.asarray(f, float))[1]
 
 
 def optimal_analysis(observables, pom: Pom, rho: DensityOperator,
                      p: np.ndarray) -> OptimalAnalysis:
-    """``optimal_estimate``, ``estimate_stats`` and the no-information
-    dispersion of each observable, from one projection of the kets onto
-    [V, A_1 V, A_2 V, ...] for rho = V diag(lam) V† and one tr M_k.
+    """``optimal_estimate`` and ``estimate_stats`` of each observable, on
+    kets and on outcome operators, from one pass over the outcome traces.
 
     ``p`` holds the outcome probabilities ``probabilities(pom, rho)``.
     """
-    if pom.kets is None:
-        raise ValueError("optimal_analysis needs a POM of rank-one kets")
-    if any(a.dim != pom.dim for a in observables) or rho.dim != pom.dim:
-        raise DimensionMismatchError("operator, state and POM dimensions differ")
-    amp, amp_as, lam = _projection(pom, rho, observables)
-    t = np.abs(amp) ** 2 @ lam
-    t_id = _outcome_traces(pom)
-    estimates, dispersions, inaccuracies, noinfo = [], [], [], []
-    for a, amp_a in zip(observables, amp_as):
-        est = _estimate_from_traces(a, pom, t, np.real(amp * amp_a.conj()) @ lam)
-        estimates.append(est)
-        dispersions.append(_mean_and_dispersion(p, est.values)[1])
-        inaccuracies.append(_deviation_from_projection(pom.weights, amp_a, amp, est.values, lam))
-        f_ni = _no_info_values(t_id, np.real(pom.traces(a.matrix)))
-        noinfo.append(_mean_and_dispersion(p, f_ni)[1])
-    return OptimalAnalysis(estimates, tuple(dispersions), tuple(inaccuracies), tuple(noinfo))
+    observables = tuple(observables)
+    return OptimalAnalysis(observables, pom, rho, p, *_state_traces(pom, rho, observables))
 
 
-def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator,
-                                  overlap_tol=1e-10) -> Estimator:
+def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator) -> Estimator:
     """Optimal estimate of one complete (rank-one projective) POM from another.
 
     With Abar = sum_a a |a><a| built from the estimated POM, the value at
     outcome m is <m| rho Abar + Abar rho |m> / (2 <m| rho |m>).  Requires
-    that no ket of one family is proportional to a ket of the other.
+    that no ket of one family is orthogonal or proportional to a ket of the
+    other, up to ``OVERLAP_TOL`` in the overlap modulus.
     """
     for name, pom in (("estimated", a_pom), ("measured", m_pom)):
         if pom.kets is None:
@@ -351,7 +347,7 @@ def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator,
     if a_pom.dim != m_pom.dim or a_pom.dim != rho.dim:
         raise DimensionMismatchError("POMs and state must share one dimension")
     overlaps = np.abs(a_pom.kets.conj() @ m_pom.kets.T)
-    if np.any(overlaps < overlap_tol) or np.any(np.abs(overlaps - 1) < overlap_tol):
+    if np.any(overlaps < OVERLAP_TOL) or np.any(np.abs(overlaps - 1) < OVERLAP_TOL):
         raise ValueError("kets of the two complete POMs are orthogonal or proportional")
     avals = a_pom.values_array()
     abar = (a_pom.kets.T * avals) @ a_pom.kets.conj()
@@ -360,9 +356,8 @@ def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator,
                                  np.real(m_pom.traces(sym)) / 2)
 
 
-def repeatability_check(a: HermitianOperator, m: HermitianOperator, rho: DensityOperator,
-                        tol=1e-10) -> bool:
-    """Optimal estimates agree on rho and on the post-measurement ensemble.
+def repeatability_check(a: HermitianOperator, m: HermitianOperator, rho: DensityOperator) -> bool:
+    """Optimal estimates agree, to ``REPEATABILITY_TOL``, on rho and on the post-measurement ensemble.
 
     Requires [A, M] = 0; the measurement is the projective POM of M and the
     post-measurement state is sum_k M_k rho M_k.
@@ -371,11 +366,8 @@ def repeatability_check(a: HermitianOperator, m: HermitianOperator, rho: Density
     if np.abs(comm).max() > 1e-10 * max(1.0, np.abs(a.matrix).max() * np.abs(m.matrix).max()):
         raise ValueError("A and M do not commute; repeatability undefined")
     pom = projective_pom(m)
-    post = np.zeros_like(rho.matrix)
-    for op in pom.operators():
-        post += op @ rho.matrix @ op
-    rho_bar = DensityOperator(post)
+    rho_bar = DensityOperator(sum(op @ rho.matrix @ op for op in pom.operators()))
     f_before = optimal_estimate(a, pom, rho)
     f_after = optimal_estimate(a, pom, rho_bar)
     keep = ~(f_before.zero_probability | f_after.zero_probability)
-    return bool(np.abs(f_before.values[keep] - f_after.values[keep]).max() <= tol)
+    return bool(np.abs(f_before.values[keep] - f_after.values[keep]).max() <= REPEATABILITY_TOL)

@@ -9,6 +9,11 @@ bound itself is stored as lhs so that a passing report always has
 are judged on |slack|.  ``report`` builds every RelationReport and
 ``RelationReport.to_json`` is the one row serializer.
 
+The exact finite-dimensional checkers read one ``OptimalAnalysis`` of A
+(observable 0) and B (observable 1), which takes an instance's per-outcome
+traces once; ``check_ungen`` and ``check_uni`` judge any value vectors f, g.
+``check_uncanon`` likewise reads one ``heterodyne_analysis`` result.
+
 Exact finite-dimensional checks use saturation tolerance 1e-6;
 grid-quadrature checks (``heterodyne_analysis``) use 1e-3.
 """
@@ -21,16 +26,16 @@ import numpy as np
 
 from . import fock
 from .estimation import (
+    BIAS_TOL,
     Estimator,
+    OptimalAnalysis,
     _bias_operator,
-    _estimate_from_traces,
-    estimate_stats,
+    _no_info_values,
+    _outcome_traces,
     optimal_analysis,
-    optimal_estimate,
     probabilities,
-    statistical_deviation,
 )
-from .operators import DensityOperator, DimensionMismatchError, HermitianOperator
+from .operators import DensityOperator, HermitianOperator
 from .pom import Pom
 
 __all__ = [
@@ -127,86 +132,74 @@ def commutator_bound(a: HermitianOperator, b: HermitianOperator, rho: DensityOpe
     return float(abs(np.trace(rho.matrix @ comm))) / 2
 
 
-def check_geom(a: HermitianOperator, b: HermitianOperator, pom: Pom, rho: DensityOperator) -> RelationReport:
-    """Geometric relation for optimal estimates of two observables.
+def check_geom(an: OptimalAnalysis) -> RelationReport:
+    """Geometric relation for the optimal estimates of observables 0 and 1 of ``an``.
 
     lhs = sqrt(disp_A^2 + eps_A^2) * sqrt(disp_B^2 + eps_B^2), which equals
     DeltaA * DeltaB by the dispersion-inaccuracy Pythagorean identity; the
     observed gap between the two evaluations is recorded in the digest.
     """
-    p = probabilities(pom, rho)
-    sa = estimate_stats(optimal_estimate(a, pom, rho), a, rho, p)
-    sb = estimate_stats(optimal_estimate(b, pom, rho), b, rho, p)
-    lhs = float(np.sqrt(sa.dispersion**2 + sa.inaccuracy**2) * np.sqrt(sb.dispersion**2 + sb.inaccuracy**2))
-    rhs = commutator_bound(a, b, rho)
+    (a, b), rho = an.observables[:2], an.rho
+    disp, eps = an.dispersions, an.inaccuracies
+    lhs = float(np.sqrt(disp[0]**2 + eps[0]**2) * np.sqrt(disp[1]**2 + eps[1]**2))
     direct = float(np.sqrt(a.variance(rho) * b.variance(rho)))
-    return report("geom", lhs, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
+    return report("geom", lhs, commutator_bound(a, b, rho), SATURATION_TOL_EXACT, NUMERIC_TOL,
                   {"delta_a_delta_b": direct, "pythagoras_gap": abs(lhs - direct)})
 
 
-def check_accbound(a: HermitianOperator, pom: Pom, rho: DensityOperator) -> RelationReport:
-    """Incompatibility lower bound on the optimal estimate's inaccuracy.
+def check_accbound(an: OptimalAnalysis) -> RelationReport:
+    """Incompatibility lower bound on the inaccuracy of observable 0's optimal estimate.
 
     lhs = eps(A_opt)^2; rhs sums |tr[rho [A, E_k]]|^2 / (4 tr[rho E_k]) over
     the effective elements E_k = w_k M_k, skipping zero-probability outcomes.
+    Since tr[rho [A, E_k]] = 2i w_k Im tr[rho A M_k], the rhs reads Im t_a.
     Saturates for pure states measured by a complete (rank-one) family.
     """
-    if not (a.dim == rho.dim == pom.dim):
-        raise DimensionMismatchError("operator, state and POM dimensions differ")
-    # tr[rho [A, E_k]] = 2i w_k Im tr[rho A M_k]: one trace serves both sides
-    t = np.real(pom.traces(rho.matrix))
-    t_ra = pom.traces(rho.matrix @ a.matrix)
-    eps = statistical_deviation(a, _estimate_from_traces(a, pom, t, np.real(t_ra)), rho)
-    keep = pom.weights * t > 1e-14
-    rhs = float(np.sum(pom.weights[keep] * np.imag(t_ra[keep]) ** 2 / t[keep]))
-    return report("accbound", eps**2, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
+    w, t = an.pom.weights, an.t
+    keep = w * t > 1e-14
+    rhs = float(np.sum(w[keep] * np.imag(an.t_a[0][keep]) ** 2 / t[keep]))
+    return report("accbound", an.inaccuracies[0]**2, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
                   {"n_outcomes_kept": int(keep.sum())})
 
 
-def check_ungen(a: HermitianOperator, b: HermitianOperator, est_a: Estimator,
-                est_b: Estimator, rho: DensityOperator) -> RelationReport:
-    """Universal joint-measurement relation for arbitrary estimates f, g.
+def check_ungen(an: OptimalAnalysis, f, g) -> RelationReport:
+    """Universal joint-measurement relation for arbitrary estimates f, g of
+    observables 0 and 1 of ``an``, given as one value per outcome.
 
     lhs = disp_A eps_B + eps_A disp_B + eps_A eps_B >= |<[A,B]>|/2 = rhs.
-    Both estimators must read out the same measurement.
     """
-    if est_a.pom is not est_b.pom:
-        raise ValueError("both estimates must be functions of one measurement")
-    p = probabilities(est_a.pom, rho)
-    sa = estimate_stats(est_a, a, rho, p)
-    sb = estimate_stats(est_b, b, rho, p)
-    lhs = sa.dispersion * sb.inaccuracy + sa.inaccuracy * sb.dispersion + sa.inaccuracy * sb.inaccuracy
-    rhs = commutator_bound(a, b, rho)
-    return report("ungen", lhs, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
-                  {"disp_a": sa.dispersion, "eps_a": sa.inaccuracy,
-                   "disp_b": sb.dispersion, "eps_b": sb.inaccuracy})
+    disp_a, disp_b = an.dispersion(f), an.dispersion(g)
+    eps_a, eps_b = an.deviation(0, f), an.deviation(1, g)
+    lhs = disp_a * eps_b + eps_a * disp_b + eps_a * eps_b
+    return report("ungen", lhs, commutator_bound(*an.observables[:2], an.rho),
+                  SATURATION_TOL_EXACT, NUMERIC_TOL,
+                  {"disp_a": disp_a, "eps_a": eps_a, "disp_b": disp_b, "eps_b": eps_b})
 
 
-def check_uni(a: HermitianOperator, b: HermitianOperator, est_a: Estimator, est_b: Estimator,
-              rho: DensityOperator, unbiased_tol=1e-8, subspace_dim=None) -> RelationReport:
-    """Product relation eps_A eps_B >= |<[A,B]>|/2 for universally unbiased estimates.
+def check_uni(an: OptimalAnalysis, f, g, subspace_dim=None) -> RelationReport:
+    """Product relation eps_A eps_B >= |<[A,B]>|/2 for universally unbiased
+    estimates f, g of observables 0 and 1 of ``an``.
 
     The hypothesis sum_k w_k f_k M_k = A (and likewise for B) is verified up
-    to ``unbiased_tol`` before checking; for POMs truncated from continuous
+    to ``BIAS_TOL`` before checking; for POMs truncated from continuous
     families pass ``subspace_dim`` to verify it on the faithful leading block.
     """
-    gap_a, gap_b = (float(np.abs(_bias_operator(est, op)[:subspace_dim, :subspace_dim]).max())
-                    for est, op in ((est_a, a), (est_b, b)))
-    if max(gap_a, gap_b) > unbiased_tol:
+    a, b = an.observables[:2]
+    gap_a, gap_b = (float(np.abs(_bias_operator(an.pom, v, op)[:subspace_dim, :subspace_dim]).max())
+                    for v, op in ((f, a), (g, b)))
+    if max(gap_a, gap_b) > BIAS_TOL:
         raise UnbiasednessError(
             f"estimates are not universally unbiased (gaps {gap_a:.2e}, {gap_b:.2e})"
         )
-    eps_a = statistical_deviation(a, est_a, rho)
-    eps_b = statistical_deviation(b, est_b, rho)
-    rhs = commutator_bound(a, b, rho)
-    return report("uni", eps_a * eps_b, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
-                  {"eps_a": eps_a, "eps_b": eps_b, "unbiased_gap": max(gap_a, gap_b)})
+    eps_a, eps_b = an.deviation(0, f), an.deviation(1, g)
+    return report("uni", eps_a * eps_b, commutator_bound(a, b, an.rho), SATURATION_TOL_EXACT,
+                  NUMERIC_TOL, {"eps_a": eps_a, "eps_b": eps_b, "unbiased_gap": max(gap_a, gap_b)})
 
 
-def check_varsum(a: HermitianOperator, pom: Pom, rho: DensityOperator) -> RelationReport:
-    """Pythagorean identity Var A = disp^2 + eps^2 for the optimal estimate."""
-    stats = estimate_stats(optimal_estimate(a, pom, rho), a, rho)
-    return report("varsum", a.variance(rho), stats.dispersion**2 + stats.inaccuracy**2,
+def check_varsum(an: OptimalAnalysis) -> RelationReport:
+    """Pythagorean identity Var A = disp^2 + eps^2 for observable 0's optimal estimate."""
+    a = an.observables[0]
+    return report("varsum", a.variance(an.rho), an.dispersions[0]**2 + an.inaccuracies[0]**2,
                   1e-10, 1e-10)
 
 
@@ -307,10 +300,13 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     p = probabilities(pom, rho)
     Q = (p / pom.weights / np.pi).reshape(n, n)
 
-    opt = optimal_analysis(fock.quadratures(pom.dim), pom, rho, p)
+    quads = fock.quadratures(pom.dim)
+    opt = optimal_analysis(quads, pom, rho, p)
     est_1, est_2 = opt.estimates
-    disp = opt.dispersions
-    eps2 = tuple(e**2 for e in opt.inaccuracies)
+    disp, eps2 = opt.dispersions, tuple(e**2 for e in opt.inaccuracies)
+    t_id = _outcome_traces(pom)
+    noinfo_disp = tuple(opt.dispersion(_no_info_values(t_id, np.real(pom.traces(x.matrix))))
+                        for x in quads)
 
     dQ, F, fmask = _extrapolated_fisher(Q, h)
     pm = p.reshape(n, n)
@@ -354,7 +350,7 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
         report("tracefish", 4.0, tr_f, tol, tol, digest),
         report("fishident", eps_sum, 0.5 - tr_f / 16, tol, tol, digest),
     ]
-    return HeterodyneAnalysis(pom, rho, p, est_1, est_2, disp, eps2, opt.noinfo_dispersions,
+    return HeterodyneAnalysis(pom, rho, p, est_1, est_2, disp, eps2, noinfo_disp,
                               F, fisher_marginal, cov_q, excluded_mass, cc_max, cc_pts,
                               mat_gap, reports)
 

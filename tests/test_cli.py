@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from pomest import estimation, fock, relations, scenarios
-from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, RunConfig, _relation_instances, main
 from pomest.estimation import estimate_stats, probabilities
-from pomest.pom import pom_to_json, trine_pom
+from pomest.pom import Pom, pom_to_json, trine_pom
 
 TRINE_FIXTURE = str(Path(__file__).resolve().parents[1] / "fixtures" / "trine.json")
 ROW_KEYS = {"scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance",
@@ -149,6 +149,40 @@ def test_bad_parameter_value_is_config_error(capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == "config error: sigma and tau must be positive\n"
+
+
+@pytest.mark.parametrize("params", [
+    "5",  # not a JSON object
+    '{"relations": 5}',
+    '{"relations": ["geom", "bogus"]}',
+    '{"relations": []}',
+    '{"instances": -1}',
+], ids=["params-not-object", "relations-not-list", "unknown-relation", "no-relation",
+        "negative-instances"])
+def test_bad_relations_params_are_config_errors(params, capsys):
+    assert main(["relations", "--params", params]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+
+def test_relations_instance_reads_one_analysis(monkeypatch):
+    counts = {"traces": 0, "_out_of_range": 0}
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Pom, "traces", spy("traces", Pom.traces))
+    monkeypatch.setattr(estimation, "_out_of_range", spy("_out_of_range", estimation._out_of_range))
+    rows = _relation_instances(RunConfig("relations", params={"instances": 1}))
+    assert [r["relation_id"] for r in rows] == ["geom", "accbound", "ungen", "varsum"]
+    # probabilities, then tr[rho M_k] and tr[rho A M_k], tr[A rho A M_k] for A and B
+    assert counts["traces"] <= 6
+    # one spectrum per optimal estimate: A and B
+    assert counts["_out_of_range"] == 2
 
 
 def test_measurement_estimate_of_pair_values_needs_a_component(capsys):

@@ -262,24 +262,27 @@ def test_optimal_analysis_matches_separate_calls(rng):
     obs = (random_hermitian(d, rng), random_hermitian(d, rng))
     rho = DensityOperator(0.7 * random_pure_ket(d, rng).to_density().matrix
                           + 0.3 * random_pure_ket(d, rng).to_density().matrix)
-    p = probabilities(pom, rho)
-    an = optimal_analysis(obs, pom, rho, p)
-    for j, a in enumerate(obs):
-        est = optimal_estimate(a, pom, rho)
-        stats = estimate_stats(est, a, rho, p)
-        noinfo = estimate_stats(optimal_estimate_no_info(a, pom), a, rho, p)
-        np.testing.assert_allclose(an.estimates[j].values, est.values, rtol=0, atol=1e-12)
-        assert an.dispersions[j] == pytest.approx(stats.dispersion, rel=0, abs=1e-12)
-        assert an.inaccuracies[j] == pytest.approx(stats.inaccuracy, rel=0, abs=1e-12)
-        assert an.noinfo_dispersions[j] == pytest.approx(noinfo.dispersion, rel=0, abs=1e-12)
-    # a zero ket has tr M_k = 0: the no-information estimate is undefined
+    # the kets POM and a POM of outcome operators
+    for pom in (pom, random_pom(d, 4, rng)):
+        p = probabilities(pom, rho)
+        an = optimal_analysis(obs, pom, rho, p)
+        f = rng.normal(size=pom.n_outcomes)
+        for j, a in enumerate(obs):
+            est = optimal_estimate(a, pom, rho)
+            stats = estimate_stats(est, a, rho, p)
+            np.testing.assert_allclose(an.estimates[j].values, est.values, rtol=0, atol=1e-12)
+            assert an.dispersions[j] == pytest.approx(stats.dispersion, rel=0, abs=1e-12)
+            assert an.inaccuracies[j] == pytest.approx(stats.inaccuracy, rel=0, abs=1e-12)
+            assert an.deviation(j, f) == pytest.approx(
+                statistical_deviation(a, Estimator(pom, f), rho), rel=0, abs=1e-12)
+    # a zero ket has tr M_k = 0: the no-information estimate is undefined, and
+    # the analysis flags the outcome as one of zero probability
     kets[3] = 0
     pom = Pom(d, np.arange(n_kets, dtype=float), np.ones(n_kets), kets=kets)
     with pytest.raises(ValueError, match="zero-trace"):
-        optimal_analysis(obs, pom, rho, probabilities(pom, rho))
-    pom = random_pom(d, 4, rng)
-    with pytest.raises(ValueError, match="kets"):
-        optimal_analysis(obs, pom, rho, probabilities(pom, rho))
+        optimal_estimate_no_info(obs[0], pom)
+    an = optimal_analysis(obs, pom, rho, probabilities(pom, rho))
+    assert an.estimates[0].zero_probability[3] and an.estimates[0].values[3] == 0
 
 
 def test_unbiased_correction_noop_when_unbiased(rng):
@@ -450,9 +453,13 @@ def test_kets_and_operator_twins_agree(rng):
     rho = random_density(d, rng)
     a = random_hermitian(d, rng)
     f = rng.normal(size=n_out)
+    b = random_hermitian(d, rng)
 
     def both(fn):
         return fn(twin_kets), fn(twin_ops)
+
+    def analysis(pom):
+        return optimal_analysis((a, b), pom, rho, probabilities(pom, rho))
 
     pairs = {
         "probabilities": both(lambda pom: probabilities(pom, rho)),
@@ -460,7 +467,11 @@ def test_kets_and_operator_twins_agree(rng):
         "optimal_estimate_no_info": both(lambda pom: optimal_estimate_no_info(a, pom).values),
         "statistical_deviation": both(lambda pom: statistical_deviation(a, Estimator(pom, f), rho)),
         "hs_distance": both(lambda pom: hs_distance(a, pom)),
-        "check_accbound rhs": both(lambda pom: check_accbound(a, pom, rho).rhs),
+        "analysis estimates": both(lambda pom: [e.values for e in analysis(pom).estimates]),
+        "analysis dispersions": both(lambda pom: analysis(pom).dispersions),
+        "analysis inaccuracies": both(lambda pom: analysis(pom).inaccuracies),
+        "analysis deviation(0, f)": both(lambda pom: analysis(pom).deviation(0, f)),
+        "check_accbound rhs": both(lambda pom: check_accbound(analysis(pom)).rhs),
         # a coarse beta step: the default 1e-5 amplifies the paths' last-bit
         # differences in tr[e^{-beta A} M_k] by 1/(2 beta rel_step) ~ 7e4
         "log_partition_estimate": both(lambda pom: log_partition_estimate(a, pom, 0.7,
