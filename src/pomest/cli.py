@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,6 +76,14 @@ def _env_tolerances() -> dict:
         raw = os.environ.get(ENV_PREFIX + key)
         tols[key.lower()] = float(raw) if raw is not None else default
     return tols
+
+
+def _number(params: dict, key: str, default, kind=float):
+    value = params.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, not {value!r}") from None
 
 
 def _load_params(raw: str | None) -> dict:
@@ -144,13 +152,13 @@ def _named_pom(params: dict, seed: int):
         spec = params.get("grid", {})
         grid = GridSpec(
             complex(*spec.get("center", [0.0, 0.0])),
-            float(spec.get("radius", 6.0)),
-            int(spec.get("points_per_axis", 81)),
+            _number(spec, "radius", 6.0),
+            _number(spec, "points_per_axis", 81, int),
         )
-        return coherent_pom(int(params.get("fock_dim", 30)), grid)
+        return coherent_pom(_number(params, "fock_dim", 30, int), grid)
     if name == "random":
         rng = make_rng(seed)
-        return random_pom(int(params.get("dim", 3)), int(params.get("outcomes", 4)), rng)
+        return random_pom(_number(params, "dim", 3, int), _number(params, "outcomes", 4, int), rng)
     raise ConfigError(f"unknown POM name {name!r}")
 
 
@@ -222,6 +230,8 @@ def _relation_instances(config: RunConfig) -> list:
     if not isinstance(instances, int) or isinstance(instances, bool) or instances < 1:
         raise ConfigError(f"instances must be a positive integer, not {instances!r}")
     dims = params.get("dims", [2, 3, 4, 5])
+    if not isinstance(dims, list) or not dims or any(type(d) is not int or d < 2 for d in dims):
+        raise ConfigError(f"dims must be a non-empty list of integers >= 2, not {dims!r}")
     rng = make_rng(config.seed)
     rows = []
     for i in range(instances):
@@ -258,13 +268,8 @@ def _cmd_relations(config: RunConfig) -> int:
 
 def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
     if name == "epr":
-        p = scenarios.EprParams(
-            sigma=float(params.get("sigma", 0.1)),
-            tau=float(params.get("tau", 0.1)),
-            a=float(params.get("a", 0.0)),
-            p0=float(params.get("p0", 1.0)),
-            hbar=float(params.get("hbar", 1.0)),
-        )
+        p = scenarios.EprParams(**{f.name: _number(params, f.name, f.default)
+                                   for f in fields(scenarios.EprParams)})
         closed = scenarios.epr_closed_form(p)
         # the closed form saturates the bound; its roundoff grows with hbar
         tol = 1e-12 * max(1.0, p.hbar / 2)
@@ -272,7 +277,7 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
                                  {"route": "closed-form"}).to_json("epr")]
         extras = {"closed_form": closed.__dict__.copy()}
         if params.get("numeric", True):
-            pts = int(params.get("points", 0)) or scenarios.recommended_epr_points(p)[0]
+            pts = _number(params, "points", 0, int) or scenarios.recommended_epr_points(p)[0]
             # raises GridResolutionError unless disp_x and eps_p are within 1e-3
             # relative, which bounds lhs below by hbar/2 - 1e-3 hbar
             num = scenarios.epr_numeric(p, pts)
@@ -288,8 +293,8 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
             }
         return rows, extras
     if name == "thermal":
-        beta = float(params.get("beta", 1.0))
-        dim = int(params.get("fock_dim", max(80, int(33 / beta) + 40)))
+        beta = _number(params, "beta", 1.0)
+        dim = _number(params, "fock_dim", max(80, int(33 / beta) + 40), int)
         h = fock.oscillator_hamiltonian(dim)
         pom = projective_pom(fock.position_operator(dim))
         est = scenarios.thermal_energy_estimate(h, pom, beta)
@@ -302,33 +307,28 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
                                {"route": "thermal-closed-form-gap", "beta": beta, "fock_dim": dim})
         return [rep.to_json("thermal")], {"beta": beta, "closed_form": {"a_t": at, "b_t": bt}}
     if name == "heterodyne":
-        dim = int(params.get("fock_dim", 40))
-        grid = GridSpec(0j, float(params.get("radius", 7.0)),
-                        int(params.get("points_per_axis", 160)))
+        dim = _number(params, "fock_dim", 40, int)
+        grid = GridSpec(0j, _number(params, "radius", 7.0),
+                        _number(params, "points_per_axis", 160, int))
         pom = coherent_pom(dim, grid)
         state = params.get("state", "vacuum")
         rho = _load_state({"state": state}, dim, seed)
         analysis = relations.heterodyne_analysis(rho, pom)
-        uncanon = relations.check_uncanon(analysis, float(params.get("hbar", 1.0)))
+        uncanon = relations.check_uncanon(analysis, _number(params, "hbar", 1.0))
         return [r.to_json("heterodyne") for r in analysis.reports + [uncanon]], {}
     if name == "linear":
+        defaults = {"mean_x": 0.0, "var_x": 1.0, "mean_p": 0.0, "var_p": 1.0,
+                    "var_xprime": 0.5, "var_pprime": 0.5, "hbar": 1.0}
         inputs = scenarios.LinearEstimateInputs(
-            mean_x=float(params.get("mean_x", 0.0)),
-            var_x=float(params.get("var_x", 1.0)),
-            mean_p=float(params.get("mean_p", 0.0)),
-            var_p=float(params.get("var_p", 1.0)),
-            var_xprime=float(params.get("var_xprime", 0.5)),
-            var_pprime=float(params.get("var_pprime", 0.5)),
-            hbar=float(params.get("hbar", 1.0)),
-        )
+            **{key: _number(params, key, default) for key, default in defaults.items()})
         rep = scenarios.linear_estimate(inputs)
         # the joint cost of biased, prior-informed estimates: the universal relation
         row = relations.report("ungen", rep.joint_cost, inputs.hbar / 2, 1e-9, 1e-9)
         return [row.to_json("linear")], {"linear": {"x": rep.x.__dict__, "p": rep.p.__dict__}}
     if name == "squeezing":
-        hbar = float(params.get("hbar", 1.0))
+        hbar = _number(params, "hbar", 1.0)
         rep = scenarios.optimize_squeezing(
-            float(params.get("var_x", 0.5)), float(params.get("var_p", 0.5)), hbar)
+            _number(params, "var_x", 0.5), _number(params, "var_p", 0.5), hbar)
         row = relations.report("ungen", rep.j_min, hbar / 2, 1e-9, 1e-9)
         return [row.to_json("squeezing")], {"squeezing": rep.__dict__.copy()}
     raise ConfigError(f"unknown scenario {name!r}")

@@ -6,12 +6,18 @@ displacement matrices are built from the exact infinite-dimensional matrix
 elements truncated to the requested dimension; this stays faithful for
 amplitudes well beyond where exponentiating the truncated generator breaks
 down.
+
+log n! is a table of ``math.lgamma(n + 1)``, within 2.5e-12 of the exact
+value for n < 2000.  L_j^(k)(x) in the displacement elements is C(j+k, j) p_j
+from the recurrence p_0 = 1, d_1 = -x/(k+1), p_j = p_{j-1} + d_j,
+d_{j+1} = -x/(j+k+1) p_j + j/(j+k+1) d_j, run over every order k at once.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .operators import DensityOperator, HermitianOperator, Ket
 
@@ -23,14 +29,17 @@ __all__ = [
     "number_ket",
     "coherent_ket",
     "coherent_amplitudes",
-    "fock_superposition",
     "displacement",
     "displacements",
-    "displacement_expm",
     "thermal_state",
     "oscillator_hamiltonian",
     "position_operator",
 ]
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """The table log k! for k = 0..n-1."""
+    return np.array([math.lgamma(k + 1) for k in range(n)])
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -81,21 +90,13 @@ def coherent_amplitudes(dim: int, alphas) -> np.ndarray:
     logmag = np.log(mag, out=np.zeros_like(mag), where=nonzero)
     logamp = np.outer(logmag, n)
     logamp += -0.5 * mag[:, None] ** 2
-    logamp -= 0.5 * gammaln(n + 1)
+    logamp -= 0.5 * _log_factorials(dim)
     amp *= np.exp(logamp, out=logamp)
     return amp
 
 
 def coherent_ket(dim: int, alpha: complex) -> Ket:
     return Ket(coherent_amplitudes(dim, alpha)[0])
-
-
-def fock_superposition(dim: int, coefficients) -> Ket:
-    """Normalized superposition of the lowest Fock states."""
-    coeff = np.asarray(coefficients, dtype=complex)
-    amp = np.zeros(dim, dtype=complex)
-    amp[: coeff.size] = coeff
-    return Ket(amp)
 
 
 def displacements(dim: int, alphas) -> np.ndarray:
@@ -109,10 +110,17 @@ def displacements(dim: int, alphas) -> np.ndarray:
     x = np.hypot(alphas.real, alphas.imag) ** 2
     m, n = np.indices((dim, dim))
     k, lo = np.abs(m - n), np.minimum(m, n)
-    loggam = gammaln(np.arange(dim) + 1)
+    p = np.ones((alphas.shape[0], dim, dim))  # p[:, k, j]; see the module docstring
+    order = np.arange(dim)
+    d = -x[:, 0] / (order + 1)
+    for j in range(1, dim):
+        p[:, :, j] = p[:, :, j - 1] + d
+        d = -x[:, 0] / (j + order + 1) * p[:, :, j] + j / (j + order + 1) * d
+    logf = _log_factorials(dim)
+    # sqrt(lo!/(lo+k)!) C(lo+k, lo) = sqrt((lo+k)!/lo!) / k!
     al = np.where(m >= n, alphas, -np.conjugate(alphas))
-    pref = np.exp(0.5 * (loggam[lo] - loggam[lo + k]) - x / 2)
-    D = pref * al**k * eval_genlaguerre(lo, k, x)
+    pref = np.exp(0.5 * (logf[lo + k] - logf[lo]) - logf[k] - x / 2)
+    D = pref * al**k * p[:, k, lo]
     D[x[:, 0, 0] == 0] = np.eye(dim)
     return D
 
@@ -120,19 +128,6 @@ def displacements(dim: int, alphas) -> np.ndarray:
 def displacement(dim: int, alpha: complex) -> np.ndarray:
     """Truncation of the exact displacement matrix D(alpha); see ``displacements``."""
     return displacements(dim, [alpha])[0]
-
-
-def displacement_expm(dim: int, alpha: complex) -> np.ndarray:
-    """Displacement via the spectral exponential of the truncated generator.
-
-    Only faithful while (|alpha| + 4)^2 stays below dim; kept as a
-    cross-check route for the closed-form matrix elements.
-    """
-    a = annihilation(dim)
-    gen = alpha * a.conj().T - np.conjugate(alpha) * a
-    herm = 1j * gen
-    vals, vecs = np.linalg.eigh(herm)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
 def thermal_state(dim: int, mean_n: float) -> DensityOperator:

@@ -19,7 +19,6 @@ from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
 from .operators import (
@@ -348,10 +347,11 @@ def inefficient_photon_pom(fock_dim: int, eta: float, max_faithful_outcome=None,
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     n = np.arange(fock_dim)
+    logf = fock._log_factorials(fock_dim)
     ops = np.zeros((fock_dim, fock_dim, fock_dim), dtype=complex)
     for m in range(fock_dim):
         r = n[n >= m] - m
-        log_c = gammaln(m + r + 1) - gammaln(r + 1) - gammaln(m + 1)
+        log_c = logf[m + r] - logf[r] - logf[m]
         if eta < 1:
             diag = np.exp(log_c + m * np.log(eta) + r * np.log(1 - eta))
         else:

@@ -29,6 +29,7 @@ from pomest.estimation import (
 )
 from pomest.operators import (
     HermitianOperator,
+    Ket,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -64,6 +65,11 @@ def _line(capsys, n, passed, detail):
     assert passed, f"criterion {n}: {detail}"
 
 
+def _fock_superposition(dim, coefficients):
+    """Normalized superposition of the lowest Fock states."""
+    return Ket(np.pad(coefficients, (0, dim - len(coefficients))))
+
+
 @pytest.fixture(scope="module")
 def fine_grid_states():
     """dim-40 coherent grid at quadrature resolution plus the five pure states."""
@@ -74,8 +80,8 @@ def fine_grid_states():
         "vacuum": fock.vacuum_ket(dim),
         "one": fock.number_ket(dim, 1),
         "coherent": fock.coherent_ket(dim, 1.0),
-        "sup-a": fock.fock_superposition(dim, rng.normal(size=5) + 1j * rng.normal(size=5)),
-        "sup-b": fock.fock_superposition(dim, rng.normal(size=5) + 1j * rng.normal(size=5)),
+        "sup-a": _fock_superposition(dim, rng.normal(size=5) + 1j * rng.normal(size=5)),
+        "sup-b": _fock_superposition(dim, rng.normal(size=5) + 1j * rng.normal(size=5)),
     }
     analyses = {name: heterodyne_analysis(ket.to_density(), pom) for name, ket in states.items()}
     return pom, analyses

@@ -121,6 +121,14 @@ def test_console_entry_point():
     assert doc["passed"] is True
 
 
+def test_import_loads_neither_scipy_nor_f2py():
+    # a fresh interpreter: importing the CLI stays cheap
+    probe = ("import sys, pomest, pomest.cli; "
+             "print(sorted({'scipy', 'numpy.f2py'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_suite_runs_green(tmp_path):
     out = tmp_path / "suite.json"
     code = main(["suite", "--seed", "0", "--output", str(out)])
@@ -157,13 +165,35 @@ def test_bad_parameter_value_is_config_error(capsys):
     '{"relations": ["geom", "bogus"]}',
     '{"relations": []}',
     '{"instances": -1}',
+    '{"dims": [1], "instances": 3}',
+    '{"dims": 3}',
+    '{"dims": []}',
+    '{"dims": [2, 2.5]}',
+    '{"dims": [true, 3]}',
+    '{"dims": [{"a": 1}]}',
 ], ids=["params-not-object", "relations-not-list", "unknown-relation", "no-relation",
-        "negative-instances"])
+        "negative-instances", "one-dimensional", "dims-not-list", "no-dims", "fractional-dim",
+        "boolean-dim", "object-dim"])
 def test_bad_relations_params_are_config_errors(params, capsys):
     assert main(["relations", "--params", params]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["scenario", "epr", "--params", '{"sigma": null}'], "sigma"),
+    (["scenario", "heterodyne", "--params", '{"radius": [7]}'], "radius"),
+    (["scenario", "thermal", "--params", '{"fock_dim": {"a": 1}}'], "fock_dim"),
+    (["scenario", "linear", "--params", '{"var_x": "wide"}'], "var_x"),
+    (["validate", "--params", '{"pom": "coherent", "grid": {"points_per_axis": 1e999}}'],
+     "points_per_axis"),
+], ids=["null", "list", "object", "string", "infinite-int"])
+def test_non_numeric_parameter_is_a_config_error_naming_the_key(argv, key, capsys):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key} must be a number")
 
 
 def test_relations_instance_reads_one_analysis(monkeypatch):

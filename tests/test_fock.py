@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -23,19 +24,28 @@ def test_coherent_ket_poisson_amplitudes():
     assert np.abs(ket.amplitudes - ref).max() < 1e-12
 
 
+def test_log_factorial_table_matches_gammaln():
+    # log 2 < 1 enters an exponent, so its ulp is taken on the scale of 1
+    ref = gammaln(np.arange(2000) + 1)
+    table = fock._log_factorials(2000)
+    assert np.array_equal(table[:2], [0.0, 0.0])
+    assert np.all(np.abs(table - ref) <= 2 * np.spacing(np.maximum(ref, 1.0)))
+
+
 def _coherent_reference(dim, alphas):
     """The closed form e^{-|a|^2/2} a^n / sqrt(n!) evaluated in long double.
 
-    log n! is the double-precision ``gammaln`` table the kernel also reads;
-    its rounding, about 1e-12 of the amplitude near n = 1600, is common to
-    both sides and not what the comparison checks.
+    log n! is the double-precision table the kernel also reads; its
+    rounding, about 1e-12 of the amplitude near n = 1600, is common to both
+    sides and not what the comparison checks.
     """
     a = np.atleast_1d(np.asarray(alphas, dtype=complex)).astype(np.clongdouble)
     n = np.arange(dim)
     r = np.abs(a)
     unit = np.divide(a, r, out=np.zeros_like(a), where=r > 0)
     log_r = np.log(r, out=np.zeros_like(r), where=r > 0)
-    log_mag = -r[:, None] ** 2 / 2 + n * log_r[:, None] - gammaln(n + 1).astype(np.longdouble) / 2
+    log_fact = fock._log_factorials(dim).astype(np.longdouble)
+    log_mag = -r[:, None] ** 2 / 2 + n * log_r[:, None] - log_fact / 2
     return np.exp(log_mag) * unit[:, None] ** n
 
 
@@ -74,7 +84,8 @@ def _coherent_one_expression(dim, alphas):
     amp[:, 1:] = np.where(nonzero, np.exp(1j * np.angle(alphas)), 0)[:, None]
     np.cumprod(amp, axis=1, out=amp)
     logmag = np.log(mag, out=np.zeros_like(mag), where=nonzero)
-    amp *= np.exp(-0.5 * mag[:, None] ** 2 + n * logmag[:, None] - 0.5 * gammaln(n + 1))
+    log_fact = fock._log_factorials(dim)
+    amp *= np.exp(-0.5 * mag[:, None] ** 2 + n * logmag[:, None] - 0.5 * log_fact)
     return amp
 
 
@@ -98,12 +109,24 @@ def test_coherent_amplitudes_property(dim, r, theta):
     assert np.sum(np.abs(amp) ** 2) <= 1 + 2 * dim * np.finfo(float).eps
 
 
+def _displacement_expm(dim, alpha):
+    """Displacement via the spectral exponential of the truncated generator.
+
+    Only faithful while (|alpha| + 4)^2 stays below dim; a cross-check route
+    for the closed-form matrix elements.
+    """
+    a = fock.annihilation(dim)
+    gen = alpha * a.conj().T - np.conjugate(alpha) * a
+    vals, vecs = np.linalg.eigh(1j * gen)
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
 def test_displacement_matches_generator_exponential():
     # closed-form matrix elements against the spectral exponential of the
     # truncated generator, in the regime where the latter is faithful
     for alpha in (0.4 + 0.2j, 1.1, -0.8j):
         d_closed = fock.displacement(60, alpha)
-        d_expm = fock.displacement_expm(60, alpha)
+        d_expm = _displacement_expm(60, alpha)
         assert np.abs(d_closed[:25, :25] - d_expm[:25, :25]).max() < 1e-12
 
 
@@ -126,23 +149,48 @@ def _displacement_loop(dim, alpha):
     return D
 
 
+def _displacement_mpmath(dim, alpha):
+    """Reference: the closed form at 30 digits, with L_j^(k) from the
+    three-term recurrence (j+1) L_{j+1} = (2j+1+k-x) L_j - (j+k) L_{j-1}."""
+    with mpmath.workdps(30):
+        a = mpmath.mpc(alpha.real, alpha.imag)
+        x = a.real**2 + a.imag**2
+        fac = [mpmath.factorial(i) for i in range(dim)]
+        D = np.empty((dim, dim), dtype=complex)
+        below = above = mpmath.exp(-x / 2)  # e^{-x/2} a^k and e^{-x/2} (-a*)^k
+        for k in range(dim):
+            lag = [mpmath.mpf(1), 1 + k - x]
+            for j in range(1, dim - k - 1):
+                lag.append(((2 * j + 1 + k - x) * lag[j] - (j + k) * lag[j - 1]) / (j + 1))
+            for lo in range(dim - k):
+                v = mpmath.sqrt(fac[lo] / fac[lo + k]) * lag[lo]
+                D[lo + k, lo] = complex(v * below)
+                D[lo, lo + k] = complex(v * above)
+            below *= a
+            above *= -mpmath.conj(a)
+    return D
+
+
 @pytest.mark.parametrize("dim", [20, 40])
 def test_displacements_stack_equals_single_matrices(dim):
     # alpha = 0, both axes, and a spread of 41^2-grid points (many of which
     # round |alpha|^2 differently under np.abs than under abs)
     axes = [0, 1.3, -0.7, 2.25j, -0.15j]
     alphas = np.concatenate([axes, GridSpec(0j, 6.0, 41).points()[0][::53]])
+    alphas = alphas[:: dim // 20]  # half of them at dim 40, where the references are slow
     stack = fock.displacements(dim, alphas)
     assert stack.shape == (alphas.size, dim, dim)
     assert np.array_equal(stack, [fock.displacement(dim, a) for a in alphas])
-    assert np.array_equal(stack, [_displacement_loop(dim, a) for a in alphas])
+    ref = np.array([_displacement_mpmath(dim, complex(a)) for a in alphas])
+    loop = np.array([_displacement_loop(dim, a) for a in alphas])
+    assert np.abs(stack - ref).max() <= np.abs(loop - ref).max()
 
 
 def test_displacements_match_generator_exponential():
     alphas = [0.4 + 0.2j, 1.1, -0.8j, 0.0]
     stack = fock.displacements(60, alphas)
     for d_closed, alpha in zip(stack, alphas):
-        d_expm = fock.displacement_expm(60, alpha)
+        d_expm = _displacement_expm(60, alpha)
         assert np.abs(d_closed[:25, :25] - d_expm[:25, :25]).max() < 1e-12
 
 
@@ -159,7 +207,7 @@ def test_displaced_number_state():
     one = np.zeros(dim)
     one[1] = 1.0
     via_closed = fock.displacement(dim, alpha) @ one
-    via_expm = fock.displacement_expm(dim, alpha) @ one
+    via_expm = _displacement_expm(dim, alpha) @ one
     assert np.abs(via_closed[:25] - via_expm[:25]).max() < 1e-12
 
 
