@@ -31,7 +31,6 @@ from .estimation import (
     optimal_analysis,
     optimal_estimate,
     optimal_estimate_no_info,
-    probabilities,
 )
 from .operators import DensityOperator, HermitianOperator, matrix_from_json
 from .pom import (CompletenessError, GridSpec, coherent_pom, pom_from_json, projective_pom,
@@ -241,7 +240,7 @@ def _relation_instances(config: RunConfig) -> list:
         rho = random_density(dim, rng)
         a = random_hermitian(dim, rng)
         b = random_hermitian(dim, rng)
-        an = optimal_analysis((a, b), pom, rho, probabilities(pom, rho))
+        an = optimal_analysis((a, b), pom, rho)
         f, g = (est.values for est in an.estimates)
         reps = []
         if "geom" in which:
@@ -294,6 +293,8 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
         return rows, extras
     if name == "thermal":
         beta = _number(params, "beta", 1.0)
+        if not beta > 0:
+            raise ConfigError("beta must be positive")
         dim = _number(params, "fock_dim", max(80, int(33 / beta) + 40), int)
         h = fock.oscillator_hamiltonian(dim)
         pom = projective_pom(fock.position_operator(dim))

@@ -97,9 +97,12 @@ def measurement_estimator(pom: Pom, component=None) -> Estimator:
 
 def probabilities(pom: Pom, rho: DensityOperator) -> np.ndarray:
     """Outcome probabilities p_k = w_k tr[rho M_k], clipped of -1e-10 roundoff."""
-    if pom.dim != rho.dim:
-        raise DimensionMismatchError(f"POM dim {pom.dim} vs state dim {rho.dim}")
-    p = pom.weights * np.real(pom.traces(rho.matrix))
+    return _clipped_probabilities(pom.weights, _state_traces(pom, rho, ())[0])
+
+
+def _clipped_probabilities(weights, t) -> np.ndarray:
+    """p = w t from t = tr[rho M_k]; a p below -1e-10 raises."""
+    p = weights * t
     if p.min() < -1e-10:
         raise ValueError(f"probability {p.min():.3e} below tolerance: POM or state invalid")
     return np.clip(p, 0.0, None)
@@ -117,9 +120,9 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
 def _state_traces(pom: Pom, rho: DensityOperator, observables):
     """t = tr[rho M_k], t_a[j] = tr[rho A_j M_k] (complex) and t_aa[j] = tr[A_j rho A_j M_k].
 
-    On a kets POM, from one projection of the kets onto [V, A_1 V, A_2 V, ...]
-    for rho = V diag(lam) V† (eigenvalues lam > 1e-16); on outcome operators,
-    from ``Pom.traces``.
+    On a kets POM, from one (K, (1 + J) r) projection of the kets onto
+    [C, A_1 C, A_2 C, ...] for the pivoted Cholesky factor rho = C C† of rank
+    r; on outcome operators, from ``Pom.traces``.
     """
     if any(a.dim != pom.dim for a in observables) or rho.dim != pom.dim:
         raise DimensionMismatchError("operator, state and POM dimensions differ")
@@ -128,13 +131,27 @@ def _state_traces(pom: Pom, rho: DensityOperator, observables):
         t_a = np.array([pom.traces(r @ a.matrix) for a in observables])
         t_aa = np.real([pom.traces(a.matrix @ r @ a.matrix) for a in observables])
         return np.real(pom.traces(r)), t_a, t_aa
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    keep = vals > 1e-16
-    cols, lam = vecs[:, keep], vals[keep]
-    amps = pom.project(np.hstack([cols] + [a.matrix @ cols for a in observables]))
-    blocks = amps.reshape(pom.n_outcomes, -1, lam.size).transpose(1, 0, 2)  # V, A_1 V, ...
+    c = _cholesky_factor(rho.matrix)
+    amps = pom.project(np.hstack([c] + [a.matrix @ c for a in observables]))
+    blocks = amps.reshape(pom.n_outcomes, -1, c.shape[1]).transpose(1, 0, 2)  # C, A_1 C, ...
     amp, amp_a = blocks[0], blocks[1:]
-    return np.abs(amp) ** 2 @ lam, (amp * amp_a.conj()) @ lam, np.abs(amp_a) ** 2 @ lam
+    return np.real(np.vecdot(amp, amp)), np.vecdot(amp_a, amp), np.real(np.vecdot(amp_a, amp_a))
+
+
+def _cholesky_factor(m: np.ndarray) -> np.ndarray:
+    """Columns C with m = C C† for a positive semidefinite m, by pivoted Cholesky
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10): at most dim
+    steps, until the largest remaining diagonal is <= 1e-16.  Unlike eigenvectors,
+    the columns keep the relative precision of m's entries."""
+    r, cols = np.array(m, dtype=complex), []
+    for _ in range(len(r)):
+        j = int(np.argmax(np.real(np.diagonal(r))))
+        if r[j, j].real <= 1e-16:
+            break
+        cols.append(r[:, j] / np.sqrt(r[j, j].real))
+        r -= np.outer(cols[-1], cols[-1].conj())
+        r[j], r[:, j] = 0, 0  # the pivot's row and column are factored exactly
+    return np.stack(cols, axis=1)
 
 
 def _deviation(weights, t, t_a, t_aa, f) -> float:
@@ -290,21 +307,23 @@ class OptimalAnalysis:
     ``t`` = tr[rho M_k], ``t_a[j]`` = tr[rho A_j M_k] (complex) and
     ``t_aa[j]`` = tr[A_j rho A_j M_k] give the estimates f_k = Re t_a / t and
     the deviation D^2 = sum_k w_k (t_aa - 2 f_k Re t_a + f_k^2 t) of any value
-    vector f; dispersions are taken under the outcome probabilities ``p``.
+    vector f; dispersions are taken under the outcome probabilities p = w t,
+    checked and clipped as ``probabilities`` does.
     """
 
     observables: tuple
     pom: Pom
     rho: DensityOperator
-    p: np.ndarray
     t: np.ndarray
     t_a: np.ndarray
     t_aa: np.ndarray
+    p: np.ndarray = field(init=False)
     estimates: list = field(init=False)
     dispersions: tuple = field(init=False)
     inaccuracies: tuple = field(init=False)
 
     def __post_init__(self):
+        self.p = _clipped_probabilities(self.pom.weights, self.t)
         self.estimates = [_estimate_from_traces(a, self.pom, self.t, np.real(t_a))
                           for a, t_a in zip(self.observables, self.t_a)]
         self.dispersions = tuple(self.dispersion(est.values) for est in self.estimates)
@@ -319,15 +338,12 @@ class OptimalAnalysis:
         return _mean_and_dispersion(self.p, np.asarray(f, float))[1]
 
 
-def optimal_analysis(observables, pom: Pom, rho: DensityOperator,
-                     p: np.ndarray) -> OptimalAnalysis:
-    """``optimal_estimate`` and ``estimate_stats`` of each observable, on
-    kets and on outcome operators, from one pass over the outcome traces.
-
-    ``p`` holds the outcome probabilities ``probabilities(pom, rho)``.
-    """
+def optimal_analysis(observables, pom: Pom, rho: DensityOperator) -> OptimalAnalysis:
+    """``optimal_estimate`` and ``estimate_stats`` of each observable, and the
+    outcome probabilities, on kets and on outcome operators, from one pass
+    over the outcome traces."""
     observables = tuple(observables)
-    return OptimalAnalysis(observables, pom, rho, p, *_state_traces(pom, rho, observables))
+    return OptimalAnalysis(observables, pom, rho, *_state_traces(pom, rho, observables))
 
 
 def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator) -> Estimator:

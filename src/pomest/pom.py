@@ -265,8 +265,8 @@ def _inverse_sqrt(total, max_correction):
     return (vecs * vals**-0.5) @ vecs.conj().T, mean_corr, max_corr
 
 
-def _renormalize_kets(kets, weights, max_correction):
-    inv_sqrt, mean_corr, max_corr = _inverse_sqrt((kets.T * weights) @ kets.conj(), max_correction)
+def _renormalize_kets(kets, weight, max_correction):
+    inv_sqrt, mean_corr, max_corr = _inverse_sqrt(weight * (kets.T @ kets.conj()), max_correction)
     return kets @ inv_sqrt.T, mean_corr, max_corr
 
 
@@ -280,7 +280,7 @@ def coherent_pom(fock_dim: int, grid: GridSpec, max_renorm_correction=0.1) -> Po
     alphas, cell = grid.points()
     weights = np.full(alphas.size, cell / np.pi)
     kets = fock.coherent_amplitudes(fock_dim, alphas)
-    kets, mean_corr, max_corr = _renormalize_kets(kets, weights, max_renorm_correction)
+    kets, mean_corr, max_corr = _renormalize_kets(kets, cell / np.pi, max_renorm_correction)
     values = list(zip(alphas.real.tolist(), alphas.imag.tolist()))
     return Pom(fock_dim, values, weights, kets=kets,
                kind="coherent-grid", grid=grid, renorm_correction=mean_corr,
@@ -313,7 +313,7 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
     if int(np.sum(vals > 1e-12)) == 1:
         base = vecs[:, -1] * np.sqrt(vals[-1])
         kets = np.concatenate([fock.displacements(fock_dim, alphas[c]) @ base for c in chunks])
-        kets, mean_corr, max_corr = _renormalize_kets(kets, weights, max_renorm_correction)
+        kets, mean_corr, max_corr = _renormalize_kets(kets, cell / np.pi, max_renorm_correction)
         return Pom(fock_dim, values, weights, kets=kets,
                    kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
                    meta={"max_renorm_correction": max_corr})

@@ -33,7 +33,6 @@ from .estimation import (
     _no_info_values,
     _outcome_traces,
     optimal_analysis,
-    probabilities,
 )
 from .operators import DensityOperator, HermitianOperator
 from .pom import Pom
@@ -297,16 +296,14 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     if pom.kind != "coherent-grid" or pom.grid is None:
         raise ValueError("heterodyne analysis requires a vacuum-imageband (coherent) grid POM")
     n, h = pom.grid.points_per_axis, pom.grid.step
-    p = probabilities(pom, rho)
+    opt = optimal_analysis(fock.quadratures(pom.dim), pom, rho)
+    p = opt.p
     Q = (p / pom.weights / np.pi).reshape(n, n)
-
-    quads = fock.quadratures(pom.dim)
-    opt = optimal_analysis(quads, pom, rho, p)
     est_1, est_2 = opt.estimates
     disp, eps2 = opt.dispersions, tuple(e**2 for e in opt.inaccuracies)
-    t_id = _outcome_traces(pom)
-    noinfo_disp = tuple(opt.dispersion(_no_info_values(t_id, np.real(pom.traces(x.matrix))))
-                        for x in quads)
+    # tr[a M_k] = tr[X1 M_k] + i tr[X2 M_k]: both no-information traces from one pass
+    t_id, t_a = _outcome_traces(pom), pom.traces(fock.annihilation(pom.dim))
+    noinfo_disp = tuple(opt.dispersion(_no_info_values(t_id, t)) for t in (t_a.real, t_a.imag))
 
     dQ, F, fmask = _extrapolated_fisher(Q, h)
     pm = p.reshape(n, n)
@@ -315,7 +312,8 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     fisher_marginal = tuple(float(_extrapolated_fisher(Q.sum(axis=ax) * h, h)[1][0, 0])
                             for ax in (1, 0))
 
-    a = np.stack([pom.values_array(0), pom.values_array(1)])
+    alphas = pom.grid.points()[0]
+    a = np.stack([alphas.real, alphas.imag])
     f = np.stack([est_1.values, est_2.values])
     cov_q = _cov(p, a)
     mat_gap = float(np.abs(_cov(p, f) - (cov_q + F / 16 - np.eye(2) / 2)).max())

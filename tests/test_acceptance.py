@@ -199,7 +199,7 @@ def test_criterion_06_universal_relation(capsys):
         rho = random_density(dim, rng)
         f = rng.normal(size=pom.n_outcomes) * 2
         g = rng.normal(size=pom.n_outcomes) * 2
-        rep = check_ungen(optimal_analysis((a, b), pom, rho, probabilities(pom, rho)), f, g)
+        rep = check_ungen(optimal_analysis((a, b), pom, rho), f, g)
         worst = min(worst, rep.slack)
     _line(capsys, 6, worst >= -1e-9,
           f"min slack = {worst:+.2e} over 500 random estimate pairs")

@@ -159,6 +159,15 @@ def test_bad_parameter_value_is_config_error(capsys):
     assert err == "config error: sigma and tau must be positive\n"
 
 
+@pytest.mark.parametrize("beta", [0, -1])
+def test_nonpositive_thermal_beta_is_config_error(beta, capsys):
+    code = main(["scenario", "thermal", "--params", json.dumps({"beta": beta})])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: beta must be positive\n"
+
+
 @pytest.mark.parametrize("params", [
     "5",  # not a JSON object
     '{"relations": 5}',
@@ -209,8 +218,9 @@ def test_relations_instance_reads_one_analysis(monkeypatch):
     monkeypatch.setattr(estimation, "_out_of_range", spy("_out_of_range", estimation._out_of_range))
     rows = _relation_instances(RunConfig("relations", params={"instances": 1}))
     assert [r["relation_id"] for r in rows] == ["geom", "accbound", "ungen", "varsum"]
-    # probabilities, then tr[rho M_k] and tr[rho A M_k], tr[A rho A M_k] for A and B
-    assert counts["traces"] <= 6
+    # tr[rho M_k], then tr[rho A M_k] and tr[A rho A M_k] for A and B; the
+    # probabilities come from the same tr[rho M_k]
+    assert counts["traces"] == 5
     # one spectrum per optimal estimate: A and B
     assert counts["_out_of_range"] == 2
 
@@ -225,14 +235,16 @@ def test_measurement_estimate_of_pair_values_needs_a_component(capsys):
 
 
 def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
-    analyses = []
-    original = relations.heterodyne_analysis
+    analyses, optimal = [], []
 
-    def spy(*args, **kwargs):
-        analyses.append(original(*args, **kwargs))
-        return analyses[-1]
+    def spy(results, original):
+        def wrapped(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+        return wrapped
 
-    monkeypatch.setattr(relations, "heterodyne_analysis", spy)
+    monkeypatch.setattr(relations, "heterodyne_analysis", spy(analyses, relations.heterodyne_analysis))
+    monkeypatch.setattr(relations, "optimal_analysis", spy(optimal, relations.optimal_analysis))
     out = tmp_path / "het.json"
     params = {"fock_dim": 16, "radius": 6.5, "points_per_axis": 101,
               "state": "coherent:0.6,-0.2", "hbar": 0.5}
@@ -245,11 +257,14 @@ def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
     assert rows[-1]["relation_id"] == "uncanon"
     assert rows[-1]["lhs"] == 2 * 0.5 * an.disp[0] * an.disp[1]
 
-    # the analysis hands its probabilities to estimate_stats: same statistics
+    # the probabilities are the clipped w t of the one optimal analysis
+    (opt,) = optimal
+    assert np.array_equal(an.p, np.clip(an.pom.weights * opt.t, 0.0, None))
+    # handed to estimate_stats, they give the analysis's dispersion exactly
     x1 = fock.quadratures(an.pom.dim)[0]
-    given = estimate_stats(an.est_1, x1, an.rho, p=probabilities(an.pom, an.rho))
-    assert given == estimate_stats(an.est_1, x1, an.rho)
-    assert np.array_equal(an.p, probabilities(an.pom, an.rho))
+    assert estimate_stats(an.est_1, x1, an.rho, p=an.p).dispersion == an.disp[0]
+    # the (K, 3) projection and probabilities' own (K, 1) one differ only in roundoff
+    assert np.abs(an.p - probabilities(an.pom, an.rho)).max() <= 16 * np.spacing(an.p.max())
 
 
 def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):

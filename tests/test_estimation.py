@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pomest import fock
 from pomest.estimation import (
     Estimator,
     NotCorrectableError,
+    _cholesky_factor,
     estimate_stats,
     hs_distance,
     measurement_estimator,
@@ -30,7 +33,7 @@ from pomest.pom import (
     trine_pom,
 )
 from pomest.relations import check_accbound
-from pomest.sampling import random_density, random_hermitian, random_pom, random_pure_ket
+from pomest.sampling import make_rng, random_density, random_hermitian, random_pom, random_pure_ket
 from pomest.scenarios import log_partition_estimate
 
 
@@ -265,7 +268,8 @@ def test_optimal_analysis_matches_separate_calls(rng):
     # the kets POM and a POM of outcome operators
     for pom in (pom, random_pom(d, 4, rng)):
         p = probabilities(pom, rho)
-        an = optimal_analysis(obs, pom, rho, p)
+        an = optimal_analysis(obs, pom, rho)
+        np.testing.assert_allclose(an.p, p, rtol=1e-14, atol=0)
         f = rng.normal(size=pom.n_outcomes)
         for j, a in enumerate(obs):
             est = optimal_estimate(a, pom, rho)
@@ -281,8 +285,45 @@ def test_optimal_analysis_matches_separate_calls(rng):
     pom = Pom(d, np.arange(n_kets, dtype=float), np.ones(n_kets), kets=kets)
     with pytest.raises(ValueError, match="zero-trace"):
         optimal_estimate_no_info(obs[0], pom)
-    an = optimal_analysis(obs, pom, rho, probabilities(pom, rho))
+    an = optimal_analysis(obs, pom, rho)
     assert an.estimates[0].zero_probability[3] and an.estimates[0].values[3] == 0
+
+
+@st.composite
+def density_operators(draw):
+    """Pure (rank 1), rank-deficient and full-rank states of dims 2-6."""
+    dim = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, dim))
+    return random_density(dim, make_rng(draw(st.integers(0, 2**32 - 1))), rank=rank)
+
+
+@given(rho=density_operators())
+@example(rho=fock.thermal_state(20, 0.5))  # full rank: each diagonal entry is pivoted once
+def test_cholesky_factor_reconstructs_the_state(rho):
+    c = _cholesky_factor(rho.matrix)
+    assert c.shape[0] == rho.dim and c.shape[1] <= rho.dim
+    assert np.abs(c @ c.conj().T - rho.matrix).max() <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.8 - 0.5j, -1.1 + 0.9j])
+def test_kets_route_matches_a_long_double_reference(beta):
+    # the CLI heterodyne grid; the reference takes the same kets and rho as exact
+    # inputs and forms <a_k|rho|a_k> and <a_k|rho X_j|a_k> in extended precision
+    dim = 40
+    pom = coherent_pom(dim, GridSpec(0j, 7.0, 160))
+    rho = fock.coherent_ket(dim, beta).to_density()
+    quads = fock.quadratures(dim)
+    an = optimal_analysis(quads, pom, rho)
+    keep = an.p > 1e-8
+    kets = pom.kets[keep].astype(np.clongdouble)
+    r = rho.matrix.astype(np.clongdouble)
+    t_ref = [np.real(np.sum(kets.conj() * (kets @ x.T), axis=1))
+             for x in [r] + [r @ q.matrix.astype(np.clongdouble) for q in quads]]
+    p_ref = pom.weights[keep] * t_ref[0]
+    for p in (an.p, probabilities(pom, rho)):
+        assert float(np.max(np.abs(p[keep] - p_ref) / p_ref)) <= 1e-12
+    for est, t_a in zip(an.estimates, t_ref[1:]):
+        assert float(np.max(np.abs(est.values[keep] - t_a / t_ref[0]))) <= 1e-12
 
 
 def test_unbiased_correction_noop_when_unbiased(rng):
@@ -459,7 +500,7 @@ def test_kets_and_operator_twins_agree(rng):
         return fn(twin_kets), fn(twin_ops)
 
     def analysis(pom):
-        return optimal_analysis((a, b), pom, rho, probabilities(pom, rho))
+        return optimal_analysis((a, b), pom, rho)
 
     pairs = {
         "probabilities": both(lambda pom: probabilities(pom, rho)),
