@@ -97,15 +97,7 @@ def measurement_estimator(pom: Pom, component=None) -> Estimator:
 
 def probabilities(pom: Pom, rho: DensityOperator) -> np.ndarray:
     """Outcome probabilities p_k = w_k tr[rho M_k], clipped of -1e-10 roundoff."""
-    return _clipped_probabilities(pom.weights, _state_traces(pom, rho, ())[0])
-
-
-def _clipped_probabilities(weights, t) -> np.ndarray:
-    """p = w t from t = tr[rho M_k]; a p below -1e-10 raises."""
-    p = weights * t
-    if p.min() < -1e-10:
-        raise ValueError(f"probability {p.min():.3e} below tolerance: POM or state invalid")
-    return np.clip(p, 0.0, None)
+    return optimal_analysis((), pom, rho).p
 
 
 def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOperator) -> float:
@@ -143,15 +135,20 @@ def _cholesky_factor(m: np.ndarray) -> np.ndarray:
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10): at most dim
     steps, until the largest remaining diagonal is <= 1e-16.  Unlike eigenvectors,
     the columns keep the relative precision of m's entries."""
-    r, cols = np.array(m, dtype=complex), []
-    for _ in range(len(r)):
-        j = int(np.argmax(np.real(np.diagonal(r))))
-        if r[j, j].real <= 1e-16:
-            break
-        cols.append(r[:, j] / np.sqrt(r[j, j].real))
-        r -= np.outer(cols[-1], cols[-1].conj())
-        r[j], r[:, j] = 0, 0  # the pivot's row and column are factored exactly
-    return np.stack(cols, axis=1)
+    d = len(m)
+    c, diag, piv = np.zeros((d, d), complex), np.real(np.diagonal(m)).copy(), np.arange(d)
+    for k in range(d):
+        j = k + int(np.argmax(diag[k:]))
+        if diag[j] <= 1e-16:
+            return c[np.argsort(piv), :k]
+        if j != k:  # the pivot to row k; rows below k are not yet pivoted
+            for x in (piv, diag, c):
+                x[[k, j]] = x[[j, k]]
+        c[k, k] = ckk = np.sqrt(diag[k])
+        col = c[k + 1:, k]
+        col[:] = (m[piv[k + 1:], piv[k]] - c[k + 1:, :k] @ c[k, :k].conj()) / ckk
+        diag[k + 1:] -= col.real**2 + col.imag**2
+    return c[np.argsort(piv)]
 
 
 def _deviation(weights, t, t_a, t_aa, f) -> float:
@@ -308,7 +305,7 @@ class OptimalAnalysis:
     ``t_aa[j]`` = tr[A_j rho A_j M_k] give the estimates f_k = Re t_a / t and
     the deviation D^2 = sum_k w_k (t_aa - 2 f_k Re t_a + f_k^2 t) of any value
     vector f; dispersions are taken under the outcome probabilities p = w t,
-    checked and clipped as ``probabilities`` does.
+    clipped of -1e-10 roundoff.
     """
 
     observables: tuple
@@ -323,7 +320,10 @@ class OptimalAnalysis:
     inaccuracies: tuple = field(init=False)
 
     def __post_init__(self):
-        self.p = _clipped_probabilities(self.pom.weights, self.t)
+        p = self.pom.weights * self.t
+        if p.min() < -1e-10:
+            raise ValueError(f"probability {p.min():.3e} below tolerance: POM or state invalid")
+        self.p = np.clip(p, 0.0, None)
         self.estimates = [_estimate_from_traces(a, self.pom, self.t, np.real(t_a))
                           for a, t_a in zip(self.observables, self.t_a)]
         self.dispersions = tuple(self.dispersion(est.values) for est in self.estimates)
