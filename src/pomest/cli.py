@@ -295,7 +295,8 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
         beta = _number(params, "beta", 1.0)
         if not beta > 0:
             raise ConfigError("beta must be positive")
-        dim = _number(params, "fock_dim", max(80, int(33 / beta) + 40), int)
+        # measured: at 50/beta Fock levels the gap is 5e-11 to 9e-11 for beta 0.07-0.5
+        dim = _number(params, "fock_dim", max(80, int(50 / beta)), int)
         h = fock.oscillator_hamiltonian(dim)
         pom = projective_pom(fock.position_operator(dim))
         est = scenarios.thermal_energy_estimate(h, pom, beta)
@@ -414,7 +415,7 @@ def main(argv=None) -> int:
         )
         return run(config)
     # CompletenessError is a ValueError: the validation failures go first
-    except (relations.GridResolutionError, CompletenessError) as exc:
+    except (relations.GridResolutionError, CompletenessError, scenarios.ScenarioError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:  # ConfigError and invalid parameter values

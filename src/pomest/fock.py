@@ -30,6 +30,7 @@ __all__ = [
     "coherent_ket",
     "coherent_amplitudes",
     "displacement",
+    "displacement_columns",
     "displacements",
     "thermal_state",
     "oscillator_hamiltonian",
@@ -99,21 +100,22 @@ def coherent_ket(dim: int, alpha: complex) -> Ket:
     return Ket(coherent_amplitudes(dim, alpha)[0])
 
 
-def displacements(dim: int, alphas) -> np.ndarray:
-    """Truncated exact displacement matrices exp(a a† - a* a), shape (K, dim, dim).
+def displacement_columns(dim: int, alphas, columns: int) -> np.ndarray:
+    """Leading ``columns`` columns of truncated exact displacements, shape (K, dim, columns).
 
     Cahill-Glauber closed form: [m, n] = sqrt(n!/m!) e^{-|a|^2/2} a^(m-n) L_n^(m-n)(|a|^2)
     for m >= n, and the same with m, n swapped and -a* for a above the diagonal.
+    Column n needs Laguerre degrees up to n only, so the recurrence stops there.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))[:, None, None]
     # hypot rounds |a| as Python's abs(complex) does; np.abs differs in the last bit
     x = np.hypot(alphas.real, alphas.imag) ** 2
-    m, n = np.indices((dim, dim))
+    m, n = np.indices((dim, columns))
     k, lo = np.abs(m - n), np.minimum(m, n)
-    p = np.ones((alphas.shape[0], dim, dim))  # p[:, k, j]; see the module docstring
+    p = np.ones((alphas.shape[0], dim, columns))  # p[:, k, j]; see the module docstring
     order = np.arange(dim)
     d = -x[:, 0] / (order + 1)
-    for j in range(1, dim):
+    for j in range(1, columns):
         p[:, :, j] = p[:, :, j - 1] + d
         d = -x[:, 0] / (j + order + 1) * p[:, :, j] + j / (j + order + 1) * d
     logf = _log_factorials(dim)
@@ -121,12 +123,17 @@ def displacements(dim: int, alphas) -> np.ndarray:
     al = np.where(m >= n, alphas, -np.conjugate(alphas))
     pref = np.exp(0.5 * (logf[lo + k] - logf[lo]) - logf[k] - x / 2)
     D = pref * al**k * p[:, k, lo]
-    D[x[:, 0, 0] == 0] = np.eye(dim)
+    D[x[:, 0, 0] == 0] = np.eye(dim, columns)
     return D
 
 
+def displacements(dim: int, alphas) -> np.ndarray:
+    """Truncated exact displacement matrices exp(a a† - a* a), shape (K, dim, dim)."""
+    return displacement_columns(dim, alphas, dim)
+
+
 def displacement(dim: int, alpha: complex) -> np.ndarray:
-    """Truncation of the exact displacement matrix D(alpha); see ``displacements``."""
+    """Truncation of the exact displacement matrix D(alpha); see ``displacement_columns``."""
     return displacements(dim, [alpha])[0]
 
 

@@ -114,20 +114,29 @@ class Pom:
         if (operators is None) == (kets is None):
             raise ValueError("provide exactly one of operators or kets")
         self.dim = int(dim)
-        self.values = list(values)
+        self._values = None if values is None else list(values)
         self.weights = np.asarray(weights, dtype=float)
         if np.any(self.weights <= 0):
             raise ValueError("outcome weights must be positive")
         self._operators = None if operators is None else np.asarray(operators, dtype=complex)
         self._kets = None if kets is None else np.asarray(kets, dtype=complex)
         self._labels = None if labels is None else list(labels)
-        n_labels = len(self.values) if labels is None else len(self._labels)
-        if not (len(self.values) == n_labels == self.weights.size == self.n_outcomes):
+        n_values = grid.points_per_axis**2 if values is None else len(self._values)
+        n_labels = n_values if labels is None else len(self._labels)
+        if not (n_values == n_labels == self.weights.size == self.n_outcomes):
             raise ValueError("values, labels and weights must match the outcome count")
         self.kind = kind
         self.grid = grid
         self.renorm_correction = renorm_correction
         self.meta = dict(meta or {})
+
+    @property
+    def values(self) -> list:
+        """Outcome values; left as None on a grid, formatted on first read as (Re a, Im a) pairs."""
+        if self._values is None:
+            alphas = self.grid.points()[0]
+            self._values = list(zip(alphas.real.tolist(), alphas.imag.tolist()))
+        return self._values
 
     @property
     def labels(self) -> list:
@@ -245,8 +254,9 @@ def validate(pom: Pom, positivity_tol=1e-10, completeness_tol=1e-8) -> Validatio
                             pom.renorm_correction)
 
 
-def _inverse_sqrt(total, max_correction):
-    """T^{-1/2} of the completeness operator T, with its mean and max eigenvalue corrections."""
+def _renormalize_kets(kets, weight, max_correction):
+    """Kets T^{-1/2}|k>, T = weight sum_k |k><k|, and T's mean and max eigenvalue corrections."""
+    total = weight * (kets.T @ kets.conj())
     total = (total + total.conj().T) / 2
     vals, vecs = np.linalg.eigh(total)
     if vals.min() <= 0:
@@ -262,12 +272,7 @@ def _inverse_sqrt(total, max_correction):
             f"renormalization correction {mean_corr:.3f} exceeds {max_correction:.2f}; "
             "enlarge the grid or reduce the Fock dimension"
         )
-    return (vecs * vals**-0.5) @ vecs.conj().T, mean_corr, max_corr
-
-
-def _renormalize_kets(kets, weight, max_correction):
-    inv_sqrt, mean_corr, max_corr = _inverse_sqrt(weight * (kets.T @ kets.conj()), max_correction)
-    return kets @ inv_sqrt.T, mean_corr, max_corr
+    return kets @ ((vecs * vals**-0.5) @ vecs.conj().T).T, mean_corr, max_corr
 
 
 def coherent_pom(fock_dim: int, grid: GridSpec, max_renorm_correction=0.1) -> Pom:
@@ -281,8 +286,7 @@ def coherent_pom(fock_dim: int, grid: GridSpec, max_renorm_correction=0.1) -> Po
     weights = np.full(alphas.size, cell / np.pi)
     kets = fock.coherent_amplitudes(fock_dim, alphas)
     kets, mean_corr, max_corr = _renormalize_kets(kets, cell / np.pi, max_renorm_correction)
-    values = list(zip(alphas.real.tolist(), alphas.imag.tolist()))
-    return Pom(fock_dim, values, weights, kets=kets,
+    return Pom(fock_dim, None, weights, kets=kets,
                kind="coherent-grid", grid=grid, renorm_correction=mean_corr,
                meta={"max_renorm_correction": max_corr})
 
@@ -298,36 +302,28 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
                   max_renorm_correction=0.1) -> Pom:
     """Heterodyne POM 1/pi D(a) rho' D(a)† for an arbitrary imageband state.
 
+    rho' = B B† on its occupied Fock levels n < s, so outcome k is U U† with
+    U = D(a_k)[:, :s] B, and the K r columns of the U are renormalized together
+    like ``coherent_pom``'s kets.  B is the top eigenpair when one eigenvalue
+    exceeds 1e-12 (stored as kets), else every positive one (operators U U†).
     With a vacuum imageband this coincides elementwise with ``coherent_pom``.
     """
     if imageband.dim > fock_dim:
         raise DimensionMismatchError("imageband state must fit in the signal Fock dimension")
-    rho_c = np.zeros((fock_dim, fock_dim), dtype=complex)
-    rho_c[: imageband.dim, : imageband.dim] = imageband_conjugate(imageband)
+    rho_c = imageband_conjugate(imageband)
+    s = 1 + int(np.max(np.nonzero(rho_c)))
+    vals, vecs = np.linalg.eigh((rho_c[:s, :s] + rho_c[:s, :s].conj().T) / 2)
+    keep = slice(-1, None) if np.sum(vals > 1e-12) == 1 else vals > 0
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
     alphas, cell = grid.points()
-    weights = np.full(alphas.size, cell / np.pi)
-    values = list(zip(alphas.real.tolist(), alphas.imag.tolist()))
-
-    vals, vecs = np.linalg.eigh((rho_c + rho_c.conj().T) / 2)
-    chunks = [slice(s, s + _GRID_CHUNK) for s in range(0, alphas.size, _GRID_CHUNK)]
-    if int(np.sum(vals > 1e-12)) == 1:
-        base = vecs[:, -1] * np.sqrt(vals[-1])
-        kets = np.concatenate([fock.displacements(fock_dim, alphas[c]) @ base for c in chunks])
-        kets, mean_corr, max_corr = _renormalize_kets(kets, cell / np.pi, max_renorm_correction)
-        return Pom(fock_dim, values, weights, kets=kets,
-                   kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
-                   meta={"max_renorm_correction": max_corr})
-
-    # one (K, d, d) stack, filled and renormalized in place chunk by chunk
-    ops = np.empty((alphas.size, fock_dim, fock_dim), dtype=complex)
-    for c in chunks:
-        D = fock.displacements(fock_dim, alphas[c])
-        np.matmul(D @ rho_c, D.conj().transpose(0, 2, 1), out=ops[c])
-    inv_sqrt, mean_corr, max_corr = _inverse_sqrt(np.einsum("k,kij->ij", weights, ops),
+    amps = np.empty((alphas.size, factor.shape[1], fock_dim), dtype=complex)  # amps[k] = U_k^T
+    for c in (slice(i, i + _GRID_CHUNK) for i in range(0, alphas.size, _GRID_CHUNK)):
+        amps[c] = (fock.displacement_columns(fock_dim, alphas[c], s) @ factor).mT
+    rows, mean_corr, max_corr = _renormalize_kets(amps.reshape(-1, fock_dim), cell / np.pi,
                                                   max_renorm_correction)
-    for c in chunks:
-        np.matmul(inv_sqrt @ ops[c], inv_sqrt, out=ops[c])
-    return Pom(fock_dim, values, weights, operators=ops,
+    amps = rows.reshape(amps.shape)
+    store = {"kets": rows} if amps.shape[1] == 1 else {"operators": amps.mT @ amps.conj()}
+    return Pom(fock_dim, None, np.full(alphas.size, cell / np.pi), **store,
                kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
                meta={"max_renorm_correction": max_corr})
 

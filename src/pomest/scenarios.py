@@ -256,7 +256,9 @@ def recommended_epr_points(params: EprParams, points_per_scale=8, reach_sigmas=5
     h_target = min(params.sigma, params.hbar / params.tau) / points_per_scale
     scale_x = math.sqrt(params.sigma**2 + (params.hbar / params.tau) ** 2) / 2
     length = reach_sigmas * scale_x
-    n_raw = int(math.ceil(2 * length / h_target))
+    # enough points that epr_numeric's balanced half-length n h_bal / 2 reaches length
+    n_reach = (4 * length**2 + 2 * length * abs(params.p0)) / (2 * math.pi * params.hbar)
+    n_raw = int(math.ceil(max(2 * length / h_target, n_reach)))
     # round up to a 3-smooth size for a fast FFT
     best = None
     p2 = 1

@@ -168,6 +168,21 @@ def test_nonpositive_thermal_beta_is_config_error(beta, capsys):
     assert captured.err == "config error: beta must be positive\n"
 
 
+def test_thermal_default_dim_resolves_small_beta(capsys):
+    # the old default of 370 levels left a gap of 4.0e-5 against the 1e-6 tolerance
+    assert main(["scenario", "thermal", "--params", json.dumps({"beta": 0.1})]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"][0]["inputs_digest"]["fock_dim"] == 500
+
+
+def test_thermal_crosscheck_failure_is_a_validation_error(capsys):
+    # at beta 0.05 and 840 levels the log-partition route disagrees by 5.7e2
+    code = main(["scenario", "thermal", "--params", json.dumps({"beta": 0.05, "fock_dim": 840})])
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    if code == EXIT_VALIDATION:
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("params", [
     "5",  # not a JSON object
     '{"relations": 5}',

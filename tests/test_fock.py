@@ -186,6 +186,14 @@ def test_displacements_stack_equals_single_matrices(dim):
     assert np.abs(stack - ref).max() <= np.abs(loop - ref).max()
 
 
+@pytest.mark.parametrize("dim", [20, 40])
+def test_displacement_columns_are_the_leading_columns_bit_for_bit(dim):
+    alphas = np.concatenate([[0, 1.3, -0.7, 2.25j], GridSpec(0j, 6.0, 41).points()[0][::37]])
+    full = fock.displacements(dim, alphas)
+    for columns in (1, 2, 3, dim // 2, dim):
+        assert np.array_equal(fock.displacement_columns(dim, alphas, columns), full[:, :, :columns])
+
+
 def test_displacements_match_generator_exponential():
     alphas = [0.4 + 0.2j, 1.1, -0.8j, 0.0]
     stack = fock.displacements(60, alphas)

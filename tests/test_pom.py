@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ def _imageband_reference(dim, grid, imageband):
     return [inv_sqrt @ op @ inv_sqrt for op in ops], abs(vals.mean() - 1), np.abs(vals - 1).max()
 
 
-@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("offset", [-1, 0, 1])  # K below, equal to, not a multiple of the chunk
 def test_imageband_chunks_match_per_point_reference(rank, offset, rng):
     side = math.isqrt(_GRID_CHUNK)
@@ -163,6 +164,32 @@ def test_imageband_chunks_match_per_point_reference(rank, offset, rng):
     got = np.array(list(pom.operators()))
     assert got.shape[0] == (side + offset) ** 2
     assert np.abs(got - ref).max() < 1e-12
+    assert pom.renorm_correction == pytest.approx(mean_corr, abs=1e-12)
+    assert pom.meta["max_renorm_correction"] == pytest.approx(max_corr, abs=1e-12)
+
+
+def test_imageband_builds_only_the_occupied_columns(monkeypatch):
+    # |1> occupies Fock levels 0 and 1 only: two columns of each D(a), and kets, no (K, d, d) stack
+    dim, grid = 12, GridSpec(0.3 - 0.2j, 5.0, 33)
+    one = fock.number_ket(dim, 1).to_density()
+    ref, mean_corr, max_corr = _imageband_reference(dim, grid, one)
+    columns = []
+
+    def spy(dim, alphas, n_columns, _original=fock.displacement_columns):
+        columns.append(n_columns)
+        return _original(dim, alphas, n_columns)
+
+    monkeypatch.setattr(fock, "displacement_columns", spy)
+    tracemalloc.start()
+    try:
+        pom = imageband_pom(dim, grid, one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns == [2] * math.ceil(grid.points_per_axis**2 / _GRID_CHUNK)
+    assert pom.kets is not None
+    assert peak < pom.n_outcomes * dim * dim * np.dtype(complex).itemsize
+    assert np.abs(np.array(list(pom.operators())) - ref).max() < 1e-12
     assert pom.renorm_correction == pytest.approx(mean_corr, abs=1e-12)
     assert pom.meta["max_renorm_correction"] == pytest.approx(max_corr, abs=1e-12)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -246,6 +247,30 @@ def test_epr_numeric_matches_closed_form():
     c0, c1 = rep.numeric.p_estimate_coeff
     assert c0 == pytest.approx(rep.closed.p_estimate_coeff[0], abs=1e-3)
     assert c1 == pytest.approx(rep.closed.p_estimate_coeff[1], abs=1e-3)
+
+
+def test_recommended_epr_grid_reaches_its_half_length():
+    # arithmetic only: epr_numeric balances the half-length n h_bal / 2 against the momentum window
+    for sigma, tau, p0, hbar in itertools.product([0.05, 0.3, 1.0, 10.0], [0.05, 0.3, 1.0, 10.0],
+                                                  [0.0, -1.0, 2.0, 30.0], [0.5, 1.0, 2.0, 1e4]):
+        params = EprParams(sigma=sigma, tau=tau, p0=p0, hbar=hbar)
+        n, length = recommended_epr_points(params)
+        p_half = abs(p0) / 2
+        h_bal = (-p_half + math.sqrt(p_half**2 + 2 * n * math.pi * hbar)) / n
+        assert n * h_bal / 2 >= length
+
+
+def test_recommended_epr_points_keep_the_default_grid():
+    for a, p0 in itertools.product([-0.5, 0.0, 0.5], [0.0, 1.0, 2.0]):
+        assert recommended_epr_points(EprParams(a=a, p0=p0))[0] == 4608
+
+
+def test_epr_numeric_on_the_recommended_grid_of_a_wide_partner():
+    # the spacing alone asks for 972 points, whose balanced half-length 39.1 cuts the 55.1 reach
+    params = EprParams(sigma=1.0, tau=0.05)
+    points, _ = recommended_epr_points(params)
+    rep = epr_numeric(params, points)  # raises beyond 1e-3 relative
+    assert max(rep.rel_err_disp_x, rep.rel_err_disp_p, rep.rel_err_eps_p) < 1e-3
 
 
 def _leaves(value):
