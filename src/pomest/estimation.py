@@ -15,6 +15,7 @@ f_k = tr[A M_k]/tr[M_k] instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,8 +106,7 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
 
     A total below -1e-9 signals a positivity bug upstream and raises.
     """
-    t, (t_a,), (t_aa,) = _state_traces(est.pom, rho, (a,))
-    return _deviation(est.pom.weights, t, t_a, t_aa, est.values)
+    return optimal_analysis((a,), est.pom, rho).deviation(0, est.values)
 
 
 def _state_traces(pom: Pom, rho: DensityOperator, observables):
@@ -132,31 +132,30 @@ def _state_traces(pom: Pom, rho: DensityOperator, observables):
 
 def _cholesky_factor(m: np.ndarray) -> np.ndarray:
     """Columns C with m = C C† for a positive semidefinite m, by pivoted Cholesky
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10): at most dim
-    steps, until the largest remaining diagonal is <= 1e-16.  Unlike eigenvectors,
-    the columns keep the relative precision of m's entries."""
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+
+    Row i is live while its remaining Schur diagonal exceeds 1e-10 of its own
+    m_ii; each step pivots the largest live diagonal, and the factor stops when
+    no row is live, after at most dim steps.  This relative stop keeps the
+    small populations of a thermal state's tail, which an absolute one drops,
+    while a pure state still factors to one column.
+    """
     d = len(m)
     c, diag, piv = np.zeros((d, d), complex), np.real(np.diagonal(m)).copy(), np.arange(d)
+    floor = 1e-10 * diag
     for k in range(d):
-        j = k + int(np.argmax(diag[k:]))
-        if diag[j] <= 1e-16:
+        live = diag[k:] > floor[k:]
+        if not live.any():
             return c[np.argsort(piv), :k]
+        j = k + int(np.argmax(np.where(live, diag[k:], -np.inf)))
         if j != k:  # the pivot to row k; rows below k are not yet pivoted
-            for x in (piv, diag, c):
+            for x in (piv, diag, floor, c):
                 x[[k, j]] = x[[j, k]]
         c[k, k] = ckk = np.sqrt(diag[k])
         col = c[k + 1:, k]
         col[:] = (m[piv[k + 1:], piv[k]] - c[k + 1:, :k] @ c[k, :k].conj()) / ckk
         diag[k + 1:] -= col.real**2 + col.imag**2
     return c[np.argsort(piv)]
-
-
-def _deviation(weights, t, t_a, t_aa, f) -> float:
-    """Root of D^2 = sum_k w_k (t_aa - 2 f_k Re t_a + f_k^2 t) from the outcome traces."""
-    d2 = float(weights @ (t_aa - 2 * f * np.real(t_a) + f * f * t))
-    if d2 < -1e-9:
-        raise ValueError(f"statistical deviation squared is {d2:.3e}: positivity bug")
-    return float(np.sqrt(max(d2, 0.0)))
 
 
 def hs_distance(a: HermitianOperator, pom: Pom) -> float:
@@ -181,10 +180,7 @@ def optimal_estimate(a: HermitianOperator, pom: Pom, rho: DensityOperator) -> Es
     Outcomes with tr[rho M_k] below ``ZERO_PROB_TOL`` are flagged and assigned
     0; any finite value there yields identical statistics.
     """
-    if not (a.dim == rho.dim == pom.dim):
-        raise DimensionMismatchError("operator, state and POM dimensions differ")
-    return _estimate_from_traces(a, pom, np.real(pom.traces(rho.matrix)),
-                                 np.real(pom.traces(rho.matrix @ a.matrix)))
+    return optimal_analysis((a,), pom, rho).estimates[0]
 
 
 def _estimate_from_traces(a: HermitianOperator, pom: Pom, t: np.ndarray,
@@ -278,23 +274,12 @@ def _qubit_linear_correction(pom: Pom, a: HermitianOperator, scale):
     return g
 
 
-def estimate_stats(est: Estimator, a: HermitianOperator, rho: DensityOperator,
-                   p: np.ndarray | None = None) -> EstimateStats:
-    """Mean, rms dispersion of the estimate distribution, and inaccuracy.
-
-    ``p`` takes the outcome probabilities of ``rho`` when the caller already
-    holds them; by default they are computed here.
-    """
-    if p is None:
-        p = probabilities(est.pom, rho)
-    mean, dispersion = _mean_and_dispersion(p, est.values)
-    return EstimateStats(mean, dispersion, statistical_deviation(a, est, rho), rho)
-
-
-def _mean_and_dispersion(p: np.ndarray, values: np.ndarray):
-    """Mean and rms dispersion of the values under the outcome probabilities p."""
-    mean = float(p @ values)
-    return mean, float(np.sqrt(max(float(p @ values**2) - mean * mean, 0.0)))
+def estimate_stats(est: Estimator, a: HermitianOperator, rho: DensityOperator) -> EstimateStats:
+    """Mean, rms dispersion of the estimate distribution, and inaccuracy,
+    from one analysis of A."""
+    an = optimal_analysis((a,), est.pom, rho)
+    return EstimateStats(float(an.p @ est.values), an.dispersion(est.values),
+                         an.deviation(0, est.values), rho)
 
 
 @dataclass
@@ -315,27 +300,41 @@ class OptimalAnalysis:
     t_a: np.ndarray
     t_aa: np.ndarray
     p: np.ndarray = field(init=False)
-    estimates: list = field(init=False)
-    dispersions: tuple = field(init=False)
-    inaccuracies: tuple = field(init=False)
 
     def __post_init__(self):
         p = self.pom.weights * self.t
         if p.min() < -1e-10:
             raise ValueError(f"probability {p.min():.3e} below tolerance: POM or state invalid")
         self.p = np.clip(p, 0.0, None)
-        self.estimates = [_estimate_from_traces(a, self.pom, self.t, np.real(t_a))
-                          for a, t_a in zip(self.observables, self.t_a)]
-        self.dispersions = tuple(self.dispersion(est.values) for est in self.estimates)
-        self.inaccuracies = tuple(self.deviation(j, est.values) for j, est in enumerate(self.estimates))
+
+    # formed on first read: estimate_stats and statistical_deviation need none of them
+    @cached_property
+    def estimates(self) -> list:
+        return [_estimate_from_traces(a, self.pom, self.t, np.real(t_a))
+                for a, t_a in zip(self.observables, self.t_a)]
+
+    @cached_property
+    def dispersions(self) -> tuple:
+        return tuple(self.dispersion(est.values) for est in self.estimates)
+
+    @cached_property
+    def inaccuracies(self) -> tuple:
+        return tuple(self.deviation(j, est.values) for j, est in enumerate(self.estimates))
 
     def deviation(self, j: int, f) -> float:
-        """Statistical deviation of observable j estimated by the values f."""
-        return _deviation(self.pom.weights, self.t, self.t_a[j], self.t_aa[j], np.asarray(f, float))
+        """Statistical deviation of observable j estimated by the values f; a D^2
+        below -1e-9 signals a positivity bug upstream and raises."""
+        f = np.asarray(f, float)
+        d2 = float(self.pom.weights @ (self.t_aa[j] - 2 * f * np.real(self.t_a[j]) + f * f * self.t))
+        if d2 < -1e-9:
+            raise ValueError(f"statistical deviation squared is {d2:.3e}: positivity bug")
+        return float(np.sqrt(max(d2, 0.0)))
 
     def dispersion(self, f) -> float:
         """Rms dispersion of the values f under the outcome probabilities."""
-        return _mean_and_dispersion(self.p, np.asarray(f, float))[1]
+        f = np.asarray(f, float)
+        mean = float(self.p @ f)
+        return float(np.sqrt(max(float(self.p @ f**2) - mean * mean, 0.0)))
 
 
 def optimal_analysis(observables, pom: Pom, rho: DensityOperator) -> OptimalAnalysis:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimation import Estimator, optimal_estimate
+from .estimation import Estimator, optimal_analysis
 from .operators import DensityOperator, HermitianOperator, spectral_apply
 from .pom import Pom
 
@@ -93,17 +93,15 @@ def thermal_energy_estimate(h: HermitianOperator, pom: Pom, beta: float,
     Builds rho proportional to e^{-beta H}, runs the optimal estimate of H
     and cross-checks it against the log-derivative of the generalized
     partition function tr[e^{-beta H} M_k] on outcomes carrying at least
-    ``significance`` of the largest outcome probability.
+    ``significance`` of the largest outcome probability, leaving out those the
+    estimate flags as of zero probability (it sets them to 0).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    rho = _thermal_state(h, beta)
-    est = optimal_estimate(h, pom, rho)
+    an = optimal_analysis((h,), pom, _thermal_state(h, beta))
+    est, p = an.estimates[0], an.p
     ref = log_partition_estimate(h, pom, beta)
-    from .estimation import probabilities
-
-    p = probabilities(pom, rho)
-    keep = (p > significance * p.max()) & np.isfinite(ref)
+    keep = (p > significance * p.max()) & np.isfinite(ref) & ~est.zero_probability
     gap = float(np.abs(est.values[keep] - ref[keep]).max()) if keep.any() else 0.0
     if gap > crosscheck_tol:
         raise ScenarioError(

@@ -183,6 +183,16 @@ def test_thermal_crosscheck_failure_is_a_validation_error(capsys):
         assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
+def test_thermal_crosscheck_disagreement_exits_validation(monkeypatch, capsys):
+    # the default run passes its cross-check, so shift the log-partition route
+    original = scenarios.log_partition_estimate
+    monkeypatch.setattr(scenarios, "log_partition_estimate",
+                        lambda *args, **kwargs: original(*args, **kwargs) + 1.0)
+    assert main(["scenario", "thermal"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: thermal estimate disagrees") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("params", [
     "5",  # not a JSON object
     '{"relations": 5}',
@@ -275,16 +285,17 @@ def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
     # the probabilities are the clipped w t of the one optimal analysis
     (opt,) = optimal
     assert np.array_equal(an.p, np.clip(an.pom.weights * opt.t, 0.0, None))
-    # handed to estimate_stats, they give the analysis's dispersion exactly
+    # estimate_stats, from its own analysis of X1, gives the analysis's dispersion
     x1 = fock.quadratures(an.pom.dim)[0]
-    assert estimate_stats(an.est_1, x1, an.rho, p=an.p).dispersion == an.disp[0]
+    assert estimate_stats(an.est_1, x1, an.rho).dispersion == an.disp[0]
     # the (K, 3) projection and probabilities' own (K, 1) one differ only in roundoff
     assert np.abs(an.p - probabilities(an.pom, an.rho)).max() <= 16 * np.spacing(an.p.max())
 
 
 def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):
     calls = []
-    for module, name in ((scenarios, "_thermal_state"), (estimation, "probabilities")):
+    for module, name in ((scenarios, "_thermal_state"), (scenarios, "optimal_analysis"),
+                         (estimation, "probabilities")):
         def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
@@ -292,7 +303,7 @@ def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, spy)
     code = main(["scenario", "thermal", "--output", str(tmp_path / "thermal.json")])
     assert code == EXIT_OK
-    assert sorted(calls) == ["_thermal_state", "probabilities"]
+    assert sorted(calls) == ["_thermal_state", "optimal_analysis"]
 
 
 @pytest.mark.parametrize("params", [

@@ -34,7 +34,7 @@ from pomest.pom import (
 )
 from pomest.relations import check_accbound
 from pomest.sampling import make_rng, random_density, random_hermitian, random_pom, random_pure_ket
-from pomest.scenarios import log_partition_estimate
+from pomest.scenarios import _thermal_state, log_partition_estimate
 
 
 def brute_force_optimal_values(a, pom, rho, n_grid=10_000):
@@ -258,6 +258,20 @@ def test_no_info_on_kets_traces_no_identity(monkeypatch):
     np.testing.assert_allclose(est.values, expect.values, rtol=0, atol=1e-12)
 
 
+def test_optimal_estimate_and_stats_project_once_each(monkeypatch):
+    pom = coherent_pom(8, GridSpec(0j, 4.0, 21))
+    rho = fock.thermal_state(8, 0.4)
+    x1, _ = fock.quadratures(8)
+    counts = {"traces": 0, "project": 0}
+    for name in counts:
+        def spy(self, x, _original=getattr(Pom, name), _name=name):
+            counts[_name] += 1
+            return _original(self, x)
+        monkeypatch.setattr(Pom, name, spy)
+    estimate_stats(optimal_estimate(x1, pom, rho), x1, rho)
+    assert counts == {"traces": 0, "project": 2}
+
+
 def test_optimal_analysis_matches_separate_calls(rng):
     d, n_kets = 5, 9
     kets = rng.normal(size=(n_kets, d)) + 1j * rng.normal(size=(n_kets, d))
@@ -265,20 +279,34 @@ def test_optimal_analysis_matches_separate_calls(rng):
     obs = (random_hermitian(d, rng), random_hermitian(d, rng))
     rho = DensityOperator(0.7 * random_pure_ket(d, rng).to_density().matrix
                           + 0.3 * random_pure_ket(d, rng).to_density().matrix)
-    # the kets POM and a POM of outcome operators
+    # the kets POM and a POM of outcome operators, against traces taken one
+    # outcome operator at a time
     for pom in (pom, random_pom(d, 4, rng)):
-        p = probabilities(pom, rho)
+        ops, r = list(pom.operators()), rho.matrix
+        p = pom.weights * np.real([np.trace(r @ m) for m in ops])
         an = optimal_analysis(obs, pom, rho)
         np.testing.assert_allclose(an.p, p, rtol=1e-14, atol=0)
         f = rng.normal(size=pom.n_outcomes)
         for j, a in enumerate(obs):
+            def deviation(g):
+                shifted = [a.matrix - gk * np.eye(d) for gk in g]
+                return np.sqrt(sum(w * np.real(np.trace(s @ r @ s @ m))
+                                   for w, s, m in zip(pom.weights, shifted, ops)))
+
+            ref = np.real([np.trace(r @ a.matrix @ m) for m in ops]) * pom.weights / p
+            mean = p @ ref
+            dispersion = np.sqrt(max(p @ ref**2 - mean**2, 0.0))  # the kets POM is not complete
             est = optimal_estimate(a, pom, rho)
-            stats = estimate_stats(est, a, rho, p)
-            np.testing.assert_allclose(an.estimates[j].values, est.values, rtol=0, atol=1e-12)
-            assert an.dispersions[j] == pytest.approx(stats.dispersion, rel=0, abs=1e-12)
-            assert an.inaccuracies[j] == pytest.approx(stats.inaccuracy, rel=0, abs=1e-12)
-            assert an.deviation(j, f) == pytest.approx(
-                statistical_deviation(a, Estimator(pom, f), rho), rel=0, abs=1e-12)
+            stats = estimate_stats(est, a, rho)
+            for values in (an.estimates[j].values, est.values):
+                np.testing.assert_allclose(values, ref, rtol=0, atol=1e-12)
+            for got in (an.dispersions[j], stats.dispersion):
+                assert got == pytest.approx(dispersion, rel=0, abs=1e-12)
+            for got in (an.inaccuracies[j], stats.inaccuracy):
+                assert got == pytest.approx(deviation(ref), rel=0, abs=1e-12)
+            assert stats.mean == pytest.approx(mean, rel=0, abs=1e-12)
+            for got in (an.deviation(j, f), statistical_deviation(a, Estimator(pom, f), rho)):
+                assert got == pytest.approx(deviation(f), rel=0, abs=1e-12)
     # a zero ket has tr M_k = 0: the no-information estimate is undefined, and
     # the analysis flags the outcome as one of zero probability
     kets[3] = 0
@@ -303,6 +331,76 @@ def test_cholesky_factor_reconstructs_the_state(rho):
     c = _cholesky_factor(rho.matrix)
     assert c.shape[0] == rho.dim and c.shape[1] <= rho.dim
     assert np.abs(c @ c.conj().T - rho.matrix).max() <= 1e-14
+
+
+@given(shape=st.integers(2, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+       seed=st.integers(0, 2**32 - 1))
+def test_cholesky_factor_has_the_rank_of_the_state(shape, seed):
+    dim, rank = shape
+    assert _cholesky_factor(random_density(dim, make_rng(seed), rank=rank).matrix).shape[1] == rank
+
+
+@given(dim=st.sampled_from([12, 40]), r=st.floats(0, 1.5), phase=st.floats(0, 2 * np.pi))
+def test_cholesky_factor_of_a_coherent_state_is_one_column(dim, r, phase):
+    # the heterodyne benchmark's states; its cost grows with the factor's rank
+    rho = fock.coherent_ket(dim, r * np.exp(1j * phase)).to_density()
+    assert _cholesky_factor(rho.matrix).shape[1] == 1
+
+
+def test_cholesky_factor_keeps_a_thermal_tail():
+    # every level is populated, down to e^{-70}; a factor that drops the
+    # populations below 1e-16 (68 of 140) moves p by 2.5e-5 relative on
+    # outcomes above 1e-12 p_max, and the estimates by 3.4e-5
+    dim, beta = 140, 0.5
+    h = fock.oscillator_hamiltonian(dim)
+    pom = projective_pom(fock.position_operator(dim))
+    rho = _thermal_state(h, beta)
+    assert _cholesky_factor(rho.matrix).shape[1] == dim
+    an = optimal_analysis((h,), pom, rho)
+    kets = pom.kets.astype(np.clongdouble)
+    t_ref = np.real(np.sum(kets.conj() * (kets @ rho.matrix.astype(np.clongdouble).T), axis=1))
+    p_ref = pom.weights * t_ref
+    keep = an.p > 1e-12 * an.p.max()
+    assert float(np.max(np.abs(an.p[keep] - p_ref[keep]) / p_ref[keep])) <= 1e-13
+    # criterion 8's closed form a_T + b_T x^2 and bound
+    xs = pom.values_array()
+    closed = 0.5 / np.tanh(beta) + 0.5 / np.cosh(beta / 2) ** 2 * xs**2
+    keep = an.p > 1e-12
+    assert float(np.abs(an.estimates[0].values[keep] - closed[keep]).max()) < 1e-6
+
+
+@st.composite
+def poms_states_and_observables(draw):
+    """A whitened random POM of outcome operators or of rank-one kets (dims 2-6),
+    a pure, rank-deficient or full-rank state, an observable, and a generator."""
+    dim = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, dim))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    n_out = draw(st.integers(dim, 2 * dim))
+    if draw(st.booleans()):
+        pom = random_pom(dim, n_out, rng)
+    else:
+        raw = rng.normal(size=(n_out, dim)) + 1j * rng.normal(size=(n_out, dim))
+        vals, vecs = np.linalg.eigh(raw.T @ raw.conj())
+        pom = Pom(dim, np.arange(n_out, dtype=float), np.ones(n_out),
+                  kets=raw @ ((vecs * vals**-0.5) @ vecs.conj().T).T)
+    return pom, random_density(dim, rng, rank=rank), random_hermitian(dim, rng), rng
+
+
+@given(case=poms_states_and_observables())
+def test_optimal_estimate_is_the_per_outcome_formula_and_never_beaten(case):
+    pom, rho, a, rng = case
+    est = optimal_estimate(a, pom, rho)
+    r = rho.matrix
+    for k, m in enumerate(pom.operators()):
+        t = np.real(np.trace(r @ m))
+        if t > 1e-8:  # roundoff in f_k grows as 1/t_k, so compare f_k t_k = Re tr[rho A M_k]
+            assert abs(est.values[k] * t - np.real(np.trace(r @ a.matrix @ m))) <= 1e-14
+    # D'^2 = D^2 + sum_k w_k tr[rho M_k] (f'_k - f_k)^2 for any other values f'
+    base = statistical_deviation(a, est, rho) ** 2
+    for scale in (1e-6, 1e-3, 1.0):
+        moved = Estimator(pom, est.values + scale * rng.normal(size=pom.n_outcomes))
+        assert statistical_deviation(a, moved, rho) ** 2 >= base - 1e-12
 
 
 @pytest.mark.parametrize("beta", [0.8 - 0.5j, -1.1 + 0.9j])
@@ -504,9 +602,7 @@ def test_kets_and_operator_twins_agree(rng):
 
     pairs = {
         "probabilities": both(lambda pom: probabilities(pom, rho)),
-        "optimal_estimate": both(lambda pom: optimal_estimate(a, pom, rho).values),
         "optimal_estimate_no_info": both(lambda pom: optimal_estimate_no_info(a, pom).values),
-        "statistical_deviation": both(lambda pom: statistical_deviation(a, Estimator(pom, f), rho)),
         "hs_distance": both(lambda pom: hs_distance(a, pom)),
         "analysis estimates": both(lambda pom: [e.values for e in analysis(pom).estimates]),
         "analysis dispersions": both(lambda pom: analysis(pom).dispersions),
@@ -520,3 +616,17 @@ def test_kets_and_operator_twins_agree(rng):
     }
     for name, (on_kets, on_ops) in pairs.items():
         np.testing.assert_allclose(on_kets, on_ops, rtol=0, atol=1e-12, err_msg=name)
+    # the analysis's single-observable readers, on both twins, against traces
+    # taken one outcome operator at a time
+    r, ops = rho.matrix, list(twin_ops.operators())
+    shifted = [a.matrix - fk * np.eye(d) for fk in f]
+    references = {
+        "optimal_estimate": (lambda pom: optimal_estimate(a, pom, rho).values,
+                             [np.real(np.trace(r @ a.matrix @ m) / np.trace(r @ m)) for m in ops]),
+        "statistical_deviation": (lambda pom: statistical_deviation(a, Estimator(pom, f), rho),
+                                  np.sqrt(sum(w * np.real(np.trace(s @ r @ s @ m))
+                                              for w, s, m in zip(weights, shifted, ops)))),
+    }
+    for name, (fn, ref) in references.items():
+        for pom in (twin_kets, twin_ops):
+            np.testing.assert_allclose(fn(pom), ref, rtol=0, atol=1e-12, err_msg=name)

@@ -5,7 +5,6 @@ from pomest import fock
 from pomest.estimation import (
     estimate_stats,
     optimal_analysis,
-    optimal_estimate,
     optimal_estimate_no_info,
     probabilities,
 )
@@ -190,8 +189,6 @@ def test_uni_joint_quadrature_dispersion_bound(het_pom):
     dim = het_pom.dim
     x1, x2 = fock.quadratures(dim)
     vac = fock.vacuum_ket(dim).to_density()
-    from pomest.estimation import estimate_stats
-
     s1 = estimate_stats(optimal_estimate_no_info(x1, het_pom), x1, vac)
     s2 = estimate_stats(optimal_estimate_no_info(x2, het_pom), x2, vac)
     assert s1.dispersion**2 == pytest.approx(x1.variance(vac) + s1.inaccuracy**2, abs=1e-6)
@@ -309,18 +306,29 @@ def test_heterodyne_analysis_matches_reference_route(monkeypatch):
         traced = [x for name, x in operands if name == "traces"]
         for i, x in enumerate(traced):
             assert not any(y.shape == x.shape and np.array_equal(x, y) for y in traced[i + 1:])
-        # the reference route: separate estimate, statistics and no-information calls
-        p = probabilities(pom, rho)
+        # the reference: traces taken one outcome operator at a time
+        ops = np.array([pom.operator(k) for k in range(pom.n_outcomes)])
+
+        def traces(x):
+            return np.real(np.einsum("ij,kji->k", x, ops))
+
+        r, t = rho.matrix, traces(rho.matrix)
+        p = pom.weights * t
         keep = p > 1e-8
+        noinfo_t = traces(np.eye(dim))
+
+        def dispersion(f):
+            return np.sqrt(max(p @ f**2 - (p @ f) ** 2, 0.0))
+
         for j, x in enumerate(fock.quadratures(dim)):
-            est = optimal_estimate(x, pom, rho)
-            stats = estimate_stats(est, x, rho, p)
-            noinfo = estimate_stats(optimal_estimate_no_info(x, pom), x, rho, p)
+            x = x.matrix
+            f = np.where(t < 1e-14, 0.0, traces(r @ x) / t)
             got = (an.est_1, an.est_2)[j]
-            np.testing.assert_allclose(got.values[keep], est.values[keep], rtol=0, atol=1e-12)
-            assert an.disp[j] == pytest.approx(stats.dispersion, rel=0, abs=1e-12)
-            assert an.eps2[j] == pytest.approx(stats.inaccuracy**2, rel=0, abs=1e-12)
-            assert an.noinfo_disp[j] == pytest.approx(noinfo.dispersion, rel=0, abs=1e-12)
+            np.testing.assert_allclose(got.values[keep], f[keep], rtol=0, atol=1e-12)
+            assert an.disp[j] == pytest.approx(dispersion(f), rel=0, abs=1e-12)
+            eps2 = pom.weights @ (traces(x @ r @ x) - 2 * f * traces(r @ x) + f * f * t)
+            assert an.eps2[j] == pytest.approx(eps2, rel=0, abs=1e-12)
+            assert an.noinfo_disp[j] == pytest.approx(dispersion(traces(x) / noinfo_t), rel=0, abs=1e-12)
 
 
 def test_heterodyne_analysis_traces_rho_and_the_quadratures_only(monkeypatch):

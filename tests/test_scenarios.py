@@ -89,6 +89,17 @@ def test_thermal_cross_check_route_agrees():
     assert np.abs(est.values[keep] - ref[keep]).max() < 1e-6
 
 
+def test_thermal_crosscheck_skips_outcomes_of_zero_probability():
+    # beta 0.05 at 800 levels: the outcomes at x = +-33.5 carry about 1e-12 of
+    # the largest probability, but tr[rho M_k] < ZERO_PROB_TOL sets their
+    # estimate to 0, against about 571 from the log-partition route
+    dim = 800
+    h = fock.oscillator_hamiltonian(dim)
+    est = thermal_energy_estimate(h, oscillator_position_pom(dim), 0.05)
+    p = est.probabilities
+    assert np.any(est.zero_probability & (p > 1e-12 * p.max()))
+
+
 def test_thermal_overflow_guard():
     dim = 30
     h = fock.oscillator_hamiltonian(dim)
