@@ -276,7 +276,10 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
                                  {"route": "closed-form"}).to_json("epr")]
         extras = {"closed_form": closed.__dict__.copy()}
         if params.get("numeric", True):
-            pts = _number(params, "points", 0, int) or scenarios.recommended_epr_points(p)[0]
+            pts = _number(params, "points", 0, int)
+            if pts < 0:
+                raise ConfigError(f"points must be 0 (the recommended grid) or positive, not {pts}")
+            pts = pts or scenarios.recommended_epr_points(p)[0]
             # raises GridResolutionError unless disp_x and eps_p are within 1e-3
             # relative, which bounds lhs below by hbar/2 - 1e-3 hbar
             num = scenarios.epr_numeric(p, pts)

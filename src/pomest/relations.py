@@ -231,14 +231,16 @@ class HeterodyneAnalysis:
 def _fisher(q, step):
     """Fisher matrix step^ndim sum (d_i q)(d_j q)/q of a sampled density q.
 
-    Central differences over the interior points where q > 0; the boundary
-    ring and the zeros of q carry weight 0.  Returns the gradient (ndim
-    stacked arrays of q's shape), the matrix and the mask of weighted points.
+    Central differences over the interior points where q > 1e-14 max q; the
+    boundary ring and the points at roundoff level (the zeros of q) carry
+    weight 0, since (d q)^2 / q is pure roundoff there.  Returns the gradient
+    (ndim stacked arrays of q's shape), the matrix and the mask of weighted
+    points.
     """
     g = np.reshape(np.gradient(q, step), (q.ndim, -1))
     interior = (slice(1, -1),) * q.ndim
     mask = np.zeros(q.shape, dtype=bool)
-    mask[interior] = q[interior] > 0
+    mask[interior] = q[interior] > 1e-14 * q.max()
     w = np.divide(1.0, q, out=np.zeros(q.shape), where=mask).ravel()
     return g.reshape(q.ndim, *q.shape), step**q.ndim * ((g * w) @ g.T), mask
 

@@ -198,8 +198,13 @@ class EprParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.sigma <= 0 or self.tau <= 0:
             raise ValueError("sigma and tau must be positive")
+        if self.hbar <= 0:
+            raise ValueError("hbar must be positive")
 
 
 @dataclass
@@ -249,11 +254,13 @@ def epr_closed_form(params: EprParams) -> EprReport:
     )
 
 
-def recommended_epr_points(params: EprParams, points_per_scale=8, reach_sigmas=5.5):
+def recommended_epr_points(params: EprParams):
     """Grid size and half-length resolving both length scales with Gaussian margin."""
-    h_target = min(params.sigma, params.hbar / params.tau) / points_per_scale
+    # 4 points per length scale: a uniform grid converges exponentially in the
+    # spacing on a Gaussian, so from there on the reach alone sets the error
+    h_target = min(params.sigma, params.hbar / params.tau) / 4
     scale_x = math.sqrt(params.sigma**2 + (params.hbar / params.tau) ** 2) / 2
-    length = reach_sigmas * scale_x
+    length = 5.5 * scale_x
     # enough points that epr_numeric's balanced half-length n h_bal / 2 reaches length
     n_reach = (4 * length**2 + 2 * length * abs(params.p0)) / (2 * math.pi * params.hbar)
     n_raw = int(math.ceil(max(2 * length / h_target, n_reach)))

@@ -159,6 +159,46 @@ def test_bad_parameter_value_is_config_error(capsys):
     assert err == "config error: sigma and tau must be positive\n"
 
 
+@pytest.mark.parametrize("params, message", [
+    ('{"hbar": 0}', "hbar must be positive"),
+    ('{"hbar": -1}', "hbar must be positive"),
+    ('{"hbar": Infinity}', "hbar must be finite, not inf"),
+    ('{"sigma": NaN}', "sigma must be finite, not nan"),
+    ('{"a": -Infinity}', "a must be finite, not -inf"),
+    ('{"p0": Infinity}', "p0 must be finite, not inf"),
+    ('{"points": -5}', "points must be 0 (the recommended grid) or positive, not -5"),
+])
+def test_bad_epr_parameter_is_a_config_error_naming_it(params, message, capsys):
+    assert main(["scenario", "epr", "--params", params]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
+def test_scenario_epr_defaults_run_on_the_recommended_grid(capsys):
+    assert main(["scenario", "epr"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["inputs_digest"]["route"] for r in doc["rows"]] == ["closed-form", "grid"]
+    assert doc["rows"][1]["inputs_digest"]["points"] == 2304
+    assert doc["numeric"]["points"] == 2304
+
+
+@pytest.mark.parametrize("points", [161, 241, 321])
+def test_heterodyne_fisher_ignores_the_roundoff_at_a_zero_of_q(points, capsys):
+    # Q of |1> vanishes at alpha = 0, a grid point of every odd grid; its roundoff-level
+    # value there once gave tr F = 7.49 on 161^2 against the exact 4
+    dim = 40
+    rho = np.zeros((dim, dim))
+    rho[1, 1] = 1.0
+    params = {"state": {"matrix": [[[v, 0.0] for v in row] for row in rho.tolist()]},
+              "fock_dim": dim, "points_per_axis": points}
+    assert main(["scenario", "heterodyne", "--params", json.dumps(params)]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    (tracefish,) = [r for r in rows if r["relation_id"] == "tracefish"]
+    assert tracefish["lhs"] == pytest.approx(4.0, abs=1e-12)
+    assert tracefish["rhs"] == pytest.approx(4.0, abs=5e-3)
+
+
 @pytest.mark.parametrize("beta", [0, -1])
 def test_nonpositive_thermal_beta_is_config_error(beta, capsys):
     code = main(["scenario", "thermal", "--params", json.dumps({"beta": beta})])

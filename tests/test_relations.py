@@ -357,7 +357,7 @@ def _reference_gradient_fisher(q, step):
     g2[:, 1:-1] = (q[:, 2:] - q[:, :-2]) / (2 * step)
     mask = np.zeros_like(q, dtype=bool)
     mask[1:-1, 1:-1] = True
-    mask &= q > 0
+    mask &= q > 1e-14 * q.max()
     mat = np.zeros((2, 2))
     for (i, gi) in ((0, g1), (1, g2)):
         for (j, gj) in ((0, g1), (1, g2)):
@@ -370,7 +370,7 @@ def _reference_gradient_fisher(q, step):
 def _reference_marginal_fisher(qm, step):
     dm = np.zeros_like(qm)
     dm[1:-1] = (qm[2:] - qm[:-2]) / (2 * step)
-    ok = qm > 0
+    ok = qm > 1e-14 * qm.max()
     ok[0] = ok[-1] = False
     return float(step * np.sum(dm[ok] ** 2 / qm[ok]))
 

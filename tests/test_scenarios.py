@@ -272,12 +272,27 @@ def test_recommended_epr_grid_reaches_its_half_length():
 
 
 def test_recommended_epr_points_keep_the_default_grid():
+    # 4 points per sigma: 2 * 27.5 / (0.1 / 4) = 2200, rounded up to 2^8 3^2
     for a, p0 in itertools.product([-0.5, 0.0, 0.5], [0.0, 1.0, 2.0]):
-        assert recommended_epr_points(EprParams(a=a, p0=p0))[0] == 4608
+        assert recommended_epr_points(EprParams(a=a, p0=p0))[0] == 2304
+
+
+def test_recommended_epr_points_hold_the_closed_form_across_the_sweep():
+    # the 96-point sweep's grids of at most 2304 points, p0 in {0, 2}: the spacing sets
+    # the size at sigma = tau = 0.1, the reach at tau = 0.05 and sigma >= 0.3
+    worst = 0.0
+    for sigma, tau, p0, hbar in itertools.product([0.1, 0.3, 1.0, 3.0], [0.05, 0.1, 0.3, 1.0],
+                                                  [0.0, 2.0], [1.0, 2.0]):
+        params = EprParams(sigma=sigma, tau=tau, p0=p0, hbar=hbar)
+        points, _ = recommended_epr_points(params)
+        if points <= 2304:
+            rep = epr_numeric(params, points)
+            worst = max(worst, rep.rel_err_disp_x, rep.rel_err_disp_p, rep.rel_err_eps_p)
+    assert worst < 1e-4
 
 
 def test_epr_numeric_on_the_recommended_grid_of_a_wide_partner():
-    # the spacing alone asks for 972 points, whose balanced half-length 39.1 cuts the 55.1 reach
+    # the spacing alone asks for 486 points, whose balanced half-length 27.4 cuts the 55.1 reach
     params = EprParams(sigma=1.0, tau=0.05)
     points, _ = recommended_epr_points(params)
     rep = epr_numeric(params, points)  # raises beyond 1e-3 relative
