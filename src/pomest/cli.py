@@ -167,7 +167,7 @@ def _cmd_validate(config: RunConfig) -> int:
         try:
             with open(params["pom_path"], "r", encoding="utf-8") as fh:
                 pom = pom_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load POM descriptor: {exc}") from exc
     else:
         pom = _named_pom(params, config.seed)

@@ -112,22 +112,19 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
 def _state_traces(pom: Pom, rho: DensityOperator, observables):
     """t = tr[rho M_k], t_a[j] = tr[rho A_j M_k] (complex) and t_aa[j] = tr[A_j rho A_j M_k].
 
-    On a kets POM, from one (K, (1 + J) r) projection of the kets onto
+    From one (K, r, (1 + J) m) projection of the POM's amplitude rows onto
     [C, A_1 C, A_2 C, ...] for the pivoted Cholesky factor rho = C C† of rank
-    r; on outcome operators, from ``Pom.traces``.
+    m, summed over each outcome's r rows.
     """
     if any(a.dim != pom.dim for a in observables) or rho.dim != pom.dim:
         raise DimensionMismatchError("operator, state and POM dimensions differ")
-    if pom.kets is None:
-        r = rho.matrix
-        t_a = np.array([pom.traces(r @ a.matrix) for a in observables])
-        t_aa = np.real([pom.traces(a.matrix @ r @ a.matrix) for a in observables])
-        return np.real(pom.traces(r)), t_a, t_aa
     c = _cholesky_factor(rho.matrix)
     amps = pom.project(np.hstack([c] + [a.matrix @ c for a in observables]))
-    blocks = amps.reshape(pom.n_outcomes, -1, c.shape[1]).transpose(1, 0, 2)  # C, A_1 C, ...
+    # blocks <C|u>, <A_1 C|u>, ...; sum conj(<A c|u>) <c|u> is conj(tr[rho A M_k]): conjugate the sum
+    blocks = amps.reshape(*amps.shape[:2], -1, c.shape[1]).transpose(2, 0, 1, 3)
     amp, amp_a = blocks[0], blocks[1:]
-    return np.real(np.vecdot(amp, amp)), np.vecdot(amp_a, amp), np.real(np.vecdot(amp_a, amp_a))
+    return (np.real(np.vecdot(amp, amp)).sum(-1), np.conj(np.vecdot(amp_a, amp).sum(-1)),
+            np.real(np.vecdot(amp_a, amp_a)).sum(-1))
 
 
 def _cholesky_factor(m: np.ndarray) -> np.ndarray:
@@ -142,15 +139,16 @@ def _cholesky_factor(m: np.ndarray) -> np.ndarray:
     """
     d = len(m)
     c, diag, piv = np.zeros((d, d), complex), np.real(np.diagonal(m)).copy(), np.arange(d)
-    floor = 1e-10 * diag
+    floor = (1e-10 * diag).tolist()  # the pivot search runs on Python floats: numpy calls cost more
     for k in range(d):
-        live = diag[k:] > floor[k:]
-        if not live.any():
+        score = [x if x > f else -np.inf for x, f in zip(diag[k:].tolist(), floor[k:])]
+        j = k + score.index(max(score))  # the first of equal maxima
+        if score[j - k] == -np.inf:  # no live row
             return c[np.argsort(piv), :k]
-        j = k + int(np.argmax(np.where(live, diag[k:], -np.inf)))
-        if j != k:  # the pivot to row k; rows below k are not yet pivoted
-            for x in (piv, diag, floor, c):
-                x[[k, j]] = x[[j, k]]
+        if j != k:  # the pivot to row k; rows below k are not yet pivoted, nor past column k
+            for x in (piv, diag, floor):
+                x[k], x[j] = x[j], x[k]
+            c[k, :k], c[j, :k] = c[j, :k].copy(), c[k, :k].copy()
         c[k, k] = ckk = np.sqrt(diag[k])
         col = c[k + 1:, k]
         col[:] = (m[piv[k + 1:], piv[k]] - c[k + 1:, :k] @ c[k, :k].conj()) / ckk
@@ -204,9 +202,9 @@ def optimal_estimate_no_info(a: HermitianOperator, pom: Pom) -> Estimator:
 
 
 def _outcome_traces(pom: Pom) -> np.ndarray:
-    """tr M_k for every outcome; on a kets POM the squared ket norms, with no identity product."""
-    k = pom.kets
-    return np.real(pom.traces(np.eye(pom.dim)) if k is None else np.vecdot(k, k))
+    """tr M_k for every outcome: the squared norms of its amplitude rows, with no identity product."""
+    u = pom.amplitudes
+    return np.real(np.vecdot(u, u)).sum(-1)
 
 
 def _no_info_values(t: np.ndarray, ta: np.ndarray) -> np.ndarray:
@@ -339,8 +337,7 @@ class OptimalAnalysis:
 
 def optimal_analysis(observables, pom: Pom, rho: DensityOperator) -> OptimalAnalysis:
     """``optimal_estimate`` and ``estimate_stats`` of each observable, and the
-    outcome probabilities, on kets and on outcome operators, from one pass
-    over the outcome traces."""
+    outcome probabilities, from one projection of the POM's amplitudes."""
     observables = tuple(observables)
     return OptimalAnalysis(observables, pom, rho, *_state_traces(pom, rho, observables))
 

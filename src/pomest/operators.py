@@ -237,7 +237,13 @@ def matrix_to_json(mat) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([complex(re, im) for re, im in row])
-    return np.array(rows, dtype=complex)
+    """Square matrix from rows of [re, im] pairs; a ValueError names the first bad row or entry."""
+    if not isinstance(data, list) or not data:
+        raise ValueError(f"matrix must be a non-empty list of rows, not {data!r}")
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != len(data):
+            raise ValueError(f"matrix row {i} is not a list of {len(data)} entries: a matrix is square")
+        for j, z in enumerate(row):
+            if not (isinstance(z, list) and len(z) == 2 and all(isinstance(x, (int, float)) for x in z)):
+                raise ValueError(f"matrix entry [{i}][{j}] must be an [re, im] pair of numbers, not {z!r}")
+    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)

@@ -8,8 +8,8 @@ M_k -> T^{-1/2} M_k T^{-1/2} with T = sum w_k M_k, which preserves positivity
 exactly and makes completeness hold by construction.  The magnitude of that
 correction is kept on the Pom for reporting.
 
-Rank-one families (coherent-state grids, projective measurements) store the
-kets only; outcome matrices are materialized on demand.
+Every outcome is stored as a factor, M_k = U_k U_k†, which each family
+already knows (kets are rank one); outcome matrices are materialized on demand.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from . import fock
 from .operators import (
     DensityOperator,
     DimensionMismatchError,
+    HermiticityError,
     HermitianOperator,
     Ket,
     matrix_from_json,
@@ -104,22 +105,22 @@ class GridSpec:
 class Pom:
     """Finite family of weighted positive operators summing to the identity.
 
-    Either ``operators`` (K, d, d) or ``kets`` (K, d) must be given; a kets
-    array means every outcome operator is the rank-one projector onto the
-    (not necessarily normalized) ket.
+    Outcome k is M_k = U_k U_k†, stored as ``amplitudes[k] = U_k^T`` of shape
+    (K, r, d): M_k sums the projectors onto its r (unnormalized) ket rows, r = 1
+    for kets, and zero rows pad an outcome of lower rank.  Each method applies
+    the rank-one formula to the K r rows and sums each outcome's rows.
     """
 
-    def __init__(self, dim, values, weights, operators=None, kets=None, labels=None,
+    def __init__(self, dim, values, weights, amplitudes, labels=None,
                  kind="generic", grid=None, renorm_correction=None, meta=None):
-        if (operators is None) == (kets is None):
-            raise ValueError("provide exactly one of operators or kets")
         self.dim = int(dim)
         self._values = None if values is None else list(values)
         self.weights = np.asarray(weights, dtype=float)
         if np.any(self.weights <= 0):
             raise ValueError("outcome weights must be positive")
-        self._operators = None if operators is None else np.asarray(operators, dtype=complex)
-        self._kets = None if kets is None else np.asarray(kets, dtype=complex)
+        self.amplitudes = np.ascontiguousarray(amplitudes, dtype=complex)
+        if self.amplitudes.ndim != 3 or self.amplitudes.shape[2] != self.dim:
+            raise ValueError(f"amplitudes must be (K, r, {self.dim}), not {self.amplitudes.shape}")
         self._labels = None if labels is None else list(labels)
         n_values = grid.points_per_axis**2 if values is None else len(self._values)
         n_labels = n_values if labels is None else len(self._labels)
@@ -129,6 +130,8 @@ class Pom:
         self.grid = grid
         self.renorm_correction = renorm_correction
         self.meta = dict(meta or {})
+        # U U† is positive; from_operators keeps the given matrices' own values
+        self.min_eigenvalues, self._given_sum = np.zeros(self.n_outcomes), None
 
     @property
     def values(self) -> list:
@@ -150,23 +153,19 @@ class Pom:
 
     @property
     def n_outcomes(self) -> int:
-        arr = self._operators if self._operators is not None else self._kets
-        return arr.shape[0]
+        return self.amplitudes.shape[0]
 
     @property
     def kets(self):
-        """(K, d) array of rank-one kets, or None for general outcome operators."""
-        return self._kets
+        """(K, d) view of the kets when every outcome is rank one (r = 1), else None."""
+        return self.amplitudes[:, 0] if self.amplitudes.shape[1] == 1 else None
 
     def operator(self, k: int) -> np.ndarray:
-        if self._operators is not None:
-            return self._operators[k]
-        v = self._kets[k]
-        return np.outer(v, v.conj())
+        u = self.amplitudes[k]
+        return u.T @ u.conj()
 
     def operators(self):
-        for k in range(self.n_outcomes):
-            yield self.operator(k)
+        return map(self.operator, range(self.n_outcomes))
 
     def traces(self, x) -> np.ndarray:
         """tr[x M_k] for every outcome k (weights not applied), as complex numbers.
@@ -174,25 +173,19 @@ class Pom:
         With x = rho A this is tr[rho M_k] times the generalized weak value of
         A at outcome k, whose real part gives the optimal estimate.
         """
-        if self._kets is not None:
-            return np.vecdot(self._kets, self._kets @ x.T)
-        return self._operators.reshape(len(self._operators), -1) @ x.T.ravel()
+        rows = self.amplitudes.reshape(-1, self.dim)
+        return np.vecdot(rows, rows @ x.T).reshape(self.n_outcomes, -1).sum(axis=1)
 
     def project(self, columns) -> np.ndarray:
-        """Overlaps <a_k|c_j> of every ket with every column of the (d, m) array.
-
-        Row k is ``kets[k].conj() @ columns``; the kets themselves are never
-        conjugated, only the small column stack and the (K, m) result.
-        """
-        if self._kets is None:
-            raise ValueError("projection needs a rank-one (kets) POM")
-        return np.conj(self._kets @ np.conj(columns))
+        """(K, r, m) overlaps <c_j|u> = ``amplitudes[k, i] @ columns.conj()`` of every amplitude row
+        with the (d, m) columns; only the small column stack is conjugated."""
+        rows = self.amplitudes.reshape(-1, self.dim)
+        return (rows @ np.conj(columns)).reshape(*self.amplitudes.shape[:2], -1)
 
     def weighted_sum(self, c) -> np.ndarray:
         """sum_k c_k M_k for per-outcome coefficients c."""
-        if self._kets is not None:
-            return (self._kets.T * c) @ self._kets.conj()
-        return np.einsum("k,kij->ij", c, self._operators)
+        rows = self.amplitudes.reshape(-1, self.dim)
+        return (rows.T * np.repeat(c, self.amplitudes.shape[1])) @ rows.conj()
 
     def values_array(self, component=None) -> np.ndarray:
         """Outcome values as floats, selecting one component of tuple values."""
@@ -203,18 +196,28 @@ class Pom:
         return np.fromiter(self.values, float, self.n_outcomes)
 
     def completeness_operator(self) -> np.ndarray:
-        """sum_k w_k M_k, which should be the identity."""
-        return self.weighted_sum(self.weights)
+        """sum_k w_k M_k, which should be the identity; as given, for matrices given to from_operators."""
+        return self.weighted_sum(self.weights) if self._given_sum is None else self._given_sum
 
     @classmethod
     def from_operators(cls, ops: Sequence, values=None, weights=None, labels=None, kind="generic"):
-        ops = [np.asarray(op, dtype=complex) for op in ops]
-        dim = ops[0].shape[0]
-        if values is None:
-            values = np.arange(len(ops), dtype=float)
-        if weights is None:
-            weights = np.ones(len(ops))
-        return cls(dim, values, weights, operators=np.array(ops), labels=labels, kind=kind)
+        """POM of the given Hermitian matrices, factored by one batched ``eigh``: U_k = V sqrt(lam),
+        with the negative lam that no factor can hold clipped to 0.  ``validate`` judges the
+        matrices as given, by the lowest lam and sum_k w_k M_k kept here."""
+        ops = np.asarray(ops, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"outcome operators must be a (K, d, d) stack, not {ops.shape}")
+        gap = np.abs(ops - ops.conj().mT).max(axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero(gap > 1e-10 * np.abs(ops).max(axis=(1, 2), initial=1.0))
+        if bad.size:
+            raise HermiticityError(f"outcome {bad[0]} matrix deviates from Hermitian by {gap[bad[0]]:.3e}")
+        values = np.arange(len(ops), dtype=float) if values is None else values
+        weights = np.ones(len(ops)) if weights is None else weights
+        vals, vecs = np.linalg.eigh(ops)
+        pom = cls(ops.shape[1], values, weights, (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None]).mT,
+                  labels=labels, kind=kind)
+        pom.min_eigenvalues, pom._given_sum = vals[:, 0], np.einsum("k,kij->ij", pom.weights, ops)
+        return pom
 
     def __repr__(self):
         return f"Pom(kind={self.kind!r}, dim={self.dim}, n_outcomes={self.n_outcomes})"
@@ -241,16 +244,12 @@ class ValidationReport:
 
 
 def validate(pom: Pom, positivity_tol=1e-10, completeness_tol=1e-8) -> ValidationReport:
-    """Diagnostic check: per-outcome positivity and completeness of the family."""
-    if pom.kets is not None:
-        # rank-one projectors have spectrum {|ket|^2, 0, ...}: trivially positive
-        min_eigs = np.zeros(pom.n_outcomes)
-    else:
-        min_eigs = np.array([np.linalg.eigvalsh(op)[0] for op in pom.operators()])
+    """Diagnostic check: per-outcome positivity and completeness of the family, of the
+    matrices as given for a POM from ``Pom.from_operators`` (a factor U U† is positive)."""
     dev_mat = pom.completeness_operator() - np.eye(pom.dim)
     deviation = float(np.abs(np.linalg.eigvalsh((dev_mat + dev_mat.conj().T) / 2)).max())
-    passed = bool(min_eigs.min() >= -positivity_tol and deviation <= completeness_tol)
-    return ValidationReport(passed, min_eigs, deviation, positivity_tol, completeness_tol,
+    passed = bool(pom.min_eigenvalues.min() >= -positivity_tol and deviation <= completeness_tol)
+    return ValidationReport(passed, pom.min_eigenvalues, deviation, positivity_tol, completeness_tol,
                             pom.renorm_correction)
 
 
@@ -286,7 +285,7 @@ def coherent_pom(fock_dim: int, grid: GridSpec, max_renorm_correction=0.1) -> Po
     weights = np.full(alphas.size, cell / np.pi)
     kets = fock.coherent_amplitudes(fock_dim, alphas)
     kets, mean_corr, max_corr = _renormalize_kets(kets, cell / np.pi, max_renorm_correction)
-    return Pom(fock_dim, None, weights, kets=kets,
+    return Pom(fock_dim, None, weights, kets[:, None],
                kind="coherent-grid", grid=grid, renorm_correction=mean_corr,
                meta={"max_renorm_correction": max_corr})
 
@@ -304,8 +303,8 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
 
     rho' = B B† on its occupied Fock levels n < s, so outcome k is U U† with
     U = D(a_k)[:, :s] B, and the K r columns of the U are renormalized together
-    like ``coherent_pom``'s kets.  B is the top eigenpair when one eigenvalue
-    exceeds 1e-12 (stored as kets), else every positive one (operators U U†).
+    like ``coherent_pom``'s kets.  B holds the eigenpairs above 1e-12, so a
+    pure rho' gives kets (r = 1) and a rank-deficient one no roundoff column.
     With a vacuum imageband this coincides elementwise with ``coherent_pom``.
     """
     if imageband.dim > fock_dim:
@@ -313,7 +312,7 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
     rho_c = imageband_conjugate(imageband)
     s = 1 + int(np.max(np.nonzero(rho_c)))
     vals, vecs = np.linalg.eigh((rho_c[:s, :s] + rho_c[:s, :s].conj().T) / 2)
-    keep = slice(-1, None) if np.sum(vals > 1e-12) == 1 else vals > 0
+    keep = vals > 1e-12
     factor = vecs[:, keep] * np.sqrt(vals[keep])
     alphas, cell = grid.points()
     amps = np.empty((alphas.size, factor.shape[1], fock_dim), dtype=complex)  # amps[k] = U_k^T
@@ -321,9 +320,7 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
         amps[c] = (fock.displacement_columns(fock_dim, alphas[c], s) @ factor).mT
     rows, mean_corr, max_corr = _renormalize_kets(amps.reshape(-1, fock_dim), cell / np.pi,
                                                   max_renorm_correction)
-    amps = rows.reshape(amps.shape)
-    store = {"kets": rows} if amps.shape[1] == 1 else {"operators": amps.mT @ amps.conj()}
-    return Pom(fock_dim, None, np.full(alphas.size, cell / np.pi), **store,
+    return Pom(fock_dim, None, np.full(alphas.size, cell / np.pi), rows.reshape(amps.shape),
                kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
                meta={"max_renorm_correction": max_corr})
 
@@ -344,33 +341,24 @@ def inefficient_photon_pom(fock_dim: int, eta: float, max_faithful_outcome=None,
         raise ValueError("eta must lie in (0, 1]")
     n = np.arange(fock_dim)
     logf = fock._log_factorials(fock_dim)
-    ops = np.zeros((fock_dim, fock_dim, fock_dim), dtype=complex)
-    for m in range(fock_dim):
-        r = n[n >= m] - m
-        log_c = logf[m + r] - logf[r] - logf[m]
-        if eta < 1:
-            diag = np.exp(log_c + m * np.log(eta) + r * np.log(1 - eta))
-        else:
-            diag = np.where(r == 0, 1.0, 0.0)
-        ops[m, n >= m, n >= m] = diag
+    diag = np.eye(fock_dim)  # diag[m, n] = <n|M_m|n>; at eta = 1, M_m = |m><m|
+    for m in range(fock_dim if eta < 1 else 0):
+        r = n[m:] - m
+        diag[m, m:] = np.exp(logf[m + r] - logf[r] - logf[m] + m * np.log(eta) + r * np.log(1 - eta))
     if max_faithful_outcome is not None:
         if not 0 <= max_faithful_outcome < fock_dim:
             raise ValueError("max_faithful_outcome out of range")
-        if eta < 1:
-            # infinite-dim trace of each outcome operator is 1/eta
-            traces = np.real(np.einsum("kii->k", ops))
-            deficits = 1.0 - eta * traces[: max_faithful_outcome + 1]
-            worst = float(deficits.max())
-        else:
-            worst = 0.0
+        # infinite-dim trace of each outcome operator is 1/eta
+        worst = float((1.0 - eta * diag[: max_faithful_outcome + 1].sum(axis=1)).max())
         if worst > tail_tol:
             raise TruncationTailError(
                 f"binomial tail {worst:.2e} beyond fock_dim={fock_dim} exceeds {tail_tol:.1e} "
                 f"for outcomes up to {max_faithful_outcome}; increase fock_dim"
             )
-    return Pom(fock_dim, values=n.astype(float), weights=np.ones(fock_dim),
-               operators=ops, labels=[f"m={m}" for m in range(fock_dim)],
-               kind="photon-counting", meta={"eta": eta})
+    amps = np.zeros((fock_dim, fock_dim, fock_dim), dtype=complex)
+    amps[:, n, n] = np.sqrt(diag)  # U_m = diag(sqrt <n|M_m|n>)
+    return Pom(fock_dim, n.astype(float), np.ones(fock_dim), amps,
+               labels=[f"m={m}" for m in range(fock_dim)], kind="photon-counting", meta={"eta": eta})
 
 
 def spin_pom(directions, probs) -> Pom:
@@ -397,8 +385,9 @@ def spin_pom(directions, probs) -> Pom:
     ])
     values = [tuple(map(float, m)) for m in dirs]
     labels = [f"m=({m[0]:.4g},{m[1]:.4g},{m[2]:.4g})" for m in dirs]
-    return Pom(2, values, np.ones(q.size), operators=ops, labels=labels, kind="spin",
-               meta={"q": [float(x) for x in q]})
+    pom = Pom.from_operators(ops, values, labels=labels, kind="spin")
+    pom.meta["q"] = [float(x) for x in q]
+    return pom
 
 
 def trine_pom() -> Pom:
@@ -414,7 +403,8 @@ def tetrahedral_pom() -> Pom:
 
 
 def projective_pom(op: HermitianOperator, degeneracy_tol=1e-8) -> Pom:
-    """Spectral POM of a Hermitian operator, grouping degenerate eigenvalues."""
+    """Spectral POM of a Hermitian operator; each group of degenerate eigenvectors is
+    one outcome's factor, padded with zero columns to the largest group."""
     vals, vecs = op.eigensystem()
     scale = max(1.0, float(np.abs(vals).max()))
     groups: list[list[int]] = []
@@ -423,21 +413,16 @@ def projective_pom(op: HermitianOperator, degeneracy_tol=1e-8) -> Pom:
             groups[-1].append(i)
         else:
             groups.append([i])
-    if all(len(g) == 1 for g in groups):
-        kets = vecs.T.copy()
-        return Pom(op.dim, values=[float(v) for v in vals], weights=np.ones(op.dim),
-                   kets=kets, kind="projective")
-    ops, values = [], []
-    for g in groups:
-        sub = vecs[:, g]
-        ops.append(sub @ sub.conj().T)
-        values.append(float(np.mean(vals[g])))
-    return Pom.from_operators(ops, values=values, kind="projective")
+    amps = np.zeros((len(groups), max(map(len, groups)), op.dim), dtype=complex)
+    for k, g in enumerate(groups):
+        amps[k, :len(g)] = vecs[:, g].T
+    return Pom(op.dim, [float(np.mean(vals[g])) for g in groups], np.ones(len(groups)), amps,
+               kind="projective")
 
 
 def identity_pom(dim: int, value=0.0) -> Pom:
     """The trivial single-outcome measurement."""
-    return Pom.from_operators([np.eye(dim, dtype=complex)], values=[value], kind="trivial")
+    return Pom(dim, [value], [1.0], np.eye(dim, dtype=complex)[None], kind="trivial")
 
 
 @dataclass
@@ -511,13 +496,10 @@ def naimark_extend(pom: Pom, verify_states=5, verify_tol=1e-10, seed=1234) -> Na
     for _ in range(verify_states):
         rho = random_density(d, rng)
         big = np.kron(rho.matrix, ancilla.matrix)
-        for k in range(K):
-            lhs = pom.weights[k] * np.real(np.trace(rho.matrix @ pom.operator(k)))
-            rhs = np.real(np.trace(big @ projections[k]))
-            if abs(lhs - rhs) > verify_tol:
-                raise CompletionError(
-                    f"extension statistics mismatch {abs(lhs - rhs):.2e} at outcome {k}"
-                )
+        gap = np.abs(pom.weights * np.real(pom.traces(rho.matrix))
+                     - [np.real(np.trace(big @ proj)) for proj in projections])
+        if gap.max() > verify_tol:
+            raise CompletionError(f"extension statistics mismatch {gap.max():.2e} at outcome {gap.argmax()}")
     return NaimarkExtension(d, K, ancilla, extended, projections, U)
 
 
@@ -537,10 +519,26 @@ def pom_to_json(pom: Pom) -> dict:
     }
 
 
+def _fields(entry, keys, where: str) -> list:
+    missing = [key for key in keys if not isinstance(entry, dict) or key not in entry]
+    if missing:
+        raise ValueError(f"{where} lacks {missing[0]!r}")
+    return [entry[key] for key in keys]
+
+
 def pom_from_json(data: dict) -> Pom:
-    ops = [matrix_from_json(o["matrix"]) for o in data["outcomes"]]
-    values = [tuple(v) if isinstance(v, list) else v for v in (o["value"] for o in data["outcomes"])]
-    weights = [o["weight"] for o in data["outcomes"]]
-    labels = [o["label"] for o in data["outcomes"]]
-    return Pom(data["dim"], values, weights, operators=np.array(ops), labels=labels,
-               kind=data.get("kind", "generic"))
+    """POM of a ``pom_to_json`` descriptor; a ValueError names the missing key or the bad outcome."""
+    dim, outcomes = _fields(data, ("dim", "outcomes"), "POM descriptor")
+    ops, values, weights, labels = [], [], [], []
+    for k, o in enumerate(outcomes):
+        matrix, value, weight, label = _fields(o, ("matrix", "value", "weight", "label"), f"POM outcome {k}")
+        try:
+            ops.append(matrix_from_json(matrix))
+            if len(ops[-1]) != dim:
+                raise ValueError(f"matrix is {len(ops[-1])}x{len(ops[-1])}, not dim x dim = {dim}x{dim}")
+        except ValueError as exc:
+            raise ValueError(f"POM outcome {k} {exc}") from None
+        values.append(tuple(value) if isinstance(value, list) else value)
+        weights.append(weight)
+        labels.append(label)
+    return Pom.from_operators(ops, values, weights, labels, kind=data.get("kind", "generic"))

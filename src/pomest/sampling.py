@@ -43,12 +43,13 @@ def random_density(dim: int, rng, rank: int | None = None) -> DensityOperator:
 
 
 def random_pom(dim: int, n_outcomes: int, rng):
-    """Random full-rank POM: PSD pieces whitened to sum to the identity."""
+    """Random full-rank POM: outcome k is (W g_k)(W g_k)† for complex Gaussian
+    g_k and the whitening W = (sum_k g_k g_k†)^{-1/2}."""
     from .pom import Pom  # local import to avoid a cycle
 
     g = rng.normal(size=(n_outcomes, 2, dim, dim))  # per outcome: real, then imaginary part
     g = g[:, 0] + 1j * g[:, 1]
-    pieces = g @ g.conj().swapaxes(1, 2)
-    vals, vecs = np.linalg.eigh(pieces.sum(axis=0))
+    flat = g.transpose(1, 0, 2).reshape(dim, -1)  # [g_1, g_2, ...]
+    vals, vecs = np.linalg.eigh(flat @ flat.conj().T)
     whiten = (vecs * vals**-0.5) @ vecs.conj().T
-    return Pom.from_operators(whiten @ pieces @ whiten, values=np.arange(n_outcomes, dtype=float), kind="random")
+    return Pom(dim, np.arange(n_outcomes, dtype=float), np.ones(n_outcomes), (whiten @ g).mT, kind="random")

@@ -73,10 +73,7 @@ def log_partition_estimate(h: HermitianOperator, pom: Pom, beta: float,
     vals, vecs = np.linalg.eigh(h.matrix)
     e0 = vals[0]
     # (K, n): <v_n|M_k|v_n>, a sum of nonnegative terms in tr[e^{-beta H} M_k]
-    if pom.kets is not None:
-        w2 = np.abs(pom.project(vecs)) ** 2
-    else:
-        w2 = np.stack([np.real(pom.traces(np.outer(v, v.conj()))) for v in vecs.T], axis=1)
+    w2 = (np.abs(pom.project(vecs)) ** 2).sum(axis=1)
     db = rel_step * beta
     out = np.full(pom.n_outcomes, np.nan)
     t_plus = w2 @ np.exp(-(beta + db) * (vals - e0))

@@ -271,7 +271,7 @@ def test_non_numeric_parameter_is_a_config_error_naming_the_key(argv, key, capsy
 
 
 def test_relations_instance_reads_one_analysis(monkeypatch):
-    counts = {"traces": 0, "_out_of_range": 0}
+    counts = {"traces": 0, "project": 0, "_out_of_range": 0}
 
     def spy(name, original):
         def wrapped(*args, **kwargs):
@@ -280,12 +280,13 @@ def test_relations_instance_reads_one_analysis(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(Pom, "traces", spy("traces", Pom.traces))
+    monkeypatch.setattr(Pom, "project", spy("project", Pom.project))
     monkeypatch.setattr(estimation, "_out_of_range", spy("_out_of_range", estimation._out_of_range))
     rows = _relation_instances(RunConfig("relations", params={"instances": 1}))
     assert [r["relation_id"] for r in rows] == ["geom", "accbound", "ungen", "varsum"]
-    # tr[rho M_k], then tr[rho A M_k] and tr[A rho A M_k] for A and B; the
-    # probabilities come from the same tr[rho M_k]
-    assert counts["traces"] == 5
+    # tr[rho M_k], tr[rho A M_k] and tr[A rho A M_k] for A and B, and the
+    # probabilities, from one projection of the factored POM onto [C, A C, B C]
+    assert counts["traces"] == 0 and counts["project"] == 1
     # one spectrum per optimal estimate: A and B
     assert counts["_out_of_range"] == 2
 
@@ -413,6 +414,33 @@ def test_validate_row_covers_completeness_and_document_positivity(tmp_path, caps
     assert row["relation_id"] == "completeness"
     assert row["lhs"] == 0.0
     assert row["passed"] is True
+
+
+def _pom_params(dim, **outcome):
+    entry = {"label": "a", "value": 0.0, "weight": 1.0, "matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                                                  [[0.0, 0.0], [1.0, 0.0]]]}
+    entry.update(outcome)
+    return json.dumps({"pom": {"dim": dim, "outcomes": [{k: v for k, v in entry.items() if v is not None}]}})
+
+
+@pytest.mark.parametrize("params, named", [
+    ('{"pom": "trine", "state": {"matrix": [[1.0, 0.0], [0.0, 0.0]]}}', "matrix entry [0][0]"),
+    ('{"pom": "trine", "operator": [[[1, 0], [0, 0]], [[0, 0]]]}', "matrix row 1"),
+    ('{"pom": {"dim": 2}}', "POM descriptor lacks 'outcomes'"),
+    (_pom_params(2, value=None), "POM outcome 0 lacks 'value'"),
+    (_pom_params(3), "POM outcome 0 matrix is 2x2, not dim x dim = 3x3"),
+    (_pom_params(2, matrix=[[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+     "outcome 0 matrix deviates from Hermitian"),
+    (_pom_params(2, matrix=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], "1"]]),
+     "POM outcome 0 matrix entry [1][1]"),
+], ids=["state-entries", "ragged-operator", "no-outcomes", "no-value", "not-dim-by-dim", "not-hermitian",
+        "pom-entry"])
+def test_malformed_matrix_or_pom_json_is_a_config_error_naming_the_entry(params, named, capsys):
+    assert main(["estimate", "--params", params]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
 
 
 @pytest.mark.parametrize("argv", [

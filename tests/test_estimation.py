@@ -31,6 +31,7 @@ from pomest.pom import (
     spin_pom,
     tetrahedral_pom,
     trine_pom,
+    validate,
 )
 from pomest.relations import check_accbound
 from pomest.sampling import make_rng, random_density, random_hermitian, random_pom, random_pure_ket
@@ -275,7 +276,7 @@ def test_optimal_estimate_and_stats_project_once_each(monkeypatch):
 def test_optimal_analysis_matches_separate_calls(rng):
     d, n_kets = 5, 9
     kets = rng.normal(size=(n_kets, d)) + 1j * rng.normal(size=(n_kets, d))
-    pom = Pom(d, np.arange(n_kets, dtype=float), rng.uniform(0.5, 1.5, n_kets), kets=kets)
+    pom = Pom(d, np.arange(n_kets, dtype=float), rng.uniform(0.5, 1.5, n_kets), kets[:, None])
     obs = (random_hermitian(d, rng), random_hermitian(d, rng))
     rho = DensityOperator(0.7 * random_pure_ket(d, rng).to_density().matrix
                           + 0.3 * random_pure_ket(d, rng).to_density().matrix)
@@ -310,7 +311,7 @@ def test_optimal_analysis_matches_separate_calls(rng):
     # a zero ket has tr M_k = 0: the no-information estimate is undefined, and
     # the analysis flags the outcome as one of zero probability
     kets[3] = 0
-    pom = Pom(d, np.arange(n_kets, dtype=float), np.ones(n_kets), kets=kets)
+    pom = Pom(d, np.arange(n_kets, dtype=float), np.ones(n_kets), kets[:, None])
     with pytest.raises(ValueError, match="zero-trace"):
         optimal_estimate_no_info(obs[0], pom)
     an = optimal_analysis(obs, pom, rho)
@@ -371,19 +372,29 @@ def test_cholesky_factor_keeps_a_thermal_tail():
 
 @st.composite
 def poms_states_and_observables(draw):
-    """A whitened random POM of outcome operators or of rank-one kets (dims 2-6),
-    a pure, rank-deficient or full-rank state, an observable, and a generator."""
+    """A POM on dims 2-6: whitened random outcomes of rank r = 1..dim (``random_pom``
+    at r = dim), or the projective POM of an operator whose eigenvalues fall into
+    ragged degenerate groups (r = 0); a pure, rank-deficient or full-rank state,
+    an observable, and a generator."""
     dim = draw(st.integers(2, 6))
     rank = draw(st.integers(1, dim))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     n_out = draw(st.integers(dim, 2 * dim))
-    if draw(st.booleans()):
+    r = draw(st.integers(0, dim))
+    if r == dim:
         pom = random_pom(dim, n_out, rng)
-    else:
-        raw = rng.normal(size=(n_out, dim)) + 1j * rng.normal(size=(n_out, dim))
+    elif r > 0:
+        raw = (rng.normal(size=(n_out, r, dim)) + 1j * rng.normal(size=(n_out, r, dim))).reshape(-1, dim)
         vals, vecs = np.linalg.eigh(raw.T @ raw.conj())
         pom = Pom(dim, np.arange(n_out, dtype=float), np.ones(n_out),
-                  kets=raw @ ((vecs * vals**-0.5) @ vecs.conj().T).T)
+                  (raw @ ((vecs * vals**-0.5) @ vecs.conj().T).T).reshape(n_out, r, dim))
+    else:
+        cuts = np.sort(rng.choice(np.arange(1, dim), draw(st.integers(0, dim - 2)), replace=False))
+        sizes = np.diff(np.concatenate([[0], cuts, [dim]]))  # fewer groups than levels
+        basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        levels = np.repeat(rng.normal(size=sizes.size), sizes)
+        pom = projective_pom(HermitianOperator((basis * levels) @ basis.conj().T))
+        assert pom.n_outcomes == sizes.size
     return pom, random_density(dim, rng, rank=rank), random_hermitian(dim, rng), rng
 
 
@@ -401,6 +412,36 @@ def test_optimal_estimate_is_the_per_outcome_formula_and_never_beaten(case):
     for scale in (1e-6, 1e-3, 1.0):
         moved = Estimator(pom, est.values + scale * rng.normal(size=pom.n_outcomes))
         assert statistical_deviation(a, moved, rho) ** 2 >= base - 1e-12
+
+
+def _one_outcome_case(seed):
+    """The projective POM of U U† ~ 1 for a random unitary U: one outcome, of zero dispersion."""
+    g = make_rng(seed)
+    u = np.linalg.qr(g.normal(size=(2, 2)) + 1j * g.normal(size=(2, 2)))[0]
+    return (projective_pom(HermitianOperator(u @ u.conj().T)), random_density(2, make_rng(seed)),
+            HermitianOperator(PAULI_X), make_rng(0))
+
+
+@given(case=poms_states_and_observables())
+@example(case=_one_outcome_case(8))  # unsquared, the dispersions read 0 and 7.5e-9
+def test_a_pom_and_its_refactored_copy_agree(case):
+    # the copy holds the eigh factor of each outcome matrix, r = dim rows per
+    # outcome, where the original holds 1..dim rows or a padded eigenvector group
+    pom, rho, a, rng = case
+    copy = Pom.from_operators(list(pom.operators()), pom.values)
+    b = random_hermitian(pom.dim, rng)
+    an, an_copy = (optimal_analysis((a, b), p, rho) for p in (pom, copy))
+    np.testing.assert_allclose(an_copy.p, an.p, rtol=0, atol=1e-12)
+    keep = an.p > 1e-8 * an.p.max()
+    for est, est_copy in zip(an.estimates, an_copy.estimates):
+        np.testing.assert_allclose(est_copy.values[keep], est.values[keep], rtol=0, atol=1e-12)
+    f = rng.normal(size=pom.n_outcomes)
+    for j in range(2):
+        assert an_copy.deviation(j, f) == pytest.approx(an.deviation(j, f), rel=0, abs=1e-12)
+    # squared: sqrt(E f^2 - (E f)^2) reads a 1e-16 move of p as 1e-8 where the
+    # dispersion is zero, as on a POM of one outcome
+    assert an_copy.dispersion(f) ** 2 == pytest.approx(an.dispersion(f) ** 2, rel=0, abs=1e-12)
+    assert validate(copy).passed == validate(pom).passed
 
 
 @pytest.mark.parametrize("beta", [0.8 - 0.5j, -1.1 + 0.9j])
@@ -579,15 +620,16 @@ def test_repeatability(rng):
 
 
 def test_kets_and_operator_twins_agree(rng):
-    # one complete rank-one POM stored twice: as kets and as their projectors
+    # one complete rank-one POM made twice: from its kets, and by from_operators
+    # from their projectors, which it factors again
     d, n_out = 4, 9
     raw = rng.normal(size=(n_out, d)) + 1j * rng.normal(size=(n_out, d))
     weights = rng.uniform(0.5, 2.0, n_out)
     vals, vecs = np.linalg.eigh((raw.T * weights) @ raw.conj())
     kets = raw @ ((vecs * vals**-0.5) @ vecs.conj().T).T
     values = rng.normal(size=n_out)
-    twin_kets = Pom(d, values, weights, kets=kets)
-    twin_ops = Pom(d, values, weights, operators=np.einsum("ki,kj->kij", kets, kets.conj()))
+    twin_kets = Pom(d, values, weights, kets[:, None])
+    twin_ops = Pom.from_operators(np.einsum("ki,kj->kij", kets, kets.conj()), values, weights)
     assert np.abs(twin_kets.completeness_operator() - np.eye(d)).max() < 1e-12
     rho = random_density(d, rng)
     a = random_hermitian(d, rng)

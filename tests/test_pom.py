@@ -318,15 +318,14 @@ def test_traces_and_project_match_their_definitions(rng):
     x = random_density(d, rng).matrix @ random_hermitian(d, rng).matrix  # rho A: not Hermitian
     kets = rng.normal(size=(n_kets, d)) + 1j * rng.normal(size=(n_kets, d))
     cols = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
-    on_kets = Pom(d, np.arange(n_kets, dtype=float), np.ones(n_kets), kets=kets)
-    on_ops = random_pom(d, 6, rng)
+    on_kets = Pom(d, np.arange(n_kets, dtype=float), np.ones(n_kets), kets[:, None])
+    on_ops = random_pom(d, 6, rng)  # rank d: r = d amplitude rows per outcome
     for pom in (on_kets, on_ops):
         expect = [np.trace(x @ pom.operator(k)) for k in range(pom.n_outcomes)]
         np.testing.assert_allclose(pom.traces(x), expect, rtol=0, atol=1e-12)
-    expect = [kets[k].conj() @ cols for k in range(n_kets)]
-    np.testing.assert_allclose(on_kets.project(cols), expect, rtol=0, atol=1e-12)
-    with pytest.raises(ValueError):
-        on_ops.project(cols)
+        expect = [[cols.conj().T @ u for u in rows] for rows in pom.amplitudes]  # <c_j|u>
+        np.testing.assert_allclose(pom.project(cols), expect, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(on_kets.project(cols)[:, 0], kets @ np.conj(cols))
 
 
 def test_grid_labels_and_values_from_the_grid_points():
@@ -341,7 +340,7 @@ def test_grid_labels_and_values_from_the_grid_points():
 
 
 @pytest.mark.parametrize("pom", [
-    Pom(2, [0, 1.5, np.float32(0.1), np.int64(-3), True], np.ones(5), kets=np.ones((5, 2))),
+    Pom(2, [0, 1.5, np.float32(0.1), np.int64(-3), True], np.ones(5), np.ones((5, 1, 2))),
     coherent_pom(4, GridSpec(0.25 - 0.5j, 2.0, 5)),
     tetrahedral_pom(),
 ], ids=["scalar", "pair", "triple"])

@@ -6,15 +6,14 @@ from pomest.sampling import make_rng, random_pom
 
 
 def _random_pom_loop(dim, n_outcomes, rng):
-    """Reference: one complex Gaussian matrix drawn and whitened per outcome."""
-    pieces = []
-    for _ in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        pieces.append(g @ g.conj().T)
-    vals, vecs = np.linalg.eigh(np.sum(pieces, axis=0))
+    """Reference: one complex Gaussian matrix g_k drawn per outcome, and the
+    factor W g_k whitened by W = (sum_k g_k g_k†)^{-1/2} built per outcome."""
+    gs = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n_outcomes)]
+    flat = np.hstack(gs)
+    vals, vecs = np.linalg.eigh(flat @ flat.conj().T)
     whiten = (vecs * vals**-0.5) @ vecs.conj().T
-    return Pom.from_operators([whiten @ p @ whiten for p in pieces],
-                              values=np.arange(n_outcomes, dtype=float), kind="random")
+    return Pom(dim, np.arange(n_outcomes, dtype=float), np.ones(n_outcomes),
+               [(whiten @ g).T for g in gs], kind="random")
 
 
 @pytest.mark.parametrize("dim, n_outcomes", [(1, 1), (2, 3), (3, 1), (4, 6), (5, 11)])
