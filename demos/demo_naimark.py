@@ -1,9 +1,9 @@
 """Walkthrough: representing a POM as commuting projections on a larger space.
 
 Any finite measurement can be traded for a projective one on system (x)
-ancilla with a fixed ancilla state.  The construction used here completes
-the block isometry of square-rooted outcome operators to a unitary; the
-resulting projections reproduce the statistics exactly and preserve the
+ancilla with a fixed ancilla state.  The construction used here stacks each
+outcome's stored factor, sqrt(w_k) U_k† for M_k = U_k U_k†, into a block
+isometry and completes it to a unitary by one QR; the resulting projections reproduce the statistics exactly and preserve the
 statistical deviation of every estimate, which is what makes product-space
 proofs of the uncertainty relations legitimate.
 """

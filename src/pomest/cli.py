@@ -85,6 +85,16 @@ def _number(params: dict, key: str, default, kind=float):
         raise ConfigError(f"{key} must be a number, not {value!r}") from None
 
 
+def _positive(params: dict, key: str, default, kind=float):
+    """A finite positive number from params; a ConfigError names the key."""
+    value = _number(params, key, default, kind)
+    if not abs(value) < np.inf:  # nan or inf; exact for an integer of any size
+        raise ConfigError(f"{key} must be finite, not {value!r}")
+    if value <= 0:
+        raise ConfigError(f"{key} must be positive")
+    return value
+
+
 def _load_params(raw: str | None) -> dict:
     if not raw:
         return {}
@@ -149,12 +159,14 @@ def _named_pom(params: dict, seed: int):
         return tetrahedral_pom()
     if name == "coherent":
         spec = params.get("grid", {})
+        if not isinstance(spec, dict):
+            raise ConfigError(f"grid must be an object, not {spec!r}")
         grid = GridSpec(
             complex(*spec.get("center", [0.0, 0.0])),
             _number(spec, "radius", 6.0),
             _number(spec, "points_per_axis", 81, int),
         )
-        return coherent_pom(_number(params, "fock_dim", 30, int), grid)
+        return coherent_pom(_positive(params, "fock_dim", 30, int), grid)
     if name == "random":
         rng = make_rng(seed)
         return random_pom(_number(params, "dim", 3, int), _number(params, "outcomes", 4, int), rng)
@@ -295,9 +307,7 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
             }
         return rows, extras
     if name == "thermal":
-        beta = _number(params, "beta", 1.0)
-        if not beta > 0:
-            raise ConfigError("beta must be positive")
+        beta = _positive(params, "beta", 1.0)
         # measured: at 50/beta Fock levels the gap is 5e-11 to 9e-11 for beta 0.07-0.5
         dim = _number(params, "fock_dim", max(80, int(50 / beta)), int)
         h = fock.oscillator_hamiltonian(dim)
@@ -312,14 +322,14 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
                                {"route": "thermal-closed-form-gap", "beta": beta, "fock_dim": dim})
         return [rep.to_json("thermal")], {"beta": beta, "closed_form": {"a_t": at, "b_t": bt}}
     if name == "heterodyne":
-        dim = _number(params, "fock_dim", 40, int)
+        dim, hbar = _positive(params, "fock_dim", 40, int), _positive(params, "hbar", 1.0)
         grid = GridSpec(0j, _number(params, "radius", 7.0),
                         _number(params, "points_per_axis", 160, int))
         pom = coherent_pom(dim, grid)
         state = params.get("state", "vacuum")
         rho = _load_state({"state": state}, dim, seed)
         analysis = relations.heterodyne_analysis(rho, pom)
-        uncanon = relations.check_uncanon(analysis, _number(params, "hbar", 1.0))
+        uncanon = relations.check_uncanon(analysis, hbar)
         return [r.to_json("heterodyne") for r in analysis.reports + [uncanon]], {}
     if name == "linear":
         defaults = {"mean_x": 0.0, "var_x": 1.0, "mean_p": 0.0, "var_p": 1.0,
@@ -331,7 +341,7 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
         row = relations.report("ungen", rep.joint_cost, inputs.hbar / 2, 1e-9, 1e-9)
         return [row.to_json("linear")], {"linear": {"x": rep.x.__dict__, "p": rep.p.__dict__}}
     if name == "squeezing":
-        hbar = _number(params, "hbar", 1.0)
+        hbar = _positive(params, "hbar", 1.0)
         rep = scenarios.optimize_squeezing(
             _number(params, "var_x", 0.5), _number(params, "var_p", 0.5), hbar)
         row = relations.report("ungen", rep.j_min, hbar / 2, 1e-9, 1e-9)

@@ -181,15 +181,6 @@ def optimal_estimate(a: HermitianOperator, pom: Pom, rho: DensityOperator) -> Es
     return optimal_analysis((a,), pom, rho).estimates[0]
 
 
-def _estimate_from_traces(a: HermitianOperator, pom: Pom, t: np.ndarray,
-                          ta: np.ndarray) -> Estimator:
-    """Optimal estimate f_k = ta_k / t_k from t = tr[rho M_k], ta = Re tr[rho A M_k]."""
-    zero = t < ZERO_PROB_TOL
-    f = np.where(zero, 0.0, ta / np.where(zero, 1.0, t))
-    return Estimator(pom, f, meta="optimal-with-state", zero_probability=zero,
-                     out_of_range=_out_of_range(f, a))
-
-
 def optimal_estimate_no_info(a: HermitianOperator, pom: Pom) -> Estimator:
     """Distance-minimizing estimate f_k = tr[A M_k]/tr[M_k] (no state needed).
 
@@ -250,16 +241,10 @@ def unbiased_correction(est: Estimator, a: HermitianOperator, subspace_dim=None)
 def _qubit_linear_correction(pom: Pom, a: HermitianOperator, scale):
     """Solve sum_k w_k g_k M_k = A with g_k affine in the outcome Bloch vector."""
     paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    q = np.empty(pom.n_outcomes)
-    m = np.empty((pom.n_outcomes, 3))
-    for k, op in enumerate(pom.operators()):
-        q[k] = np.real(np.trace(op)) / 2
-        if q[k] <= BIAS_TOL:
-            return None
-        m[k] = [np.real(np.trace(op @ s)) / (2 * q[k]) for s in paulis]
-        model = q[k] * (np.eye(2) + sum(c * s for c, s in zip(m[k], paulis)))
-        if np.abs(model - op).max() > BIAS_TOL * scale:
-            return None
+    q = _outcome_traces(pom) / 2  # M_k = q_k (1 + sigma . m_k) holds for every Hermitian M_k
+    if q.min() <= BIAS_TOL:
+        return None
+    m = np.real([pom.traces(s) for s in paulis]).T / (2 * q[:, None])
     basis = np.hstack([np.ones((pom.n_outcomes, 1)), m])  # g_k = basis_k . (c, v)
     coeffs = [np.real(np.trace(a.matrix @ s)) / 2 for s in (np.eye(2),) + paulis]
     try:
@@ -308,8 +293,11 @@ class OptimalAnalysis:
     # formed on first read: estimate_stats and statistical_deviation need none of them
     @cached_property
     def estimates(self) -> list:
-        return [_estimate_from_traces(a, self.pom, self.t, np.real(t_a))
-                for a, t_a in zip(self.observables, self.t_a)]
+        """f_k = Re t_a / t, set to 0 and flagged where t < ``ZERO_PROB_TOL``."""
+        zero = self.t < ZERO_PROB_TOL
+        fs = (np.where(zero, 0.0, np.real(t_a) / np.where(zero, 1.0, self.t)) for t_a in self.t_a)
+        return [Estimator(self.pom, f, meta="optimal-with-state", zero_probability=zero,
+                          out_of_range=_out_of_range(f, a)) for a, f in zip(self.observables, fs)]
 
     @cached_property
     def dispersions(self) -> tuple:
@@ -346,9 +334,10 @@ def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator) 
     """Optimal estimate of one complete (rank-one projective) POM from another.
 
     With Abar = sum_a a |a><a| built from the estimated POM, the value at
-    outcome m is <m| rho Abar + Abar rho |m> / (2 <m| rho |m>).  Requires
-    that no ket of one family is orthogonal or proportional to a ket of the
-    other, up to ``OVERLAP_TOL`` in the overlap modulus.
+    outcome m is <m| rho Abar + Abar rho |m> / (2 <m| rho |m>), the optimal
+    estimate of Abar read from one ``optimal_analysis`` of the measured POM.
+    Requires that no ket of one family is orthogonal or proportional to a ket
+    of the other, up to ``OVERLAP_TOL`` in the overlap modulus.
     """
     for name, pom in (("estimated", a_pom), ("measured", m_pom)):
         if pom.kets is None:
@@ -361,11 +350,8 @@ def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator) 
     overlaps = np.abs(a_pom.kets.conj() @ m_pom.kets.T)
     if np.any(overlaps < OVERLAP_TOL) or np.any(np.abs(overlaps - 1) < OVERLAP_TOL):
         raise ValueError("kets of the two complete POMs are orthogonal or proportional")
-    avals = a_pom.values_array()
-    abar = (a_pom.kets.T * avals) @ a_pom.kets.conj()
-    sym = rho.matrix @ abar + abar @ rho.matrix
-    return _estimate_from_traces(HermitianOperator(abar), m_pom, np.real(m_pom.traces(rho.matrix)),
-                                 np.real(m_pom.traces(sym)) / 2)
+    abar = (a_pom.kets.T * a_pom.values_array()) @ a_pom.kets.conj()
+    return optimal_analysis((HermitianOperator(abar),), m_pom, rho).estimates[0]
 
 
 def repeatability_check(a: HermitianOperator, m: HermitianOperator, rho: DensityOperator) -> bool:

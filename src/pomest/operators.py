@@ -7,6 +7,8 @@ instances are safe to share between threads.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 __all__ = [
@@ -41,6 +43,17 @@ class HermiticityError(ValueError):
 def _freeze(arr):
     arr.setflags(write=False)
     return arr
+
+
+def _finite_square(matrix) -> np.ndarray:
+    """The matrix as a complex array, rejected unless square with finite entries."""
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"matrix entry [{i}][{j}] is {mat[i, j]}, not finite")
+    return mat
 
 
 class Ket:
@@ -92,9 +105,7 @@ class HermitianOperator:
     __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix, herm_tol=1e-8):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        mat = _finite_square(matrix)
         scale = max(1.0, np.abs(mat).max())
         dev = np.abs(mat - mat.conj().T).max() / 2
         if dev > herm_tol * scale:
@@ -151,9 +162,7 @@ class DensityOperator:
     __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix, trace_tol=1e-10, positivity_tol=1e-10):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        mat = _finite_square(matrix)
         scale = max(1.0, np.abs(mat).max())
         if np.abs(mat - mat.conj().T).max() / 2 > 1e-12 * scale:
             raise HermiticityError("density matrix is not Hermitian within 1e-12")
@@ -244,6 +253,9 @@ def matrix_from_json(data) -> np.ndarray:
         if not isinstance(row, list) or len(row) != len(data):
             raise ValueError(f"matrix row {i} is not a list of {len(data)} entries: a matrix is square")
         for j, z in enumerate(row):
-            if not (isinstance(z, list) and len(z) == 2 and all(isinstance(x, (int, float)) for x in z)):
-                raise ValueError(f"matrix entry [{i}][{j}] must be an [re, im] pair of numbers, not {z!r}")
+            # abs(x) <= max is False for nan and inf, and exact for integers beyond float range
+            if not (isinstance(z, list) and len(z) == 2
+                    and all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in z)):
+                raise ValueError(f"matrix entry [{i}][{j}] must be an [re, im] pair of finite numbers, "
+                                 f"not {z!r}")
     return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)

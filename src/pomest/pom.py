@@ -29,7 +29,6 @@ from .operators import (
     Ket,
     matrix_from_json,
     matrix_to_json,
-    spectral_apply,
 )
 
 __all__ = [
@@ -68,7 +67,7 @@ class TruncationTailError(ValueError):
 
 
 class CompletionError(RuntimeError):
-    """Gram-Schmidt completion of the dilation isometry degenerated."""
+    """The dilation isometry is rank-deficient or does not reproduce the POM's statistics."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,12 @@ class GridSpec:
     center: complex = 0j
     radius: float = 6.0
     points_per_axis: int = 81
+
+    def __post_init__(self):
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be finite and positive, not {self.radius!r}")
+        if self.points_per_axis < 2:
+            raise ValueError(f"points_per_axis must be at least 2, not {self.points_per_axis!r}")
 
     def axes(self):
         xs = np.linspace(-self.radius, self.radius, self.points_per_axis)
@@ -437,68 +442,47 @@ class NaimarkExtension:
     unitary: np.ndarray
 
 
-def _complete_isometry(columns: np.ndarray, total_dim: int) -> np.ndarray:
-    """Column-pivoted Gram-Schmidt completion seeded with standard basis vectors."""
-    basis = [columns[:, j].copy() for j in range(columns.shape[1])]
-    for j, b in enumerate(basis):
-        nb = np.linalg.norm(b)
-        if nb < 1e-12:
-            raise CompletionError("isometry columns are numerically rank-deficient")
-        basis[j] = b / nb
-    candidates = np.eye(total_dim, dtype=complex)
-    while len(basis) < total_dim:
-        B = np.array(basis).T
-        resid = candidates - B @ (B.conj().T @ candidates)
-        norms = np.linalg.norm(resid, axis=0)
-        pick = int(np.argmax(norms))
-        if norms[pick] < 1e-10:
-            raise CompletionError("Gram-Schmidt completion degenerated")
-        vec = resid[:, pick]
-        # re-orthogonalize once for numerical hygiene
-        vec = vec - B @ (B.conj().T @ vec)
-        basis.append(vec / np.linalg.norm(vec))
-    return np.array(basis).T
-
-
-def naimark_extend(pom: Pom, verify_states=5, verify_tol=1e-10, seed=1234) -> NaimarkExtension:
+def naimark_extend(pom: Pom) -> NaimarkExtension:
     """Extend a discrete POM to commuting projections on system (x) ancilla.
 
-    The ancilla has one level per outcome and starts in |0><0|.  The block
-    isometry V|psi> = sum_k sqrt(w_k M_k)|psi> (x) |k> is completed to a
-    unitary U; the projections are U† (1 (x) |k><k|) U.  Outcome statistics
-    against random states are verified before returning.
+    The ancilla has one level per outcome and starts in |0><0|.  Block k of
+    the isometry V|psi> = sum_k K_k|psi> (x) |k> is the stored factor,
+    K_k = sqrt(w_k) U_k† with zero rows past its rank, so K_k† K_k = w_k M_k.
+    One complete QR of V completes it to a unitary U; the projections are
+    U† (1 (x) |k><k|) U.  Outcome statistics against five random states are
+    verified to 1e-10 before returning, which rejects an incomplete POM.
     """
     from .sampling import make_rng, random_density
 
     d, K = pom.dim, pom.n_outcomes
     total = d * K
-    V = np.zeros((total, d), dtype=complex)
-    for k in range(K):
-        block = pom.weights[k] * pom.operator(k)
-        root = spectral_apply(HermitianOperator(block), lambda x: np.sqrt(max(x, 0.0))).matrix
-        # system-major product index: row (i, k) = i*K + k
-        V[k::K, :] = root
-    W = _complete_isometry(V, total)
-    # U maps |psi> (x) |0> to V|psi>: the isometry columns sit at ancilla-0
-    # column positions, the completions fill the rest.
-    U = np.zeros((total, total), dtype=complex)
-    anc0 = [j * K for j in range(d)]
-    rest = [c for c in range(total) if c % K != 0]
-    U[:, anc0] = W[:, :d]
-    U[:, rest] = W[:, d:]
+    # V[i, k] is row i of K_k, at the system-major product row i*K + k
+    V = np.zeros((d, K, d), dtype=complex)
+    V[:pom.amplitudes.shape[1]] = np.sqrt(pom.weights)[:, None] * pom.amplitudes.conj().swapaxes(0, 1)
+    Q, R = np.linalg.qr(V.reshape(total, d), mode="complete")
+    r_diag = np.diagonal(R)
+    if np.abs(r_diag).min() < 1e-12:
+        raise CompletionError("isometry columns are numerically rank-deficient")
+    # U maps |psi> (x) |0> to V|psi>: for an isometry V = Q[:, :d] diag(R_ii) with
+    # |R_ii| = 1, so the ancilla-0 columns are Q[:, :d] times R's phases; Q's other
+    # columns fill the rest
+    U = np.empty((total, d, K), dtype=complex)
+    U[:, :, 0] = Q[:, :d] * (r_diag / np.abs(r_diag))
+    U[:, :, 1:] = Q[:, d:].reshape(total, d, K - 1)
+    U = U.reshape(total, total)
     # M'_k = U† (1 (x) |k><k|) U assembled from the ancilla-k rows of U
     projections = [U[k::K, :].conj().T @ U[k::K, :] for k in range(K)]
     values = pom.values_array() if not isinstance(pom.values[0], tuple) else np.arange(K, dtype=float)
     extended = HermitianOperator(sum(v * p for v, p in zip(values, projections)))
     ancilla = DensityOperator.from_ket(Ket.basis(K, 0))
 
-    rng = make_rng(seed)
-    for _ in range(verify_states):
+    rng = make_rng(1234)
+    for _ in range(5):
         rho = random_density(d, rng)
         big = np.kron(rho.matrix, ancilla.matrix)
         gap = np.abs(pom.weights * np.real(pom.traces(rho.matrix))
                      - [np.real(np.trace(big @ proj)) for proj in projections])
-        if gap.max() > verify_tol:
+        if gap.max() > 1e-10:
             raise CompletionError(f"extension statistics mismatch {gap.max():.2e} at outcome {gap.argmax()}")
     return NaimarkExtension(d, K, ancilla, extended, projections, U)
 

@@ -152,6 +152,25 @@ def test_grid_failure_is_validation_error(scenario, params, capsys):
     assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scenario", "heterodyne", "--params", '{"points_per_axis": 0}'], "points_per_axis must be at least 2"),
+    (["scenario", "heterodyne", "--params", '{"points_per_axis": 1}'], "points_per_axis must be at least 2"),
+    (["scenario", "heterodyne", "--params", '{"fock_dim": 0}'], "fock_dim must be positive"),
+    (["scenario", "heterodyne", "--params", '{"radius": -7}'], "radius must be finite and positive"),
+    (["scenario", "heterodyne", "--params", '{"hbar": -1}'], "hbar must be positive"),
+    (["estimate", "--params", '{"pom": "coherent", "grid": [1]}'], "grid must be an object"),
+    (["scenario", "thermal", "--params", '{"beta": 1e400}'], "beta must be finite, not inf"),
+    (["scenario", "squeezing", "--params", '{"hbar": 0}'], "hbar must be positive"),
+    (["scenario", "squeezing", "--params", '{"hbar": -1}'], "hbar must be positive"),
+], ids=["no-points", "one-point", "no-fock-levels", "negative-radius", "heterodyne-hbar", "grid-not-object",
+        "infinite-beta", "zero-squeezing-hbar", "negative-squeezing-hbar"])
+def test_bad_grid_or_physics_parameter_is_a_config_error_naming_it(argv, message, capsys):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1
+
+
 def test_bad_parameter_value_is_config_error(capsys):
     code = main(["scenario", "epr", "--params", '{"sigma": -1}'])
     assert code == EXIT_CONFIG
@@ -433,8 +452,12 @@ def _pom_params(dim, **outcome):
      "outcome 0 matrix deviates from Hermitian"),
     (_pom_params(2, matrix=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], "1"]]),
      "POM outcome 0 matrix entry [1][1]"),
+    ('{"pom": "trine", "state": {"matrix": [[[1%s, 0], [0, 0]], [[0, 0], [0, 0]]]}}' % ("0" * 400),
+     "matrix entry [0][0]"),
+    ('{"pom": "trine", "state": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]}}', "matrix entry [1][1]"),
+    ('{"pom": "trine", "operator": [[[1, 0], [0, Infinity]], [[0, 0], [1, 0]]]}', "matrix entry [0][1]"),
 ], ids=["state-entries", "ragged-operator", "no-outcomes", "no-value", "not-dim-by-dim", "not-hermitian",
-        "pom-entry"])
+        "pom-entry", "beyond-float-range", "nan-entry", "infinite-entry"])
 def test_malformed_matrix_or_pom_json_is_a_config_error_naming_the_entry(params, named, capsys):
     assert main(["estimate", "--params", params]) == EXIT_CONFIG
     captured = capsys.readouterr()

@@ -27,6 +27,7 @@ from pomest.pom import (
     coherent_pom,
     identity_pom,
     inefficient_photon_pom,
+    naimark_extend,
     projective_pom,
     spin_pom,
     tetrahedral_pom,
@@ -568,11 +569,14 @@ def test_complete_pom_matches_quadratic_form_minimization(rng):
     avals = a_pom.values_array()
     abar = (a_pom.kets.T * avals) @ a_pom.kets.conj()
     a2bar = (a_pom.kets.T * avals**2) @ a_pom.kets.conj()
-    # the closed form <m| rho Abar + Abar rho |m> / (2 <m| rho |m>), bit for bit
+    # the optimal estimate of Abar from the measured POM, bit for bit
+    assert np.array_equal(est.values, optimal_estimate(HermitianOperator(abar), m_pom, rho).values)
+    # the closed form <m| rho Abar + Abar rho |m> / (2 <m| rho |m>), up to rounding
     t = np.real(m_pom.traces(rho.matrix))
     ta = np.real(m_pom.traces(rho.matrix @ abar + abar @ rho.matrix)) / 2
     zero = t < 1e-14
-    assert np.array_equal(est.values, np.where(zero, 0.0, ta / np.where(zero, 1.0, t)))
+    closed = np.where(zero, 0.0, ta / np.where(zero, 1.0, t))
+    assert np.abs(est.values - closed).max() <= 1e-12 * max(1.0, np.abs(closed).max())
     assert np.array_equal(est.zero_probability, zero)
     # weak values outside Abar's spectrum are flagged, not altered
     assert np.array_equal(est.out_of_range,
@@ -596,6 +600,30 @@ def test_complete_pom_matches_quadratic_form_minimization(rng):
         y0, y1, y2 = scans[j - 1], scans[j], scans[j + 1]
         vertex = grid[j] + 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2) * (grid[j] - grid[j - 1])
         assert est.values[k] == pytest.approx(vertex, abs=1e-6)
+
+
+def test_factor_consumers_build_no_outcome_matrix(monkeypatch, rng):
+    counts = {"operator": 0, "project": 0, "traces": 0}
+
+    def spy(name):
+        original = getattr(Pom, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(Pom, name, wrapped)
+
+    for name in counts:
+        spy(name)
+    naimark_extend(trine_pom())
+    s = HermitianOperator(PAULI_X / 2)
+    tetra = tetrahedral_pom()
+    assert unbiased_correction(optimal_estimate_no_info(s, tetra), s).meta == "unbiased-corrected"
+    assert counts["operator"] == 0
+    a, m = random_hermitian(3, rng), random_hermitian(3, rng)
+    counts.update(project=0, traces=0)
+    optimal_estimate_complete_pom(projective_pom(a), projective_pom(m), random_density(3, rng))
+    assert counts == {"operator": 0, "project": 1, "traces": 0}
 
 
 def test_complete_pom_rejects_proportional_kets():

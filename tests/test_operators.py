@@ -31,6 +31,15 @@ def test_hermitian_symmetrized_and_rejects_garbage():
         HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("cls", [DensityOperator, HermitianOperator])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_rejected_naming_the_entry(cls, bad):
+    with pytest.raises(ValueError, match=r"matrix entry \[0\]\[0\] is .* not finite"):
+        cls([[bad, 0.0], [0.0, 0.5]])
+    with pytest.raises(ValueError, match=r"matrix entry \[1\]\[0\]"):
+        cls([[0.5, 0.0], [complex(0.0, bad), 0.5]])
+
+
 def test_density_validation():
     with pytest.raises(ValueError):
         DensityOperator(np.diag([0.7, 0.7]))

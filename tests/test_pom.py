@@ -6,10 +6,11 @@ import pytest
 
 from pomest import fock
 from pomest.estimation import probabilities
-from pomest.operators import tensor
+from pomest.operators import DensityOperator, HermitianOperator, partial_trace_ancilla, tensor
 from pomest.pom import (
     _GRID_CHUNK,
     CompletenessError,
+    CompletionError,
     GridSpec,
     Pom,
     TruncationTailError,
@@ -280,6 +281,33 @@ def test_naimark_unitary_is_unitary(rng):
     ext = naimark_extend(pom)
     u = ext.unitary
     assert np.abs(u.conj().T @ u - np.eye(12)).max() < 1e-10
+
+
+@pytest.mark.parametrize("pom", [
+    projective_pom(HermitianOperator(np.diag([1.0, 1.0, 2.0, 3.0, 3.0]))),
+    identity_pom(3),
+    inefficient_photon_pom(8, 0.6),
+    imageband_pom(3, GridSpec(0j, 3.0, 5), DensityOperator(np.diag([0.7, 0.3]))),
+], ids=["degenerate-projective", "identity", "photon-counting", "rank-2-imageband"])
+def test_naimark_reads_padded_and_ragged_factors(pom, rng):
+    ext = naimark_extend(pom)
+    total = pom.dim * pom.n_outcomes
+    assert np.abs(ext.unitary.conj().T @ ext.unitary - np.eye(total)).max() < 1e-10
+    for _ in range(3):
+        rho = random_density(pom.dim, rng)
+        big = tensor(rho, ext.ancilla_state).matrix
+        lifted = [np.real(np.trace(big @ proj)) for proj in ext.projections]
+        assert np.abs(probabilities(pom, rho) - lifted).max() < 1e-10
+    for k, proj in enumerate(ext.projections):
+        recovered = partial_trace_ancilla(HermitianOperator(proj), pom.dim, ext.ancilla_state)
+        assert np.abs(recovered.matrix - pom.weights[k] * pom.operator(k)).max() < 1e-10
+
+
+def test_naimark_rejects_an_incomplete_or_rank_deficient_pom():
+    with pytest.raises(CompletionError, match=r"extension statistics mismatch 7\.64e-02"):
+        naimark_extend(Pom.from_operators([np.diag([0.9, 0.0]), np.diag([0.0, 0.9])]))
+    with pytest.raises(CompletionError, match="rank-deficient"):
+        naimark_extend(Pom.from_operators([np.diag([1.0, 0.0])]))
 
 
 def test_pom_json_roundtrip(rng):
