@@ -77,19 +77,21 @@ def _env_tolerances() -> dict:
     return tols
 
 
-def _number(params: dict, key: str, default, kind=float):
+def _number(params: dict, key: str, default, kind=float, finite=True):
+    """A number from params, finite unless ``finite`` is False; a ConfigError names the key."""
     value = params.get(key, default)
     try:
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, not {value!r}") from None
+    if finite and not abs(value) < np.inf:  # nan or inf; exact for an integer of any size
+        raise ConfigError(f"{key} must be finite, not {value!r}")
+    return value
 
 
 def _positive(params: dict, key: str, default, kind=float):
     """A finite positive number from params; a ConfigError names the key."""
     value = _number(params, key, default, kind)
-    if not abs(value) < np.inf:  # nan or inf; exact for an integer of any size
-        raise ConfigError(f"{key} must be finite, not {value!r}")
     if value <= 0:
         raise ConfigError(f"{key} must be positive")
     return value
@@ -142,7 +144,7 @@ def _emit(config: RunConfig, rows: list, extras: dict, passed: bool):
             "rows": rows,
             **extras,
         }
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(doc, sort_keys=True, indent=2, check_circular=False) + "\n"
     if config.output_path:
         _atomic_write(config.output_path, payload)
     else:
@@ -161,11 +163,11 @@ def _named_pom(params: dict, seed: int):
         spec = params.get("grid", {})
         if not isinstance(spec, dict):
             raise ConfigError(f"grid must be an object, not {spec!r}")
-        grid = GridSpec(
-            complex(*spec.get("center", [0.0, 0.0])),
-            _number(spec, "radius", 6.0),
-            _number(spec, "points_per_axis", 81, int),
-        )
+        center = spec.get("center", [0.0, 0.0])
+        if not isinstance(center, list) or len(center) != 2:
+            raise ConfigError(f"center must be an [re, im] pair of finite numbers, not {center!r}")
+        grid = GridSpec(complex(*(_number({"center": x}, "center", 0.0) for x in center)),
+                        _number(spec, "radius", 6.0), _number(spec, "points_per_axis", 81, int))
         return coherent_pom(_positive(params, "fock_dim", 30, int), grid)
     if name == "random":
         rng = make_rng(seed)
@@ -246,25 +248,19 @@ def _relation_instances(config: RunConfig) -> list:
     rng = make_rng(config.seed)
     rows = []
     for i in range(instances):
-        dim = int(rng.choice(dims))
+        dim = dims[rng.integers(len(dims))]
         n_out = int(rng.integers(2, 2 * dim + 2))
         pom = random_pom(dim, n_out, rng)
         rho = random_density(dim, rng)
         a = random_hermitian(dim, rng)
         b = random_hermitian(dim, rng)
         an = optimal_analysis((a, b), pom, rho)
-        f, g = (est.values for est in an.estimates)
-        reps = []
-        if "geom" in which:
-            reps.append(relations.check_geom(an))
-        if "accbound" in which:
-            reps.append(relations.check_accbound(an))
-        if "ungen" in which:
-            noise = rng.normal(size=pom.n_outcomes)
-            reps.append(relations.check_ungen(an, f + noise, g))
-        if "varsum" in which:
-            reps.append(relations.check_varsum(an))
-        for rep in reps:
+        f, g = an.values
+        checks = {"geom": lambda: relations.check_geom(an),
+                  "accbound": lambda: relations.check_accbound(an),
+                  "ungen": lambda: relations.check_ungen(an, f + rng.normal(size=pom.n_outcomes), g),
+                  "varsum": lambda: relations.check_varsum(an)}
+        for rep in [checks[r]() for r in RELATION_IDS if r in which]:
             rep.inputs_digest.update(instance=i, dim=dim, outcomes=n_out)
             rows.append(rep.to_json("relations"))
     return rows
@@ -334,8 +330,10 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
     if name == "linear":
         defaults = {"mean_x": 0.0, "var_x": 1.0, "mean_p": 0.0, "var_p": 1.0,
                     "var_xprime": 0.5, "var_pprime": 0.5, "hbar": 1.0}
-        inputs = scenarios.LinearEstimateInputs(
-            **{key: _number(params, key, default) for key, default in defaults.items()})
+        # the auxiliary variances may be 0 and inf, the squeezing endpoint
+        inputs = scenarios.LinearEstimateInputs(**{
+            key: _positive(params, key, d) if key in ("var_x", "var_p", "hbar")
+            else _number(params, key, d, finite=not key.endswith("prime")) for key, d in defaults.items()})
         rep = scenarios.linear_estimate(inputs)
         # the joint cost of biased, prior-informed estimates: the universal relation
         row = relations.report("ungen", rep.joint_cost, inputs.hbar / 2, 1e-9, 1e-9)
@@ -343,7 +341,7 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
     if name == "squeezing":
         hbar = _positive(params, "hbar", 1.0)
         rep = scenarios.optimize_squeezing(
-            _number(params, "var_x", 0.5), _number(params, "var_p", 0.5), hbar)
+            _positive(params, "var_x", 0.5), _positive(params, "var_p", 0.5), hbar)
         row = relations.report("ungen", rep.j_min, hbar / 2, 1e-9, 1e-9)
         return [row.to_json("squeezing")], {"squeezing": rep.__dict__.copy()}
     raise ConfigError(f"unknown scenario {name!r}")

@@ -109,53 +109,6 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
     return optimal_analysis((a,), est.pom, rho).deviation(0, est.values)
 
 
-def _state_traces(pom: Pom, rho: DensityOperator, observables):
-    """t = tr[rho M_k], t_a[j] = tr[rho A_j M_k] (complex) and t_aa[j] = tr[A_j rho A_j M_k].
-
-    From one (K, r, (1 + J) m) projection of the POM's amplitude rows onto
-    [C, A_1 C, A_2 C, ...] for the pivoted Cholesky factor rho = C C† of rank
-    m, summed over each outcome's r rows.
-    """
-    if any(a.dim != pom.dim for a in observables) or rho.dim != pom.dim:
-        raise DimensionMismatchError("operator, state and POM dimensions differ")
-    c = _cholesky_factor(rho.matrix)
-    amps = pom.project(np.hstack([c] + [a.matrix @ c for a in observables]))
-    # blocks <C|u>, <A_1 C|u>, ...; sum conj(<A c|u>) <c|u> is conj(tr[rho A M_k]): conjugate the sum
-    blocks = amps.reshape(*amps.shape[:2], -1, c.shape[1]).transpose(2, 0, 1, 3)
-    amp, amp_a = blocks[0], blocks[1:]
-    return (np.real(np.vecdot(amp, amp)).sum(-1), np.conj(np.vecdot(amp_a, amp).sum(-1)),
-            np.real(np.vecdot(amp_a, amp_a)).sum(-1))
-
-
-def _cholesky_factor(m: np.ndarray) -> np.ndarray:
-    """Columns C with m = C C† for a positive semidefinite m, by pivoted Cholesky
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
-
-    Row i is live while its remaining Schur diagonal exceeds 1e-10 of its own
-    m_ii; each step pivots the largest live diagonal, and the factor stops when
-    no row is live, after at most dim steps.  This relative stop keeps the
-    small populations of a thermal state's tail, which an absolute one drops,
-    while a pure state still factors to one column.
-    """
-    d = len(m)
-    c, diag, piv = np.zeros((d, d), complex), np.real(np.diagonal(m)).copy(), np.arange(d)
-    floor = (1e-10 * diag).tolist()  # the pivot search runs on Python floats: numpy calls cost more
-    for k in range(d):
-        score = [x if x > f else -np.inf for x, f in zip(diag[k:].tolist(), floor[k:])]
-        j = k + score.index(max(score))  # the first of equal maxima
-        if score[j - k] == -np.inf:  # no live row
-            return c[np.argsort(piv), :k]
-        if j != k:  # the pivot to row k; rows below k are not yet pivoted, nor past column k
-            for x in (piv, diag, floor):
-                x[k], x[j] = x[j], x[k]
-            c[k, :k], c[j, :k] = c[j, :k].copy(), c[k, :k].copy()
-        c[k, k] = ckk = np.sqrt(diag[k])
-        col = c[k + 1:, k]
-        col[:] = (m[piv[k + 1:], piv[k]] - c[k + 1:, :k] @ c[k, :k].conj()) / ckk
-        diag[k + 1:] -= col.real**2 + col.imag**2
-    return c[np.argsort(piv)]
-
-
 def hs_distance(a: HermitianOperator, pom: Pom) -> float:
     """State-independent distance d^2 = sum_k w_k tr[M_k (A - m_k)^2].
 
@@ -273,12 +226,13 @@ class OptimalAnalysis:
     ``t_aa[j]`` = tr[A_j rho A_j M_k] give the estimates f_k = Re t_a / t and
     the deviation D^2 = sum_k w_k (t_aa - 2 f_k Re t_a + f_k^2 t) of any value
     vector f; dispersions are taken under the outcome probabilities p = w t,
-    clipped of -1e-10 roundoff.
+    clipped of -1e-10 roundoff.  Moments of the state read its factor columns [C, A_1 C, ...].
     """
 
     observables: tuple
     pom: Pom
     rho: DensityOperator
+    columns: np.ndarray
     t: np.ndarray
     t_a: np.ndarray
     t_aa: np.ndarray
@@ -292,20 +246,35 @@ class OptimalAnalysis:
 
     # formed on first read: estimate_stats and statistical_deviation need none of them
     @cached_property
-    def estimates(self) -> list:
-        """f_k = Re t_a / t, set to 0 and flagged where t < ``ZERO_PROB_TOL``."""
+    def values(self) -> np.ndarray:
+        """(J, K) optimal values f_k = Re t_a / t, set to 0 where t < ``ZERO_PROB_TOL``."""
         zero = self.t < ZERO_PROB_TOL
-        fs = (np.where(zero, 0.0, np.real(t_a) / np.where(zero, 1.0, self.t)) for t_a in self.t_a)
-        return [Estimator(self.pom, f, meta="optimal-with-state", zero_probability=zero,
-                          out_of_range=_out_of_range(f, a)) for a, f in zip(self.observables, fs)]
+        return np.where(zero, 0.0, np.real(self.t_a) / np.where(zero, 1.0, self.t))
+
+    @cached_property
+    def estimates(self) -> list:
+        """``values`` as Estimators, with their zero-probability and out-of-range flags."""
+        return [Estimator(self.pom, f, meta="optimal-with-state", zero_probability=self.t < ZERO_PROB_TOL,
+                          out_of_range=_out_of_range(f, a)) for a, f in zip(self.observables, self.values)]
 
     @cached_property
     def dispersions(self) -> tuple:
-        return tuple(self.dispersion(est.values) for est in self.estimates)
+        return tuple(self.dispersion(f) for f in self.values)
 
     @cached_property
     def inaccuracies(self) -> tuple:
-        return tuple(self.deviation(j, est.values) for j, est in enumerate(self.estimates))
+        return tuple(self.deviation(j, f) for j, f in enumerate(self.values))
+
+    @cached_property
+    def variances(self) -> np.ndarray:
+        """Var A_j = ||A_j C||^2 - (Re tr C† A_j C)^2, clipped at 0."""
+        rows = self.columns.transpose(1, 0, 2).reshape(self.columns.shape[1], -1)  # C, A_1 C, ... flat
+        return np.maximum(np.real(np.vecdot(rows[1:], rows[1:])) - np.real(rows[1:] @ rows[0].conj())**2, 0)
+
+    @cached_property
+    def commutator_bound(self) -> float:
+        """|<[A_0, A_1]>|/2 = |Im tr[(A_0 C)† A_1 C]|."""
+        return abs(float(np.imag(np.vdot(self.columns[:, 1], self.columns[:, 2]))))
 
     def deviation(self, j: int, f) -> float:
         """Statistical deviation of observable j estimated by the values f; a D^2
@@ -325,9 +294,20 @@ class OptimalAnalysis:
 
 def optimal_analysis(observables, pom: Pom, rho: DensityOperator) -> OptimalAnalysis:
     """``optimal_estimate`` and ``estimate_stats`` of each observable, and the
-    outcome probabilities, from one projection of the POM's amplitudes."""
+    outcome probabilities, from one (K, r, (1 + J) m) projection of the POM's
+    amplitude rows onto the (d, 1 + J, m) columns [C, A_1 C, A_2 C, ...] of the
+    state's factor rho = C C†, summed over each outcome's r rows."""
     observables = tuple(observables)
-    return OptimalAnalysis(observables, pom, rho, *_state_traces(pom, rho, observables))
+    if any(a.dim != pom.dim for a in observables) or rho.dim != pom.dim:
+        raise DimensionMismatchError("operator, state and POM dimensions differ")
+    c = rho.factor
+    columns = np.stack([c] + [a.matrix @ c for a in observables], axis=1)
+    amps = pom.project(columns.reshape(pom.dim, -1))
+    # blocks <C|u>, <A_1 C|u>, ...; sum conj(<A c|u>) <c|u> is conj(tr[rho A M_k]): conjugate the sum
+    blocks = amps.reshape(*amps.shape[:2], -1, c.shape[1]).transpose(2, 0, 1, 3)
+    amp, amp_a = blocks[0], blocks[1:]
+    return OptimalAnalysis(observables, pom, rho, columns, np.real(np.vecdot(amp, amp)).sum(-1),
+                           np.conj(np.vecdot(amp_a, amp).sum(-1)), np.real(np.vecdot(amp_a, amp_a)).sum(-1))
 
 
 def optimal_estimate_complete_pom(a_pom: Pom, m_pom: Pom, rho: DensityOperator) -> Estimator:

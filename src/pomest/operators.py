@@ -159,7 +159,7 @@ class DensityOperator:
         default 1e-10 rather than 0.
     """
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "_factor")
 
     def __init__(self, matrix, trace_tol=1e-10, positivity_tol=1e-10):
         mat = _finite_square(matrix)
@@ -175,13 +175,25 @@ class DensityOperator:
             raise ValueError(f"smallest eigenvalue {lo:.3e} below -{positivity_tol:.1e}")
         object.__setattr__(self, "dim", mat.shape[0])
         object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "_factor", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityOperator is immutable")
 
+    @property
+    def factor(self) -> np.ndarray:
+        """Columns C with matrix = C C†: the factor the state was built from, or
+        else its pivoted Cholesky factor, formed on first read and kept."""
+        if self._factor is None:
+            object.__setattr__(self, "_factor", _freeze(_cholesky_factor(self.matrix)))
+        return self._factor
+
     @classmethod
-    def from_ket(cls, ket: Ket) -> "DensityOperator":
-        return ket.to_density()
+    def from_factor(cls, c) -> "DensityOperator":
+        """The state C C†, validated as any matrix is, with C kept as its factor."""
+        rho = cls(np.asarray(c) @ np.conj(c).T)
+        object.__setattr__(rho, "_factor", _freeze(np.array(c, dtype=complex)))
+        return rho
 
     @classmethod
     def maximally_mixed(cls, dim) -> "DensityOperator":
@@ -192,6 +204,35 @@ class DensityOperator:
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim})"
+
+
+def _cholesky_factor(m: np.ndarray) -> np.ndarray:
+    """Columns C with m = C C† for a positive semidefinite m, by pivoted Cholesky
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+
+    Row i is live while its remaining Schur diagonal exceeds 1e-10 of its own
+    m_ii; each step pivots the largest live diagonal, and the factor stops when
+    no row is live, after at most dim steps.  This relative stop keeps the
+    small populations of a thermal state's tail, which an absolute one drops,
+    while a pure state still factors to one column.
+    """
+    d = len(m)
+    c, diag, piv = np.zeros((d, d), complex), np.real(np.diagonal(m)).copy(), np.arange(d)
+    floor = (1e-10 * diag).tolist()  # the pivot search runs on Python floats: numpy calls cost more
+    for k in range(d):
+        score = [x if x > f else -np.inf for x, f in zip(diag[k:].tolist(), floor[k:])]
+        j = k + score.index(max(score))  # the first of equal maxima
+        if score[j - k] == -np.inf:  # no live row
+            return c[np.argsort(piv), :k]
+        if j != k:  # the pivot to row k; rows below k are not yet pivoted, nor past column k
+            for x in (piv, diag, floor):
+                x[k], x[j] = x[j], x[k]
+            c[k, :k], c[j, :k] = c[j, :k].copy(), c[k, :k].copy()
+        c[k, k] = ckk = np.sqrt(diag[k])
+        col = c[k + 1:, k]
+        col[:] = (m[piv[k + 1:], piv[k]] - c[k + 1:, :k] @ c[k, :k].conj()) / ckk
+        diag[k + 1:] -= col.real**2 + col.imag**2
+    return c[np.argsort(piv)]
 
 
 def _check_dims(*dims):

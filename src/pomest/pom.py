@@ -474,7 +474,7 @@ def naimark_extend(pom: Pom) -> NaimarkExtension:
     projections = [U[k::K, :].conj().T @ U[k::K, :] for k in range(K)]
     values = pom.values_array() if not isinstance(pom.values[0], tuple) else np.arange(K, dtype=float)
     extended = HermitianOperator(sum(v * p for v, p in zip(values, projections)))
-    ancilla = DensityOperator.from_ket(Ket.basis(K, 0))
+    ancilla = Ket.basis(K, 0).to_density()
 
     rng = make_rng(1234)
     for _ in range(5):

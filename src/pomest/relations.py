@@ -138,11 +138,10 @@ def check_geom(an: OptimalAnalysis) -> RelationReport:
     DeltaA * DeltaB by the dispersion-inaccuracy Pythagorean identity; the
     observed gap between the two evaluations is recorded in the digest.
     """
-    (a, b), rho = an.observables[:2], an.rho
     disp, eps = an.dispersions, an.inaccuracies
     lhs = float(np.sqrt(disp[0]**2 + eps[0]**2) * np.sqrt(disp[1]**2 + eps[1]**2))
-    direct = float(np.sqrt(a.variance(rho) * b.variance(rho)))
-    return report("geom", lhs, commutator_bound(a, b, rho), SATURATION_TOL_EXACT, NUMERIC_TOL,
+    direct = float(np.sqrt(an.variances[0] * an.variances[1]))
+    return report("geom", lhs, an.commutator_bound, SATURATION_TOL_EXACT, NUMERIC_TOL,
                   {"delta_a_delta_b": direct, "pythagoras_gap": abs(lhs - direct)})
 
 
@@ -170,8 +169,7 @@ def check_ungen(an: OptimalAnalysis, f, g) -> RelationReport:
     disp_a, disp_b = an.dispersion(f), an.dispersion(g)
     eps_a, eps_b = an.deviation(0, f), an.deviation(1, g)
     lhs = disp_a * eps_b + eps_a * disp_b + eps_a * eps_b
-    return report("ungen", lhs, commutator_bound(*an.observables[:2], an.rho),
-                  SATURATION_TOL_EXACT, NUMERIC_TOL,
+    return report("ungen", lhs, an.commutator_bound, SATURATION_TOL_EXACT, NUMERIC_TOL,
                   {"disp_a": disp_a, "eps_a": eps_a, "disp_b": disp_b, "eps_b": eps_b})
 
 
@@ -183,22 +181,20 @@ def check_uni(an: OptimalAnalysis, f, g, subspace_dim=None) -> RelationReport:
     to ``BIAS_TOL`` before checking; for POMs truncated from continuous
     families pass ``subspace_dim`` to verify it on the faithful leading block.
     """
-    a, b = an.observables[:2]
     gap_a, gap_b = (float(np.abs(_bias_operator(an.pom, v, op)[:subspace_dim, :subspace_dim]).max())
-                    for v, op in ((f, a), (g, b)))
+                    for v, op in zip((f, g), an.observables))
     if max(gap_a, gap_b) > BIAS_TOL:
         raise UnbiasednessError(
             f"estimates are not universally unbiased (gaps {gap_a:.2e}, {gap_b:.2e})"
         )
     eps_a, eps_b = an.deviation(0, f), an.deviation(1, g)
-    return report("uni", eps_a * eps_b, commutator_bound(a, b, an.rho), SATURATION_TOL_EXACT,
+    return report("uni", eps_a * eps_b, an.commutator_bound, SATURATION_TOL_EXACT,
                   NUMERIC_TOL, {"eps_a": eps_a, "eps_b": eps_b, "unbiased_gap": max(gap_a, gap_b)})
 
 
 def check_varsum(an: OptimalAnalysis) -> RelationReport:
     """Pythagorean identity Var A = disp^2 + eps^2 for observable 0's optimal estimate."""
-    a = an.observables[0]
-    return report("varsum", a.variance(an.rho), an.dispersions[0]**2 + an.inaccuracies[0]**2,
+    return report("varsum", an.variances[0], an.dispersions[0]**2 + an.inaccuracies[0]**2,
                   1e-10, 1e-10)
 
 

@@ -36,10 +36,10 @@ def random_pure_ket(dim: int, rng) -> Ket:
 
 
 def random_density(dim: int, rng, rank: int | None = None) -> DensityOperator:
-    rank = dim if rank is None else rank
-    g = _complex_normal(rng, dim, rank)
-    mat = g @ g.conj().T
-    return DensityOperator(mat / np.real(np.trace(mat)))
+    """The state c c† of a complex Gaussian (dim, rank) draw c scaled to unit
+    Frobenius norm; c is kept as the state's factor."""
+    g = _complex_normal(rng, dim, dim if rank is None else rank)
+    return DensityOperator.from_factor(g / np.linalg.norm(g))
 
 
 def random_pom(dim: int, n_outcomes: int, rng):

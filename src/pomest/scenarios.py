@@ -424,8 +424,8 @@ class LinearEstimateInputs:
     def __post_init__(self):
         if self.var_x <= 0 or self.var_p <= 0:
             raise ValueError("prior variances must be positive")
-        if self.var_xprime < 0 or self.var_pprime < 0:
-            raise ValueError("auxiliary variances must be nonnegative")
+        if not (self.var_xprime >= 0 and self.var_pprime >= 0):  # nan fails too
+            raise ValueError("auxiliary variances var_xprime and var_pprime must be nonnegative")
         degenerate = {self.var_xprime, self.var_pprime}
         if 0.0 in degenerate or math.inf in degenerate:
             # squeezing endpoint: one variance vanishes, the conjugate diverges

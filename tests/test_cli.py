@@ -306,8 +306,51 @@ def test_relations_instance_reads_one_analysis(monkeypatch):
     # tr[rho M_k], tr[rho A M_k] and tr[A rho A M_k] for A and B, and the
     # probabilities, from one projection of the factored POM onto [C, A C, B C]
     assert counts["traces"] == 0 and counts["project"] == 1
-    # one spectrum per optimal estimate: A and B
-    assert counts["_out_of_range"] == 2
+    # the rows read the value vectors, so no Estimator and no out-of-range spectrum is formed
+    assert counts["_out_of_range"] == 0
+
+
+def test_relations_draw_order_is_pinned():
+    # the (dim, outcomes) pairs of the first 20 instances of `relations --seed 0`,
+    # recorded before the dimension draw moved off Generator.choice
+    rows = _relation_instances(RunConfig("relations", params={"instances": 20}))[::4]
+    assert [(r["inputs_digest"]["dim"], r["inputs_digest"]["outcomes"]) for r in rows] == [
+        (5, 8), (5, 4), (5, 3), (5, 5), (5, 6), (5, 7), (2, 3), (2, 3), (2, 4), (4, 5),
+        (5, 9), (5, 10), (5, 10), (5, 8), (5, 6), (3, 5), (4, 7), (4, 2), (3, 6), (4, 4)]
+
+
+@pytest.mark.parametrize("center", ["5", "[1]", "[1, 2, 3]", '"0,0"', "[NaN, 0]", "[0, Infinity]", '["a", 0]'])
+def test_bad_coherent_grid_center_is_a_config_error_naming_it(center, capsys):
+    params = f'{{"pom": "coherent", "grid": {{"center": {center}}}}}'
+    assert main(["estimate", "--params", params]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: center must be ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scenario, params, message", [
+    ("squeezing", '{"var_x": NaN}', "var_x must be finite, not nan"),
+    ("squeezing", '{"var_p": Infinity}', "var_p must be finite, not inf"),
+    ("squeezing", '{"var_x": -1}', "var_x must be positive"),
+    ("linear", '{"var_x": NaN}', "var_x must be finite, not nan"),
+    ("linear", '{"var_p": 0}', "var_p must be positive"),
+    ("linear", '{"mean_x": NaN}', "mean_x must be finite, not nan"),
+    ("linear", '{"mean_p": -Infinity}', "mean_p must be finite, not -inf"),
+    ("linear", '{"hbar": -1}', "hbar must be positive"),
+    ("linear", '{"var_xprime": NaN}', "auxiliary variances var_xprime and var_pprime must be nonnegative"),
+    ("linear", '{"var_pprime": "wide"}', "var_pprime must be a number"),
+])
+def test_bad_prior_is_a_config_error_naming_its_key(scenario, params, message, capsys):
+    assert main(["scenario", scenario, "--params", params]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1
+
+
+def test_linear_squeezing_endpoint_keeps_its_infinite_variance(capsys):
+    params = {"var_xprime": 0.0, "var_pprime": float("inf")}
+    assert main(["scenario", "linear", "--params", json.dumps(params)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"][0]["passed"] is True
 
 
 def test_measurement_estimate_of_pair_values_needs_a_component(capsys):

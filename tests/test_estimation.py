@@ -3,11 +3,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pomest import fock
+from pomest import fock, operators
 from pomest.estimation import (
     Estimator,
     NotCorrectableError,
-    _cholesky_factor,
     estimate_stats,
     hs_distance,
     measurement_estimator,
@@ -20,7 +19,7 @@ from pomest.estimation import (
     statistical_deviation,
     unbiased_correction,
 )
-from pomest.operators import DensityOperator, HermitianOperator, Ket, PAULI_X, PAULI_Z
+from pomest.operators import DensityOperator, HermitianOperator, Ket, PAULI_X, PAULI_Z, _cholesky_factor
 from pomest.pom import (
     GridSpec,
     Pom,
@@ -34,7 +33,7 @@ from pomest.pom import (
     trine_pom,
     validate,
 )
-from pomest.relations import check_accbound
+from pomest.relations import check_accbound, commutator_bound
 from pomest.sampling import make_rng, random_density, random_hermitian, random_pom, random_pure_ket
 from pomest.scenarios import _thermal_state, log_partition_estimate
 
@@ -369,6 +368,46 @@ def test_cholesky_factor_keeps_a_thermal_tail():
     closed = 0.5 / np.tanh(beta) + 0.5 / np.cosh(beta / 2) ** 2 * xs**2
     keep = an.p > 1e-12
     assert float(np.abs(an.estimates[0].values[keep] - closed[keep]).max()) < 1e-6
+
+
+@st.composite
+def states_and_observable_pairs(draw):
+    """A state of dims 2-5 and rank 1..dim drawn by ``random_density``, its rank, and two observables."""
+    dim = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, dim))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_density(dim, rng, rank=rank), rank, random_hermitian(dim, rng), random_hermitian(dim, rng)
+
+
+@given(case=states_and_observable_pairs())
+def test_moments_from_the_factor_columns_match_the_dense_products(case):
+    rho, _, a, b = case
+    an = optimal_analysis((a, b), random_pom(rho.dim, rho.dim + 1, make_rng(0)), rho)
+    for var, op in zip(an.variances, (a, b)):
+        assert abs(var - op.variance(rho)) <= 1e-12 * max(1.0, op.norm() ** 2)
+    assert abs(an.commutator_bound - commutator_bound(a, b, rho)) <= 1e-12 * max(1.0, a.norm() * b.norm())
+
+
+@given(case=states_and_observable_pairs())
+def test_random_density_keeps_its_draw_as_the_factor(case):
+    rho, rank, _, _ = case
+    assert rho.factor.shape == (rho.dim, rank)
+    assert np.abs(rho.factor @ rho.factor.conj().T - rho.matrix).max() <= 1e-15
+
+
+def test_a_state_is_factored_once_however_often_it_is_analysed(monkeypatch, rng):
+    calls = []
+    factor = operators._cholesky_factor
+    monkeypatch.setattr(operators, "_cholesky_factor", lambda m: calls.append(m) or factor(m))
+    pom, a = random_pom(4, 6, rng), random_hermitian(4, rng)
+    sampled = random_density(4, rng)
+    rho = DensityOperator(sampled.matrix)  # built from its matrix: factored on first read
+    for state in (sampled, rho):
+        for _ in range(3):
+            estimate_stats(optimal_estimate(a, pom, state), a, state)
+            optimal_analysis((a, a), pom, state).variances
+    # the sampled state carries its draw as the factor; the other is factored once
+    assert len(calls) == 1 and calls[0] is rho.matrix
 
 
 @st.composite

@@ -49,6 +49,25 @@ def test_density_validation():
     assert rho.purity() == pytest.approx(0.625)
 
 
+def test_from_factor_validates_and_keeps_its_factor():
+    c = np.array([[0.6, 0.0], [0.0, 0.8j]])
+    rho = DensityOperator.from_factor(c)
+    assert np.abs(rho.matrix - np.diag([0.36, 0.64])).max() <= 1e-15
+    assert np.array_equal(rho.factor, c) and not rho.factor.flags.writeable
+    c[0, 0] = 1.0  # the state holds its own copy
+    assert rho.factor[0, 0] == 0.6
+    with pytest.raises(ValueError, match="trace"):
+        DensityOperator.from_factor(2 * c)
+    with pytest.raises(AttributeError):
+        rho.factor = c
+
+
+def test_factor_of_a_matrix_is_its_pivoted_cholesky_formed_once():
+    rho = Ket([1.0, 1j, 0.0]).to_density()
+    assert rho.factor.shape == (3, 1) and rho.factor is rho.factor
+    assert np.abs(rho.factor @ rho.factor.conj().T - rho.matrix).max() <= 1e-15
+
+
 def test_tensor_identity_case():
     eye6 = tensor(HermitianOperator.identity(2), HermitianOperator.identity(3))
     assert np.allclose(eye6.matrix, np.eye(6))
