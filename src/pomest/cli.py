@@ -9,7 +9,9 @@ failure, 3 a configuration error.  Reports are byte-identical for identical
 (config, seed).  Every row is built by ``relations.report`` and written by
 ``RelationReport.to_json``, so slack = lhs - rhs on every row.  The two
 tolerances ``validate`` applies can be overridden through the environment
-variables POMEST_POSITIVITY_TOL and POMEST_COMPLETENESS_TOL.
+variables POMEST_POSITIVITY_TOL and POMEST_COMPLETENESS_TOL, each a finite
+number >= 0.  A bad variable or parameter (a size that is not an integer,
+among others) exits 3 with one ``config error:`` line that names it.
 """
 
 from __future__ import annotations
@@ -70,22 +72,28 @@ class RunConfig:
 
 
 def _env_tolerances() -> dict:
+    """The tolerances ``validate`` applies, each a finite number >= 0; a ConfigError names the variable."""
     tols = {}
     for key, default in ENV_TOLERANCES.items():
-        raw = os.environ.get(ENV_PREFIX + key)
-        tols[key.lower()] = float(raw) if raw is not None else default
+        value = _number(os.environ, ENV_PREFIX + key, default)
+        if value < 0:
+            raise ConfigError(f"{ENV_PREFIX + key} must be >= 0, not {value!r}")
+        tols[key.lower()] = value
     return tols
 
 
-def _number(params: dict, key: str, default, kind=float, finite=True):
-    """A number from params, finite unless ``finite`` is False; a ConfigError names the key."""
-    value = params.get(key, default)
+def _number(params, key: str, default, kind=float, finite=True):
+    """A number from params, finite unless ``finite`` is False and integral if ``kind`` is int;
+    a ConfigError names the key."""
+    raw = params.get(key, default)
     try:
-        value = kind(value)
+        value = kind(raw)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, not {value!r}") from None
+        raise ConfigError(f"{key} must be a number, not {raw!r}") from None
     if finite and not abs(value) < np.inf:  # nan or inf; exact for an integer of any size
         raise ConfigError(f"{key} must be finite, not {value!r}")
+    if kind is int and value != raw:  # int() would truncate 2.7 to 2
+        raise ConfigError(f"{key} must be an integer, not {raw!r}")
     return value
 
 
@@ -195,6 +203,8 @@ def _cmd_validate(config: RunConfig) -> int:
 def _load_state(params: dict, dim: int, seed: int) -> DensityOperator:
     state = params.get("state", "maximally-mixed")
     if isinstance(state, dict):
+        if "matrix" not in state:
+            raise ConfigError("state object lacks 'matrix'")
         return DensityOperator(matrix_from_json(state["matrix"]))
     if state == "maximally-mixed":
         return DensityOperator.maximally_mixed(dim)

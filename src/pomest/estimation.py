@@ -88,7 +88,6 @@ class EstimateStats:
     mean: float
     dispersion: float
     inaccuracy: float
-    state: DensityOperator
 
 
 def measurement_estimator(pom: Pom, component=None) -> Estimator:
@@ -215,7 +214,7 @@ def estimate_stats(est: Estimator, a: HermitianOperator, rho: DensityOperator) -
     from one analysis of A."""
     an = optimal_analysis((a,), est.pom, rho)
     return EstimateStats(float(an.p @ est.values), an.dispersion(est.values),
-                         an.deviation(0, est.values), rho)
+                         an.deviation(0, est.values))
 
 
 @dataclass

@@ -152,7 +152,7 @@ def thermal_state(dim: int, mean_n: float) -> DensityOperator:
     return DensityOperator(np.diag(probs).astype(complex))
 
 
-def oscillator_hamiltonian(dim: int, hbar=1.0, mass=1.0, omega=1.0) -> HermitianOperator:
+def oscillator_hamiltonian(dim: int, hbar=1.0, omega=1.0) -> HermitianOperator:
     return HermitianOperator(np.diag(hbar * omega * (np.arange(dim) + 0.5)).astype(complex))
 
 

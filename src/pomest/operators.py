@@ -97,21 +97,19 @@ class HermitianOperator:
     """Hermitian matrix representing an observable.
 
     The stored matrix is symmetrized as (A + A†)/2.  If the input deviates
-    from Hermiticity by more than ``herm_tol`` (relative to the largest
-    entry), construction fails: such deviations indicate a formula bug in
-    the caller, not roundoff.
+    from Hermiticity by more than 1e-8 (relative to the largest entry),
+    construction fails: such deviations indicate a formula bug in the
+    caller, not roundoff.
     """
 
     __slots__ = ("dim", "matrix")
 
-    def __init__(self, matrix, herm_tol=1e-8):
+    def __init__(self, matrix):
         mat = _finite_square(matrix)
         scale = max(1.0, np.abs(mat).max())
         dev = np.abs(mat - mat.conj().T).max() / 2
-        if dev > herm_tol * scale:
-            raise HermiticityError(
-                f"matrix deviates from Hermitian by {dev:.3e} (tol {herm_tol:.1e} x {scale:.3e})"
-            )
+        if dev > 1e-8 * scale:
+            raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e} (tol 1.0e-08 x {scale:.3e})")
         object.__setattr__(self, "dim", mat.shape[0])
         object.__setattr__(self, "matrix", _freeze((mat + mat.conj().T) / 2))
 
@@ -145,34 +143,24 @@ class HermitianOperator:
 
 
 class DensityOperator:
-    """Positive unit-trace matrix describing a (possibly mixed) state.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Complex square matrix; must be Hermitian within 1e-12, have unit
-        trace within ``trace_tol`` and smallest eigenvalue above
-        ``-positivity_tol``.
-    positivity_tol : float
-        Slack allowed below zero for the smallest eigenvalue.  Grid
-        discretized constructions accumulate quadrature error, hence the
-        default 1e-10 rather than 0.
-    """
+    """Positive unit-trace matrix describing a (possibly mixed) state: Hermitian within
+    1e-12, trace 1 within 1e-10, and no eigenvalue below -1e-10, the slack that
+    grid-discretized constructions accumulate."""
 
     __slots__ = ("dim", "matrix", "_factor")
 
-    def __init__(self, matrix, trace_tol=1e-10, positivity_tol=1e-10):
+    def __init__(self, matrix):
         mat = _finite_square(matrix)
         scale = max(1.0, np.abs(mat).max())
         if np.abs(mat - mat.conj().T).max() / 2 > 1e-12 * scale:
             raise HermiticityError("density matrix is not Hermitian within 1e-12")
         mat = (mat + mat.conj().T) / 2
         tr = np.real(np.trace(mat))
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace is {tr!r}, expected 1 within {trace_tol:.1e}")
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"trace is {tr!r}, expected 1 within 1.0e-10")
         lo = np.linalg.eigvalsh(mat)[0]
-        if lo < -positivity_tol:
-            raise ValueError(f"smallest eigenvalue {lo:.3e} below -{positivity_tol:.1e}")
+        if lo < -1e-10:
+            raise ValueError(f"smallest eigenvalue {lo:.3e} below -1.0e-10")
         object.__setattr__(self, "dim", mat.shape[0])
         object.__setattr__(self, "matrix", _freeze(mat))
         object.__setattr__(self, "_factor", None)

@@ -258,8 +258,9 @@ def validate(pom: Pom, positivity_tol=1e-10, completeness_tol=1e-8) -> Validatio
                             pom.renorm_correction)
 
 
-def _renormalize_kets(kets, weight, max_correction):
-    """Kets T^{-1/2}|k>, T = weight sum_k |k><k|, and T's mean and max eigenvalue corrections."""
+def _renormalize_kets(kets, weight):
+    """Kets T^{-1/2}|k>, T = weight sum_k |k><k|, and T's mean and max eigenvalue corrections;
+    a mean correction above 0.1 is no longer a correction."""
     total = weight * (kets.T @ kets.conj())
     total = (total + total.conj().T) / 2
     vals, vecs = np.linalg.eigh(total)
@@ -271,15 +272,15 @@ def _renormalize_kets(kets, weight, max_correction):
     # space; individual top Fock levels may sit near the coverage boundary.
     mean_corr = float(abs(vals.mean() - 1.0))
     max_corr = float(np.abs(vals - 1.0).max())
-    if mean_corr > max_correction:
+    if mean_corr > 0.1:
         raise CompletenessError(
-            f"renormalization correction {mean_corr:.3f} exceeds {max_correction:.2f}; "
+            f"renormalization correction {mean_corr:.3f} exceeds 0.10; "
             "enlarge the grid or reduce the Fock dimension"
         )
     return kets @ ((vecs * vals**-0.5) @ vecs.conj().T).T, mean_corr, max_corr
 
 
-def coherent_pom(fock_dim: int, grid: GridSpec, max_renorm_correction=0.1) -> Pom:
+def coherent_pom(fock_dim: int, grid: GridSpec) -> Pom:
     """Grid discretization of the coherent-state POM 1/pi |a><a| d^2a.
 
     Outcomes are labeled by the grid points with value pairs (Re a, Im a) and
@@ -289,7 +290,7 @@ def coherent_pom(fock_dim: int, grid: GridSpec, max_renorm_correction=0.1) -> Po
     alphas, cell = grid.points()
     weights = np.full(alphas.size, cell / np.pi)
     kets = fock.coherent_amplitudes(fock_dim, alphas)
-    kets, mean_corr, max_corr = _renormalize_kets(kets, cell / np.pi, max_renorm_correction)
+    kets, mean_corr, max_corr = _renormalize_kets(kets, cell / np.pi)
     return Pom(fock_dim, None, weights, kets[:, None],
                kind="coherent-grid", grid=grid, renorm_correction=mean_corr,
                meta={"max_renorm_correction": max_corr})
@@ -302,8 +303,7 @@ def imageband_conjugate(imageband: DensityOperator) -> np.ndarray:
     return signs[:, None] * signs[None, :] * np.conjugate(imageband.matrix)
 
 
-def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
-                  max_renorm_correction=0.1) -> Pom:
+def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator) -> Pom:
     """Heterodyne POM 1/pi D(a) rho' D(a)† for an arbitrary imageband state.
 
     rho' = B B† on its occupied Fock levels n < s, so outcome k is U U† with
@@ -323,15 +323,13 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator,
     amps = np.empty((alphas.size, factor.shape[1], fock_dim), dtype=complex)  # amps[k] = U_k^T
     for c in (slice(i, i + _GRID_CHUNK) for i in range(0, alphas.size, _GRID_CHUNK)):
         amps[c] = (fock.displacement_columns(fock_dim, alphas[c], s) @ factor).mT
-    rows, mean_corr, max_corr = _renormalize_kets(amps.reshape(-1, fock_dim), cell / np.pi,
-                                                  max_renorm_correction)
+    rows, mean_corr, max_corr = _renormalize_kets(amps.reshape(-1, fock_dim), cell / np.pi)
     return Pom(fock_dim, None, np.full(alphas.size, cell / np.pi), rows.reshape(amps.shape),
                kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
                meta={"max_renorm_correction": max_corr})
 
 
-def inefficient_photon_pom(fock_dim: int, eta: float, max_faithful_outcome=None,
-                           tail_tol=1e-10) -> Pom:
+def inefficient_photon_pom(fock_dim: int, eta: float, max_faithful_outcome=None) -> Pom:
     """Photon counting with quantum efficiency eta.
 
     Outcome m carries the diagonal operator
@@ -339,8 +337,8 @@ def inefficient_photon_pom(fock_dim: int, eta: float, max_faithful_outcome=None,
     All outcomes m = 0..fock_dim-1 are retained, so the family is exactly
     complete on the truncated space.  When ``max_faithful_outcome`` is given,
     the truncated binomial tail is checked for every m up to it: those
-    outcomes then carry operators indistinguishable (relative ``tail_tol``)
-    from their infinite-dimensional versions.
+    outcomes then carry operators indistinguishable (relative 1e-10) from
+    their infinite-dimensional versions.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
@@ -355,9 +353,9 @@ def inefficient_photon_pom(fock_dim: int, eta: float, max_faithful_outcome=None,
             raise ValueError("max_faithful_outcome out of range")
         # infinite-dim trace of each outcome operator is 1/eta
         worst = float((1.0 - eta * diag[: max_faithful_outcome + 1].sum(axis=1)).max())
-        if worst > tail_tol:
+        if worst > 1e-10:
             raise TruncationTailError(
-                f"binomial tail {worst:.2e} beyond fock_dim={fock_dim} exceeds {tail_tol:.1e} "
+                f"binomial tail {worst:.2e} beyond fock_dim={fock_dim} exceeds 1.0e-10 "
                 f"for outcomes up to {max_faithful_outcome}; increase fock_dim"
             )
     amps = np.zeros((fock_dim, fock_dim, fock_dim), dtype=complex)
@@ -479,9 +477,9 @@ def naimark_extend(pom: Pom) -> NaimarkExtension:
     rng = make_rng(1234)
     for _ in range(5):
         rho = random_density(d, rng)
-        big = np.kron(rho.matrix, ancilla.matrix)
+        # tr[(rho (x) |0><0|) P] = sum_ij rho_ij P[jK, iK]: only P's ancilla-0 block enters
         gap = np.abs(pom.weights * np.real(pom.traces(rho.matrix))
-                     - [np.real(np.trace(big @ proj)) for proj in projections])
+                     - [np.real(np.sum(rho.matrix * proj[::K, ::K].T)) for proj in projections])
         if gap.max() > 1e-10:
             raise CompletionError(f"extension statistics mismatch {gap.max():.2e} at outcome {gap.argmax()}")
     return NaimarkExtension(d, K, ancilla, extended, projections, U)

@@ -213,7 +213,6 @@ class HeterodyneAnalysis:
     fisher: np.ndarray
     fisher_marginal: tuple
     cov_q: np.ndarray
-    excluded_mass: float
     crosscheck_max: float
     crosscheck_points: int
     mat_identity_gap: float
@@ -304,8 +303,6 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     noinfo_disp = tuple(opt.dispersion(_no_info_values(t_id, t)) for t in (t_a.real, t_a.imag))
 
     dQ, F, fmask = _extrapolated_fisher(Q, h)
-    pm = p.reshape(n, n)
-    excluded_mass = float(pm.sum() - pm[fmask].sum())
     # marginal Fisher informations for the Cramer-Rao intermediate step
     fisher_marginal = tuple(float(_extrapolated_fisher(Q.sum(axis=ax) * h, h)[1][0, 0])
                             for ax in (1, 0))
@@ -335,7 +332,7 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     eps_sum = eps2[0] + eps2[1]
     tr_f = F[0, 0] + F[1, 1]
     digest = {"state_purity": rho.purity(), "grid": pom.grid.to_json(),
-              "excluded_mass": excluded_mass}
+              "excluded_mass": float(p.sum() - p[fmask.ravel()].sum())}
     # quadrature relations pass at the grid tolerance, not at exact arithmetic
     tol = SATURATION_TOL_GRID
     reports = [
@@ -347,7 +344,7 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
         report("fishident", eps_sum, 0.5 - tr_f / 16, tol, tol, digest),
     ]
     return HeterodyneAnalysis(pom, rho, p, est_1, est_2, disp, eps2, noinfo_disp,
-                              F, fisher_marginal, cov_q, excluded_mass, cc_max, cc_pts,
+                              F, fisher_marginal, cov_q, cc_max, cc_pts,
                               mat_gap, reports)
 
 

@@ -83,14 +83,13 @@ def log_partition_estimate(h: HermitianOperator, pom: Pom, beta: float,
     return out
 
 
-def thermal_energy_estimate(h: HermitianOperator, pom: Pom, beta: float,
-                            crosscheck_tol=1e-6, significance=1e-12) -> Estimator:
+def thermal_energy_estimate(h: HermitianOperator, pom: Pom, beta: float) -> Estimator:
     """Optimal energy estimate for a system known only to be thermal.
 
     Builds rho proportional to e^{-beta H}, runs the optimal estimate of H
-    and cross-checks it against the log-derivative of the generalized
-    partition function tr[e^{-beta H} M_k] on outcomes carrying at least
-    ``significance`` of the largest outcome probability, leaving out those the
+    and cross-checks it to 1e-6 against the log-derivative of the generalized
+    partition function tr[e^{-beta H} M_k] on outcomes carrying more than
+    1e-12 of the largest outcome probability, leaving out those the
     estimate flags as of zero probability (it sets them to 0).
     """
     if beta <= 0:
@@ -98,9 +97,9 @@ def thermal_energy_estimate(h: HermitianOperator, pom: Pom, beta: float,
     an = optimal_analysis((h,), pom, _thermal_state(h, beta))
     est, p = an.estimates[0], an.p
     ref = log_partition_estimate(h, pom, beta)
-    keep = (p > significance * p.max()) & np.isfinite(ref) & ~est.zero_probability
+    keep = (p > 1e-12 * p.max()) & np.isfinite(ref) & ~est.zero_probability
     gap = float(np.abs(est.values[keep] - ref[keep]).max()) if keep.any() else 0.0
-    if gap > crosscheck_tol:
+    if gap > 1e-6:
         raise ScenarioError(
             f"thermal estimate disagrees with the log-partition route by {gap:.2e}"
         )
@@ -121,7 +120,6 @@ class GridWavefunction:
     amplitudes: np.ndarray
     hbar: float = 1.0
     mass: float = 1.0
-    omega: float = 1.0
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -280,7 +278,7 @@ def _nearest_row(x, v):
 
 
 def epr_numeric(params: EprParams, points: int, length: float | None = None,
-                validate=True, rel_tol=1e-3, prob_floor=1e-13) -> EprNumericReport:
+                validate=True) -> EprNumericReport:
     """Grid evaluation of the EPR estimates via the product position (x)
     partner-momentum readout.
 
@@ -291,12 +289,12 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     exact derivative of the Gaussian, P psi = -i hbar psi d/dx log psi,
     point by point, so only the partner axis is transformed and every grid
     row is independent.  The rows are streamed in strips of ``_EPR_STRIP``, in
-    one pass, mode strip (x = a/2) first: its largest outcome probability sets
-    the ``prob_floor`` cut, and the pass reruns with the global peak if a later
-    strip peaks higher.  No N x N array is ever held.  A state beyond the
+    one pass, mode strip (x = a/2) first: outcomes below 1e-13 of its largest
+    outcome probability are cut, and the pass reruns with the global peak if a
+    later strip peaks higher.  No N x N array is ever held.  A state beyond the
     grid's reach (every sampled amplitude 0) raises GridResolutionError, and
-    so, with ``validate`` set, do deviations from the closed forms beyond
-    ``rel_tol``; the dispersion of P is compared on the scale of the prior
+    so, with ``validate`` set, do deviations from the closed forms beyond 1e-3
+    relative; the dispersion of P is compared on the scale of the prior
     momentum spread sqrt(disp_p^2 + eps_p^2), which is never 0.
     """
     from .relations import GridResolutionError
@@ -349,7 +347,7 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
             top = max(top, float(prob.max()))
             peak = peak or top  # the first strip with any weight sets the cut
             overlap = g * np.conj(phi)
-            keep = prob > prob_floor * peak
+            keep = prob > 1e-13 * peak
             inv = np.divide(1.0, prob, out=np.zeros_like(prob), where=keep)
             pf = overlap.real * keep
             im = overlap.imag
@@ -397,10 +395,10 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     re_p = abs(numeric.eps_p - closed.eps_p) / closed.eps_p
     report = EprNumericReport(numeric, closed, rd_x, rd_p, re_p, n, float(length), h,
                               params.sigma / h)
-    if validate and max(rd_x, rd_p, re_p) > rel_tol:
+    if validate and max(rd_x, rd_p, re_p) > 1e-3:
         raise GridResolutionError(
             f"EPR grid run deviates from the closed form by up to "
-            f"{max(rd_x, rd_p, re_p):.2e} (tol {rel_tol:.1e}); refine the grid"
+            f"{max(rd_x, rd_p, re_p):.2e} (tol 1.0e-03); refine the grid"
         )
     return report
 
@@ -480,14 +478,14 @@ def linear_estimate(inputs: LinearEstimateInputs) -> LinearReport:
 # squeezing-ratio optimization of the joint-uncertainty cost
 
 
-def golden_section(f, lo, hi, tol=1e-10, max_iter=200):
-    """Scalar golden-section minimization on [lo, hi]; returns (x, f(x))."""
+def golden_section(f, lo, hi, tol=1e-10):
+    """Scalar golden-section minimization on [lo, hi], at most 200 steps; returns (x, f(x))."""
     inv_phi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if abs(b - a) < tol:
             break
         if fc < fd:
@@ -530,14 +528,13 @@ class SqueezingReport:
     prior_product: float
 
 
-def optimize_squeezing(var_x: float, var_p: float, hbar=1.0, log_bracket=12.0,
-                       tol=1e-12) -> SqueezingReport:
+def optimize_squeezing(var_x: float, var_p: float, hbar=1.0) -> SqueezingReport:
     """Minimize disp_x eps_p + eps_x disp_p + eps_x eps_p over the squeezing ratio.
 
     The auxiliary state keeps var_x' var_p' = hbar^2/4 while the ratio
     DeltaX'/DeltaP' varies.  A coarse scan plus golden-section refinement
-    covers the bracket; the degenerate endpoints (one auxiliary variance
-    exactly zero, cost DeltaX * DeltaP) are evaluated explicitly.
+    covers log ratios in [-12, 12]; the degenerate endpoints (one auxiliary
+    variance exactly zero, cost DeltaX * DeltaP) are evaluated explicitly.
     """
     if var_x <= 0 or var_p <= 0:
         raise ValueError("prior variances must be positive")
@@ -552,12 +549,13 @@ def optimize_squeezing(var_x: float, var_p: float, hbar=1.0, log_bracket=12.0,
         dp = var_p / math.sqrt(var_p + npp)
         return dx * ep + ex * dp + ex * ep
 
-    grid = np.linspace(-log_bracket, log_bracket, 961)
+    bracket = 12.0  # on the log ratio
+    grid = np.linspace(-bracket, bracket, 961)
     coarse = np.array([cost_of_log_ratio(t) for t in grid])
     k = int(np.argmin(coarse))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
-    t_star, j_star = golden_section(cost_of_log_ratio, lo, hi, tol=tol)
+    t_star, j_star = golden_section(cost_of_log_ratio, lo, hi, tol=1e-12)
 
     j_endpoint = math.sqrt(var_x * var_p)  # either degenerate choice
     matched_ratio = math.sqrt(var_x / var_p)  # DeltaX / DeltaP
@@ -566,7 +564,7 @@ def optimize_squeezing(var_x: float, var_p: float, hbar=1.0, log_bracket=12.0,
     npp = 0.5 * hbar / matched_ratio
     disp_matched = (var_x / math.sqrt(var_x + nx)) * (var_p / math.sqrt(var_p + npp))
 
-    at_edge = min(t_star - (-log_bracket), log_bracket - t_star) < 0.5
+    at_edge = bracket - abs(t_star) < 0.5
     if not at_edge and j_star < j_endpoint - 1e-12 * max(1.0, j_endpoint):
         regime = "interior"
         ratio = math.exp(t_star)

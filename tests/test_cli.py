@@ -459,6 +459,32 @@ def test_completeness_tolerance_is_applied(monkeypatch, capsys):
     assert "tolerances" not in doc
 
 
+@pytest.mark.parametrize("env, argv, named", [
+    ({}, ["estimate", "--params", '{"state": {"mat": 1}}'], "'matrix'"),
+    ({}, ["estimate", "--params", '{"pom": "random", "dim": 2.7}'], "dim must be an integer"),
+    ({}, ["scenario", "heterodyne", "--params", '{"fock_dim": 40.5}'], "fock_dim must be an integer"),
+    ({}, ["estimate", "--params", '{"pom": "coherent", "fock_dim": 6, '
+                                  '"grid": {"points_per_axis": 2.9, "radius": 3}}'],
+     "points_per_axis must be an integer"),
+    ({"POMEST_COMPLETENESS_TOL": "nan"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_COMPLETENESS_TOL"),
+    ({"POMEST_COMPLETENESS_TOL": "-1"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_COMPLETENESS_TOL"),
+    ({"POMEST_POSITIVITY_TOL": "nan"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_POSITIVITY_TOL"),
+    ({"POMEST_POSITIVITY_TOL": "inf"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_POSITIVITY_TOL"),
+    ({"POMEST_COMPLETENESS_TOL": "abc"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_COMPLETENESS_TOL"),
+], ids=["state-without-matrix", "fractional-dim", "fractional-fock-dim", "fractional-points",
+        "nan-completeness", "negative-completeness", "nan-positivity", "infinite-positivity",
+        "text-completeness"])
+def test_missing_matrix_fractional_size_or_bad_tolerance_is_a_config_error_naming_it(
+        env, argv, named, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
 def test_validate_row_covers_completeness_and_document_positivity(tmp_path, capsys):
     # complete (M_1 + M_2 = 1) but M_2 has eigenvalue -0.5
     def entry(label, diag):
