@@ -28,8 +28,7 @@ for label, ket in (
     print(f"  dispersion product (no info)    = {an.noinfo_disp[0] * an.noinfo_disp[1]:.6f}")
     print(f"  eps1^2 + eps2^2                 = {an.eps2[0] + an.eps2[1]:.6f}")
     print(f"  tr Fisher                        = {an.trace_fisher:.6f}  (<= 4)")
-    print(f"  gradient-route cross-check       = {an.crosscheck_max:.2e} "
-          f"on {an.crosscheck_points} certified points")
+    print(f"  spectral log-gradient check      = {an.crosscheck_rms:.2e} rms under p")
     for rep in an.reports:
         tag = "saturated" if rep.saturated else f"slack {rep.slack:+.3e}"
         print(f"    {rep.relation_id:<9} lhs {rep.lhs:.6f}  rhs {rep.rhs:.6f}  ({tag})")

@@ -213,8 +213,13 @@ def _load_state(params: dict, dim: int, seed: int) -> DensityOperator:
     if state == "vacuum":
         return fock.vacuum_ket(dim).to_density()
     if isinstance(state, str) and state.startswith("coherent:"):
-        re, im = (float(v) for v in state.split(":", 1)[1].split(","))
-        return fock.coherent_ket(dim, complex(re, im)).to_density()
+        try:
+            x, y = map(float, state.split(":", 1)[1].split(","))
+        except ValueError:
+            x = y = np.nan
+        if not (abs(x) < np.inf and abs(y) < np.inf):
+            raise ConfigError(f"state must be coherent:re,im with finite re and im, not {state!r}")
+        return fock.coherent_ket(dim, complex(x, y)).to_density()
     raise ConfigError(f"unknown state spec {state!r}")
 
 
@@ -233,7 +238,12 @@ def _cmd_estimate(config: RunConfig) -> int:
     elif mode == "with-state":
         est = optimal_estimate(op, pom, _load_state(params, pom.dim, config.seed))
     elif mode == "measurement":
-        est = measurement_estimator(pom, params.get("component"))
+        component = params.get("component")
+        width = len(pom.values[0]) if isinstance(pom.values[0], tuple) else 0
+        if component is not None and not (type(component) is int and 0 <= component < width):
+            allowed = f"an integer from 0 to {width - 1}" if width else "omitted for scalar outcome values"
+            raise ConfigError(f"component must be {allowed}, not {component!r}")
+        est = measurement_estimator(pom, component)
     else:
         raise ConfigError(f"unknown estimate mode {mode!r}")
     _emit(config, [], {"estimator": est.to_json()}, True)

@@ -27,6 +27,7 @@ import numpy as np
 from . import fock
 from .estimation import (
     BIAS_TOL,
+    ZERO_PROB_TOL,
     Estimator,
     OptimalAnalysis,
     _bias_operator,
@@ -213,8 +214,7 @@ class HeterodyneAnalysis:
     fisher: np.ndarray
     fisher_marginal: tuple
     cov_q: np.ndarray
-    crosscheck_max: float
-    crosscheck_points: int
+    crosscheck_rms: float
     mat_identity_gap: float
     reports: list
 
@@ -223,101 +223,71 @@ class HeterodyneAnalysis:
         return float(self.fisher[0, 0] + self.fisher[1, 1])
 
 
-def _fisher(q, step):
-    """Fisher matrix step^ndim sum (d_i q)(d_j q)/q of a sampled density q.
-
-    Central differences over the interior points where q > 1e-14 max q; the
-    boundary ring and the points at roundoff level (the zeros of q) carry
-    weight 0, since (d q)^2 / q is pure roundoff there.  Returns the gradient
-    (ndim stacked arrays of q's shape), the matrix and the mask of weighted
-    points.
-    """
-    g = np.reshape(np.gradient(q, step), (q.ndim, -1))
-    interior = (slice(1, -1),) * q.ndim
-    mask = np.zeros(q.shape, dtype=bool)
-    mask[interior] = q[interior] > 1e-14 * q.max()
-    w = np.divide(1.0, q, out=np.zeros(q.shape), where=mask).ravel()
-    return g.reshape(q.ndim, *q.shape), step**q.ndim * ((g * w) @ g.T), mask
-
-
-def _extrapolated_fisher(q, step):
-    """``_fisher`` with one step-doubling Richardson pass, (4 F_h - F_2h) / 3
-    on every second point; it removes the clean O(step^2) error at zeros of q."""
-    g, f_h, mask = _fisher(q, step)
-    f_2h = _fisher(q[(slice(None, None, 2),) * q.ndim], 2 * step)[1]
-    return g, (4 * f_h - f_2h) / 3, mask
-
-
 def _cov(p, v):
     """Covariance matrix of the stacked value rows v under the probabilities p."""
     m = v @ p
     return (v * p) @ v.T - np.outer(m, m)
 
 
-def _crosscheck(q, a, f, dq, step):
-    """Largest gap between the direct estimates f and the log-gradient form
-    a + dq/(4q), and the number of points where it is certified.
-
-    A point is certified on the interior, where q and its four neighbours
-    along each axis are resolved and a step-halving (Richardson) error
-    estimate of the central difference dq is below half the grid tolerance.
-    """
-    qmax = q.max()
-    check = np.zeros(q.shape, dtype=bool)
-    check[2:-2, 2:-2] = q[2:-2, 2:-2] > 1e-6 * qmax
-    for shift in (1, 2, -1, -2):
-        for ax in (0, 1):
-            check &= np.roll(q, shift, axis=ax) > 1e-14 * qmax
-    d2q = np.zeros_like(dq)
-    d2q[0, 2:-2] = (q[4:] - q[:-4]) / (4 * step)
-    d2q[1, :, 2:-2] = (q[:, 4:] - q[:, :-4]) / (4 * step)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rich = np.abs(dq - d2q) / np.where(q > 0, q, 1.0) / 3 * 0.25
-        gap = np.abs(a + 0.25 * dq / q - f)
-    certified = check & (rich < 0.5 * SATURATION_TOL_GRID).all(axis=0)
-    return float(gap[:, certified].max(initial=0.0)), int(certified.sum())
+def _spectral_gradient(q, step):
+    """Derivative of q along each axis of its square grid by FFT, the grid taken as one
+    period: spectrally accurate for a q that has decayed at the edges (Trefethen and
+    Weideman, SIAM Rev. 56, 385 (2014)), and independent of the estimates."""
+    n = q.shape[0]
+    ik = 2j * np.pi * np.fft.rfftfreq(n, step)
+    return np.stack([np.fft.irfft(ik[:, None] * np.fft.rfft(q, axis=0), n, axis=0),
+                     np.fft.irfft(ik * np.fft.rfft(q, axis=1), n, axis=1)])
 
 
 def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     """Estimates, dispersions, inaccuracies and Fisher data for a grid POM.
 
-    The two quadratures are estimated twice: directly from the state and the
-    outcome operators, and from the gradient of log Q as
-    alpha_j + (1/4) d_j log Q.  The two routes are compared on interior
-    points where a step-halving (Richardson) error estimate certifies the
-    finite difference; disagreement beyond the grid tolerance raises
-    GridResolutionError.  The Fisher matrix is integrated as (dQ)(dQ)/Q on
-    interior points with the boundary ring excluded and its probability mass
-    reported.
+    The optimal estimates are the paper's f_j = alpha_j + (1/4) dlog Q/dalpha_j,
+    so dQ/dalpha_j = 4 Q d_j with d = f - alpha is exact at every grid point, and
+    so are F = 16 sum_k p_k d_k d_k^T and the marginals
+    16 sum_i (sum_j p d)^2 / sum_j p, rows i and columns j of the grid.
+    At an exact zero of Q every <alpha|c> vanishes, <alpha|X_j c> is <alpha|a c>/2
+    up to a phase, and |grad Q|^2 / Q tends to (4/pi) sum_c |<alpha|a c>|^2; each
+    diagonal entry takes half of that cell's limit, 8 w tr[X_j rho X_j M_k], and the
+    off-diagonal entries nothing.  The formula is checked against an independent
+    spectral derivative of Q: an rms gap under p, on the points where
+    Q > 1e-6 max Q, beyond the grid tolerance raises GridResolutionError.
     """
     if pom.kind != "coherent-grid" or pom.grid is None:
         raise ValueError("heterodyne analysis requires a vacuum-imageband (coherent) grid POM")
-    n, h = pom.grid.points_per_axis, pom.grid.step
+    n, h, w = pom.grid.points_per_axis, pom.grid.step, pom.weights
     opt = optimal_analysis(fock.quadratures(pom.dim), pom, rho)
     p = opt.p
-    Q = (p / pom.weights / np.pi).reshape(n, n)
     est_1, est_2 = opt.estimates
     disp, eps2 = opt.dispersions, tuple(e**2 for e in opt.inaccuracies)
     # tr[a M_k] = tr[X1 M_k] + i tr[X2 M_k]: both no-information traces from one pass
     t_id, t_a = _outcome_traces(pom), pom.traces(fock.annihilation(pom.dim))
     noinfo_disp = tuple(opt.dispersion(_no_info_values(t_id, t)) for t in (t_a.real, t_a.imag))
 
-    dQ, F, fmask = _extrapolated_fisher(Q, h)
-    # marginal Fisher informations for the Cramer-Rao intermediate step
-    fisher_marginal = tuple(float(_extrapolated_fisher(Q.sum(axis=ax) * h, h)[1][0, 0])
-                            for ax in (1, 0))
-
     alphas = pom.grid.points()[0]
-    a = np.stack([alphas.real, alphas.imag])
-    f = np.stack([est_1.values, est_2.values])
+    a, f = np.stack([alphas.real, alphas.imag]), opt.values
+    d = f - a
+    pd = d * p
+    F = 16 * pd @ d.T
     cov_q = _cov(p, a)
+    # Cov f under p and the grid sum F both leave out the zero cells
     mat_gap = float(np.abs(_cov(p, f) - (cov_q + F / 16 - np.eye(2) / 2)).max())
+    zero_fisher = 8 * opt.t_aa @ np.where(opt.t < ZERO_PROB_TOL, w, 0.0)
+    F += np.diag(zero_fisher)
+    # marginal Fisher informations for the Cramer-Rao step: quadrature j's sums the other axis
+    pm, pdm = p.reshape(n, n), pd.reshape(2, n, n)
+    fisher_marginal = tuple(16 * float(np.divide(m**2, s, out=np.zeros(n), where=s > 0).sum())
+                            for m, s in ((pdm[0].sum(1), pm.sum(1)), (pdm[1].sum(0), pm.sum(0))))
 
-    cc_max, cc_pts = _crosscheck(Q, a.reshape(2, n, n), f.reshape(2, n, n), dQ, h)
-    if cc_max > SATURATION_TOL_GRID:
+    q = p / w / np.pi  # Q at the grid points
+    check = q > 1e-6 * q.max()
+    dq = _spectral_gradient(q.reshape(n, n), h).reshape(2, -1)[:, check]
+    gap = a[:, check] + 0.25 * dq / q[check] - f[:, check]
+    cc_rms = float(np.sqrt(p[check] @ (gap**2).sum(axis=0)))
+    if cc_rms > SATURATION_TOL_GRID:
         raise GridResolutionError(
-            f"direct and log-gradient estimates disagree by {cc_max:.2e} "
-            f"on {cc_pts} certified points (tol {SATURATION_TOL_GRID:.1e})"
+            f"direct and spectral log-gradient estimates differ by {cc_rms:.2e} rms "
+            f"(tol {SATURATION_TOL_GRID:.1e})"
         )
 
     # Cramer-Rao intermediates are theorems; violations beyond quadrature
@@ -332,7 +302,7 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     eps_sum = eps2[0] + eps2[1]
     tr_f = F[0, 0] + F[1, 1]
     digest = {"state_purity": rho.purity(), "grid": pom.grid.to_json(),
-              "excluded_mass": float(p.sum() - p[fmask.ravel()].sum())}
+              "crosscheck_rms": cc_rms, "zero_cell_fisher": float(zero_fisher.sum())}
     # quadrature relations pass at the grid tolerance, not at exact arithmetic
     tol = SATURATION_TOL_GRID
     reports = [
@@ -344,8 +314,7 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
         report("fishident", eps_sum, 0.5 - tr_f / 16, tol, tol, digest),
     ]
     return HeterodyneAnalysis(pom, rho, p, est_1, est_2, disp, eps2, noinfo_disp,
-                              F, fisher_marginal, cov_q, cc_max, cc_pts,
-                              mat_gap, reports)
+                              F, fisher_marginal, cov_q, cc_rms, mat_gap, reports)
 
 
 def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0) -> RelationReport:

@@ -1,11 +1,12 @@
 """The benchmark's own correctness checks hold on the library as it stands.
 
 ``perfbench/workloads.py`` pairs each timed op with a ``verify`` that checks
-its result.  These run the ``imageband`` and ``relations`` ops once each on
-one seeded input, so a change that breaks what those checks assert (the
-imageband's rank-one ``kets`` view, the identities of a complete POM, one
-passing row per relation and instance) fails here and not first in a
-benchmark run.
+its result.  These run the ``heterodyne``, ``imageband`` and ``relations``
+ops once each on one seeded input, so a change that breaks what those checks
+assert (exit 0 and every heterodyne row passing, with ``unbest`` and
+``accbest`` saturated and an ``uncanon`` row; the imageband's rank-one
+``kets`` view, the identities of a complete POM; one passing row per
+relation and instance) fails here and not first in a benchmark run.
 """
 
 import importlib.util
@@ -20,7 +21,7 @@ workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)  # 
 _SPEC.loader.exec_module(workloads)
 
 
-@pytest.mark.parametrize("name", ["imageband", "relations"])
+@pytest.mark.parametrize("name", ["heterodyne", "imageband", "relations"])
 def test_workload_op_passes_its_own_verify(name, tmp_path):
     workload = workloads.WORKLOADS[name]
     (inp,) = workloads.make_inputs(name, seed=20261019, count=1)

@@ -202,10 +202,11 @@ def test_scenario_epr_defaults_run_on_the_recommended_grid(capsys):
     assert doc["numeric"]["points"] == 2304
 
 
-@pytest.mark.parametrize("points", [161, 241, 321])
+@pytest.mark.parametrize("points", [40, 80, 160, 161, 241, 321])
 def test_heterodyne_fisher_ignores_the_roundoff_at_a_zero_of_q(points, capsys):
     # Q of |1> vanishes at alpha = 0, a grid point of every odd grid; its roundoff-level
-    # value there once gave tr F = 7.49 on 161^2 against the exact 4
+    # value there once gave tr F = 7.49 on 161^2 against the exact 4, and central
+    # differences of Q read 3.567 on 40^2 and 3.967 on 80^2
     dim = 40
     rho = np.zeros((dim, dim))
     rho[1, 1] = 1.0
@@ -216,6 +217,10 @@ def test_heterodyne_fisher_ignores_the_roundoff_at_a_zero_of_q(points, capsys):
     (tracefish,) = [r for r in rows if r["relation_id"] == "tracefish"]
     assert tracefish["lhs"] == pytest.approx(4.0, abs=1e-12)
     assert tracefish["rhs"] == pytest.approx(4.0, abs=5e-3)
+    # the cell at alpha = 0 carries h^2 4/pi of tr F, the limit of |grad Q|^2 / Q there
+    h = 14 / (points - 1)
+    zero_cell = 4 * h * h / np.pi if points % 2 else 0.0
+    assert tracefish["inputs_digest"]["zero_cell_fisher"] == pytest.approx(zero_cell, rel=1e-6, abs=1e-9)
 
 
 @pytest.mark.parametrize("beta", [0, -1])
@@ -360,6 +365,27 @@ def test_measurement_estimate_of_pair_values_needs_a_component(capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "component" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pom, component, message", [
+    ("tetrahedral", 7, "an integer from 0 to 2, not 7"),
+    ("tetrahedral", "x", "an integer from 0 to 2, not 'x'"),
+    ("random", 0, "omitted for scalar outcome values, not 0"),
+])
+def test_bad_measurement_component_is_a_config_error_naming_it(pom, component, message, capsys):
+    params = {"pom": pom, "mode": "measurement", "component": component}
+    assert main(["estimate", "--params", json.dumps(params)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: component must be {message}\n"
+
+
+@pytest.mark.parametrize("state", ["coherent:1", "coherent:inf,0", "coherent:0.5,x", "coherent:1,2,3"])
+def test_bad_coherent_state_is_a_config_error_naming_its_form(state, capsys):
+    assert main(["scenario", "heterodyne", "--params", json.dumps({"state": state})]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: state must be coherent:re,im with finite re and im, not {state!r}\n"
 
 
 def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
