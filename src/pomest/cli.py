@@ -75,18 +75,26 @@ def _env_tolerances() -> dict:
     """The tolerances ``validate`` applies, each a finite number >= 0; a ConfigError names the variable."""
     tols = {}
     for key, default in ENV_TOLERANCES.items():
-        value = _number(os.environ, ENV_PREFIX + key, default)
+        name = ENV_PREFIX + key
+        raw = os.environ.get(name, default)
+        try:  # environment values are strings; one that is not a number stays one, for _number to name
+            raw = float(raw)
+        except ValueError:
+            pass
+        value = _number({name: raw}, name, default)
         if value < 0:
-            raise ConfigError(f"{ENV_PREFIX + key} must be >= 0, not {value!r}")
+            raise ConfigError(f"{name} must be >= 0, not {value!r}")
         tols[key.lower()] = value
     return tols
 
 
 def _number(params, key: str, default, kind=float, finite=True):
-    """A number from params, finite unless ``finite`` is False and integral if ``kind`` is int;
-    a ConfigError names the key."""
+    """A number from params (a JSON number, not a string or a boolean), finite unless ``finite``
+    is False and integral if ``kind`` is int; a ConfigError names the key."""
     raw = params.get(key, default)
     try:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise TypeError
         value = kind(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, not {raw!r}") from None
@@ -340,7 +348,7 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
     if name == "heterodyne":
         dim, hbar = _positive(params, "fock_dim", 40, int), _positive(params, "hbar", 1.0)
         grid = GridSpec(0j, _number(params, "radius", 7.0),
-                        _number(params, "points_per_axis", 160, int))
+                        _number(params, "points_per_axis", 64, int))
         pom = coherent_pom(dim, grid)
         state = params.get("state", "vacuum")
         rho = _load_state({"state": state}, dim, seed)

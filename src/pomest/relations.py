@@ -251,7 +251,9 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     diagonal entry takes half of that cell's limit, 8 w tr[X_j rho X_j M_k], and the
     off-diagonal entries nothing.  The formula is checked against an independent
     spectral derivative of Q: an rms gap under p, on the points where
-    Q > 1e-6 max Q, beyond the grid tolerance raises GridResolutionError.
+    Q > 1e-6 max Q, beyond the grid tolerance raises GridResolutionError: the grid
+    is too coarse, or the state has population near the Fock cut, where the
+    truncated kets are no longer coherent states.
     """
     if pom.kind != "coherent-grid" or pom.grid is None:
         raise ValueError("heterodyne analysis requires a vacuum-imageband (coherent) grid POM")
@@ -287,7 +289,8 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     if cc_rms > SATURATION_TOL_GRID:
         raise GridResolutionError(
             f"direct and spectral log-gradient estimates differ by {cc_rms:.2e} rms "
-            f"(tol {SATURATION_TOL_GRID:.1e})"
+            f"(tol {SATURATION_TOL_GRID:.1e}): the grid is too coarse, or the state has "
+            f"population near the Fock cut fock_dim = {pom.dim}"
         )
 
     # Cramer-Rao intermediates are theorems; violations beyond quadrature

@@ -141,7 +141,7 @@ def test_suite_runs_green(tmp_path):
 
 
 @pytest.mark.parametrize("scenario, params", [
-    ("heterodyne", {"points_per_axis": 12}),  # GridResolutionError: Cramer-Rao fails
+    ("heterodyne", {"points_per_axis": 12}),  # GridResolutionError: the spectral cross-check fails
     ("heterodyne", {"radius": 2.0}),  # CompletenessError: the grid does not cover the Fock space
     ("epr", {"points": 256}),  # GridResolutionError: the grid misses the closed form by 4.3e-3
 ])
@@ -150,6 +150,15 @@ def test_grid_failure_is_validation_error(scenario, params, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
+def test_population_at_the_fock_cut_is_a_validation_error_naming_fock_dim(capsys):
+    # the maximally mixed state fills the last Fock levels, where the truncated kets are
+    # no longer coherent states: the cross-check misses by 0.19 rms on every grid
+    assert main(["scenario", "heterodyne", "--params", '{"state": "maximally-mixed"}']) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert "fock_dim" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -200,6 +209,26 @@ def test_scenario_epr_defaults_run_on_the_recommended_grid(capsys):
     assert [r["inputs_digest"]["route"] for r in doc["rows"]] == ["closed-form", "grid"]
     assert doc["rows"][1]["inputs_digest"]["points"] == 2304
     assert doc["numeric"]["points"] == 2304
+
+
+def test_scenario_heterodyne_defaults_run_on_the_sized_grid(capsys):
+    # the exact Fisher rows need no finite difference; the spectral cross-check holds to
+    # about 1e-10 on 64^2 for these states, and the cat loses two orders on 56^2
+    dim = 40
+    one = np.zeros((dim, dim))
+    one[1, 1] = 1.0
+    cat = fock.coherent_ket(dim, 1.5).amplitudes + fock.coherent_ket(dim, -1.5).amplitudes
+    cat = np.outer(cat, cat.conj()) / np.vdot(cat, cat).real
+    as_json = lambda rho: {"matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]}
+    grids = set()
+    for state in ("vacuum", "coherent:1.5,0", "coherent:1.0607,1.0607", as_json(one), as_json(cat)):
+        assert main(["scenario", "heterodyne", "--params", json.dumps({"state": state})]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert all(r["passed"] for r in rows)
+        digest = rows[0]["inputs_digest"]
+        assert digest["crosscheck_rms"] < 1e-9
+        grids.add(digest["grid"]["points_per_axis"])
+    assert grids == {64}
 
 
 @pytest.mark.parametrize("points", [40, 80, 160, 161, 241, 321])
@@ -286,7 +315,10 @@ def test_bad_relations_params_are_config_errors(params, capsys):
     (["scenario", "linear", "--params", '{"var_x": "wide"}'], "var_x"),
     (["validate", "--params", '{"pom": "coherent", "grid": {"points_per_axis": 1e999}}'],
      "points_per_axis"),
-], ids=["null", "list", "object", "string", "infinite-int"])
+    (["scenario", "thermal", "--params", '{"beta": "2"}'], "beta"),
+    (["scenario", "heterodyne", "--params", '{"radius": "7"}'], "radius"),
+    (["scenario", "heterodyne", "--params", '{"fock_dim": true}'], "fock_dim"),
+], ids=["null", "list", "object", "string", "infinite-int", "numeric-string", "radius-string", "boolean"])
 def test_non_numeric_parameter_is_a_config_error_naming_the_key(argv, key, capsys):
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -473,6 +505,13 @@ def test_linear_row_is_ungen_and_judged_on_its_slack(capsys):
     (row,) = json.loads(capsys.readouterr().out)["rows"]
     assert row["relation_id"] == "ungen"
     assert row["slack"] == pytest.approx(0.5)
+
+
+def test_positivity_tolerance_is_read_from_the_environment(monkeypatch, capsys):
+    # environment values are strings; the one call site converts them, JSON parameters it does not
+    monkeypatch.setenv("POMEST_POSITIVITY_TOL", "1e-9")
+    assert main(["validate", "--pom", TRINE_FIXTURE]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["validation"]["positivity_tol"] == 1e-9
 
 
 def test_completeness_tolerance_is_applied(monkeypatch, capsys):
