@@ -348,7 +348,7 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
     if name == "heterodyne":
         dim, hbar = _positive(params, "fock_dim", 40, int), _positive(params, "hbar", 1.0)
         grid = GridSpec(0j, _number(params, "radius", 7.0),
-                        _number(params, "points_per_axis", 64, int))
+                        _number(params, "points_per_axis", 112, int))
         pom = coherent_pom(dim, grid)
         state = params.get("state", "vacuum")
         rho = _load_state({"state": state}, dim, seed)

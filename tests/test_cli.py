@@ -212,8 +212,9 @@ def test_scenario_epr_defaults_run_on_the_recommended_grid(capsys):
 
 
 def test_scenario_heterodyne_defaults_run_on_the_sized_grid(capsys):
-    # the exact Fisher rows need no finite difference; the spectral cross-check holds to
-    # about 1e-10 on 64^2 for these states, and the cat loses two orders on 56^2
+    # the spectral cross-check holds to about 1e-10 for these states; the cat's Q vanishes
+    # between grid points, so its per-quadrature rows converge as the square of the grid
+    # step, and the default grid keeps them within 1e-3 of their converged values
     dim = 40
     one = np.zeros((dim, dim))
     one[1, 1] = 1.0
@@ -228,7 +229,12 @@ def test_scenario_heterodyne_defaults_run_on_the_sized_grid(capsys):
         digest = rows[0]["inputs_digest"]
         assert digest["crosscheck_rms"] < 1e-9
         grids.add(digest["grid"]["points_per_axis"])
-    assert grids == {64}
+    # the cat's rows on a 400^2 grid: uncanon lhs 1.075071, fishbound lhs 0.148925 and 0.101075
+    lhs = {r["relation_id"]: r["lhs"] for r in rows}
+    assert lhs["uncanon"] == pytest.approx(1.075071, abs=1e-3)
+    fishbound = [r["lhs"] for r in rows if r["relation_id"] == "fishbound"]
+    assert fishbound == pytest.approx([0.148925, 0.101075], abs=1e-3)
+    assert grids == {112}
 
 
 @pytest.mark.parametrize("points", [40, 80, 160, 161, 241, 321])
@@ -507,18 +513,14 @@ def test_linear_row_is_ungen_and_judged_on_its_slack(capsys):
     assert row["slack"] == pytest.approx(0.5)
 
 
-def test_positivity_tolerance_is_read_from_the_environment(monkeypatch, capsys):
-    # environment values are strings; the one call site converts them, JSON parameters it does not
-    monkeypatch.setenv("POMEST_POSITIVITY_TOL", "1e-9")
-    assert main(["validate", "--pom", TRINE_FIXTURE]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["validation"]["positivity_tol"] == 1e-9
-
-
 def test_completeness_tolerance_is_applied(monkeypatch, capsys):
+    # environment values are strings, converted where they are read
     monkeypatch.setenv("POMEST_COMPLETENESS_TOL", "1e-20")
+    monkeypatch.setenv("POMEST_POSITIVITY_TOL", "1e-9")
     assert main(["validate", "--pom", TRINE_FIXTURE]) == EXIT_VALIDATION
     doc = json.loads(capsys.readouterr().out)
     assert doc["validation"]["completeness_tol"] == 1e-20
+    assert doc["validation"]["positivity_tol"] == 1e-9
     assert doc["rows"][0]["tolerance"] == 1e-20
     assert doc["rows"][0]["passed"] is False
     assert "tolerances" not in doc
