@@ -37,7 +37,8 @@ from .estimation import (
 from .operators import DensityOperator, HermitianOperator, matrix_from_json
 from .pom import (CompletenessError, GridSpec, coherent_pom, pom_from_json, projective_pom,
                   tetrahedral_pom, trine_pom, validate)
-from .sampling import GENERATOR_NAME, make_rng, random_density, random_hermitian, random_pom
+from .sampling import (GENERATOR_NAME, complex_normal, hermitian_part, make_rng, normalized_density,
+                       pom_normal, random_density, random_hermitian, random_pom, whitened_pom)
 
 EXIT_OK = 0
 EXIT_RELATION = 1
@@ -259,8 +260,10 @@ def _cmd_estimate(config: RunConfig) -> int:
 
 
 def _relation_instances(config: RunConfig) -> list:
-    """Randomized property batches for the finite-dimensional relations, one
-    ``optimal_analysis`` of the pair (A, B) per instance."""
+    """Randomized property batches for the finite-dimensional relations.  Every
+    instance is drawn first, in a fixed order; the instances of each (dim, K)
+    are then built and checked as one stack, through one ``optimal_analysis``
+    of the pair (A, B), and the rows come out in instance order."""
     params = config.params
     which = params.get("relations", "all")
     if which == "all":
@@ -274,24 +277,30 @@ def _relation_instances(config: RunConfig) -> list:
     if not isinstance(dims, list) or not dims or any(type(d) is not int or d < 2 for d in dims):
         raise ConfigError(f"dims must be a non-empty list of integers >= 2, not {dims!r}")
     rng = make_rng(config.seed)
-    rows = []
+    groups = {}  # (dim, K) -> the draws of its instances: index, POM, rho, A, B, ungen's perturbation
     for i in range(instances):
         dim = dims[rng.integers(len(dims))]
         n_out = int(rng.integers(2, 2 * dim + 2))
-        pom = random_pom(dim, n_out, rng)
-        rho = random_density(dim, rng)
-        a = random_hermitian(dim, rng)
-        b = random_hermitian(dim, rng)
-        an = optimal_analysis((a, b), pom, rho)
+        draws = (i, pom_normal(rng, n_out, dim), *(complex_normal(rng, dim, dim) for _ in range(3)),
+                 rng.normal(size=n_out) if "ungen" in which else 0.0)
+        groups.setdefault((dim, n_out), []).append(draws)
+    rows = [None] * instances
+    for (dim, n_out), draws in groups.items():
+        index, *stacks = zip(*draws)
+        g_pom, g_rho, g_a, g_b, noise = map(np.stack, stacks)
+        an = optimal_analysis((hermitian_part(g_a), hermitian_part(g_b)), whitened_pom(g_pom),
+                              normalized_density(g_rho))
         f, g = an.values
         checks = {"geom": lambda: relations.check_geom(an),
                   "accbound": lambda: relations.check_accbound(an),
-                  "ungen": lambda: relations.check_ungen(an, f + rng.normal(size=pom.n_outcomes), g),
+                  "ungen": lambda: relations.check_ungen(an, f + noise, g),
                   "varsum": lambda: relations.check_varsum(an)}
-        for rep in [checks[r]() for r in RELATION_IDS if r in which]:
-            rep.inputs_digest.update(instance=i, dim=dim, outcomes=n_out)
-            rows.append(rep.to_json("relations"))
-    return rows
+        reports = [checks[r]() for r in RELATION_IDS if r in which]
+        for i, reps in zip(index, zip(*reports)):
+            for rep in reps:
+                rep.inputs_digest.update(instance=i, dim=dim, outcomes=n_out)
+            rows[i] = [rep.to_json("relations") for rep in reps]
+    return [row for instance in rows for row in instance]
 
 
 def _cmd_relations(config: RunConfig) -> int:

@@ -226,6 +226,11 @@ class OptimalAnalysis:
     the deviation D^2 = sum_k w_k (t_aa - 2 f_k Re t_a + f_k^2 t) of any value
     vector f; dispersions are taken under the outcome probabilities p = w t,
     clipped of -1e-10 roundoff.  Moments of the state read its factor columns [C, A_1 C, ...].
+
+    For a stack of instances every array carries the stack's leading axes B after
+    the observable index: ``t`` and ``p`` are (*B, K), ``t_a``, ``t_aa`` and ``values``
+    (J, *B, K), ``variances`` (J, *B) and ``commutator_bound`` B; a value vector f is
+    (*B, K), and each statistic of it is B.  One instance is the stack with B = ().
     """
 
     observables: tuple
@@ -246,7 +251,7 @@ class OptimalAnalysis:
     # formed on first read: estimate_stats and statistical_deviation need none of them
     @cached_property
     def values(self) -> np.ndarray:
-        """(J, K) optimal values f_k = Re t_a / t, set to 0 where t < ``ZERO_PROB_TOL``."""
+        """(J, *B, K) optimal values f_k = Re t_a / t, set to 0 where t < ``ZERO_PROB_TOL``."""
         zero = self.t < ZERO_PROB_TOL
         return np.where(zero, 0.0, np.real(self.t_a) / np.where(zero, 1.0, self.t))
 
@@ -267,43 +272,51 @@ class OptimalAnalysis:
     @cached_property
     def variances(self) -> np.ndarray:
         """Var A_j = ||A_j C||^2 - (Re tr C† A_j C)^2, clipped at 0."""
-        rows = self.columns.transpose(1, 0, 2).reshape(self.columns.shape[1], -1)  # C, A_1 C, ... flat
-        return np.maximum(np.real(np.vecdot(rows[1:], rows[1:])) - np.real(rows[1:] @ rows[0].conj())**2, 0)
+        cols = self.columns
+        rows = np.swapaxes(cols, -3, -2).reshape(*cols.shape[:-3], cols.shape[-2], -1)  # C, A_1 C, ... flat
+        # the means by one BLAS gemv per instance; a vecdot sums them in another order
+        mean = np.real(rows[..., 1:, :] @ rows[..., 0, :, None].conj())[..., 0]
+        var = np.real(np.vecdot(rows[..., 1:, :], rows[..., 1:, :])) - mean**2
+        return np.moveaxis(np.maximum(var, 0), -1, 0)
 
     @cached_property
-    def commutator_bound(self) -> float:
+    def commutator_bound(self) -> np.ndarray:
         """|<[A_0, A_1]>|/2 = |Im tr[(A_0 C)† A_1 C]|."""
-        return abs(float(np.imag(np.vdot(self.columns[:, 1], self.columns[:, 2]))))
+        a0_c, a1_c = (self.columns[..., j, :].reshape(*self.columns.shape[:-3], -1) for j in (1, 2))
+        return np.abs(np.imag(np.vecdot(a0_c, a1_c)))
 
-    def deviation(self, j: int, f) -> float:
+    def deviation(self, j: int, f) -> np.ndarray:
         """Statistical deviation of observable j estimated by the values f; a D^2
         below -1e-9 signals a positivity bug upstream and raises."""
         f = np.asarray(f, float)
-        d2 = float(self.pom.weights @ (self.t_aa[j] - 2 * f * np.real(self.t_a[j]) + f * f * self.t))
-        if d2 < -1e-9:
-            raise ValueError(f"statistical deviation squared is {d2:.3e}: positivity bug")
-        return float(np.sqrt(max(d2, 0.0)))
+        d2 = np.vecdot(self.pom.weights, self.t_aa[j] - 2 * f * np.real(self.t_a[j]) + f * f * self.t)
+        if (d2 < -1e-9).any():
+            raise ValueError(f"statistical deviation squared is {np.min(d2):.3e}: positivity bug")
+        return np.sqrt(np.maximum(d2, 0.0))
 
-    def dispersion(self, f) -> float:
+    def dispersion(self, f) -> np.ndarray:
         """Rms dispersion of the values f under the outcome probabilities."""
         f = np.asarray(f, float)
-        mean = float(self.p @ f)
-        return float(np.sqrt(max(float(self.p @ f**2) - mean * mean, 0.0)))
+        mean = np.vecdot(self.p, f)
+        return np.sqrt(np.maximum(np.vecdot(self.p, f**2) - mean * mean, 0.0))
 
 
 def optimal_analysis(observables, pom: Pom, rho: DensityOperator) -> OptimalAnalysis:
     """``optimal_estimate`` and ``estimate_stats`` of each observable, and the
     outcome probabilities, from one (K, r, (1 + J) m) projection of the POM's
     amplitude rows onto the (d, 1 + J, m) columns [C, A_1 C, A_2 C, ...] of the
-    state's factor rho = C C†, summed over each outcome's r rows."""
+    state's factor rho = C C†, summed over each outcome's r rows.  Equal stacks
+    of observables, states and POMs (the same leading axes) are analysed
+    instance by instance in the same one projection."""
     observables = tuple(observables)
     if any(a.dim != pom.dim for a in observables) or rho.dim != pom.dim:
         raise DimensionMismatchError("operator, state and POM dimensions differ")
     c = rho.factor
-    columns = np.stack([c] + [a.matrix @ c for a in observables], axis=1)
-    amps = pom.project(columns.reshape(pom.dim, -1))
+    columns = np.stack([c] + [a.matrix @ c for a in observables], axis=-2)
+    amps = pom.project(columns.reshape(*columns.shape[:-2], -1))
     # blocks <C|u>, <A_1 C|u>, ...; sum conj(<A c|u>) <c|u> is conj(tr[rho A M_k]): conjugate the sum
-    blocks = amps.reshape(*amps.shape[:2], -1, c.shape[1]).transpose(2, 0, 1, 3)
+    n = amps.ndim  # (*B, K, r, (1 + J) m) -> blocks (1 + J, *B, K, r, m)
+    blocks = amps.reshape(*amps.shape[:-1], -1, c.shape[-1]).transpose(n - 1, *range(n - 1), n)
     amp, amp_a = blocks[0], blocks[1:]
     return OptimalAnalysis(observables, pom, rho, columns, np.real(np.vecdot(amp, amp)).sum(-1),
                            np.conj(np.vecdot(amp_a, amp).sum(-1)), np.real(np.vecdot(amp_a, amp_a)).sum(-1))

@@ -1,8 +1,10 @@
 """Dense complex linear algebra over finite Hilbert spaces.
 
 Kets, Hermitian operators and density operators are thin immutable wrappers
-around numpy arrays, validated on construction.  All functions here are pure;
-instances are safe to share between threads.
+around numpy arrays, validated on construction.  An operator or a state may
+also hold a (..., d, d) stack of matrices, validated matrix by matrix in one
+pass; one matrix is the stack with no leading axis.  All functions here are
+pure; instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -46,13 +48,14 @@ def _freeze(arr):
 
 
 def _finite_square(matrix) -> np.ndarray:
-    """The matrix as a complex array, rejected unless square with finite entries."""
+    """The matrix, or the (..., d, d) stack of them, as a complex array, rejected unless square
+    with finite entries; the first bad entry is named by its index."""
     mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
-        i, j = np.argwhere(~np.isfinite(mat))[0]
-        raise ValueError(f"matrix entry [{i}][{j}] is {mat[i, j]}, not finite")
+        at = tuple(np.argwhere(~np.isfinite(mat))[0])
+        raise ValueError(f"matrix entry {''.join(f'[{i}]' for i in at)} is {mat[at]}, not finite")
     return mat
 
 
@@ -97,21 +100,22 @@ class HermitianOperator:
     """Hermitian matrix representing an observable.
 
     The stored matrix is symmetrized as (A + A†)/2.  If the input deviates
-    from Hermiticity by more than 1e-8 (relative to the largest entry),
+    from Hermiticity by more than 1e-8 (relative to its largest entry),
     construction fails: such deviations indicate a formula bug in the
-    caller, not roundoff.
+    caller, not roundoff.  The error reads the worst matrix of a stack.
     """
 
     __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix):
         mat = _finite_square(matrix)
-        scale = max(1.0, np.abs(mat).max())
-        dev = np.abs(mat - mat.conj().T).max() / 2
+        scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+        dev = np.abs(mat - mat.conj().mT).max(axis=(-2, -1)) / 2
+        dev, scale = (x.flat[np.argmax(dev / scale)] for x in (dev, scale))  # the worst matrix
         if dev > 1e-8 * scale:
             raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e} (tol 1.0e-08 x {scale:.3e})")
-        object.__setattr__(self, "dim", mat.shape[0])
-        object.__setattr__(self, "matrix", _freeze((mat + mat.conj().T) / 2))
+        object.__setattr__(self, "dim", mat.shape[-1])
+        object.__setattr__(self, "matrix", _freeze((mat + mat.conj().mT) / 2))
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")
@@ -135,8 +139,8 @@ class HermitianOperator:
         return max(m2 - m * m, 0.0)
 
     def norm(self) -> float:
-        """Spectral norm."""
-        return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
+        """Spectral norm, matrix by matrix for a stack."""
+        return np.abs(np.linalg.eigvalsh(self.matrix)).max(axis=-1)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -145,23 +149,25 @@ class HermitianOperator:
 class DensityOperator:
     """Positive unit-trace matrix describing a (possibly mixed) state: Hermitian within
     1e-12, trace 1 within 1e-10, and no eigenvalue below -1e-10, the slack that
-    grid-discretized constructions accumulate."""
+    grid-discretized constructions accumulate.  Each matrix of a stack is judged
+    alone, by one stacked ``eigvalsh``, and an error reads the worst of them."""
 
     __slots__ = ("dim", "matrix", "_factor")
 
     def __init__(self, matrix):
         mat = _finite_square(matrix)
-        scale = max(1.0, np.abs(mat).max())
-        if np.abs(mat - mat.conj().T).max() / 2 > 1e-12 * scale:
+        scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+        if np.any(np.abs(mat - mat.conj().mT).max(axis=(-2, -1)) / 2 > 1e-12 * scale):
             raise HermiticityError("density matrix is not Hermitian within 1e-12")
-        mat = (mat + mat.conj().T) / 2
-        tr = np.real(np.trace(mat))
+        mat = (mat + mat.conj().mT) / 2
+        tr = np.real(np.trace(mat, axis1=-2, axis2=-1))
+        tr = tr.flat[np.argmax(np.abs(tr - 1.0))]
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"trace is {tr!r}, expected 1 within 1.0e-10")
-        lo = np.linalg.eigvalsh(mat)[0]
+        lo = np.linalg.eigvalsh(mat)[..., 0].min()
         if lo < -1e-10:
             raise ValueError(f"smallest eigenvalue {lo:.3e} below -1.0e-10")
-        object.__setattr__(self, "dim", mat.shape[0])
+        object.__setattr__(self, "dim", mat.shape[-1])
         object.__setattr__(self, "matrix", _freeze(mat))
         object.__setattr__(self, "_factor", None)
 
@@ -171,15 +177,19 @@ class DensityOperator:
     @property
     def factor(self) -> np.ndarray:
         """Columns C with matrix = C C†: the factor the state was built from, or
-        else its pivoted Cholesky factor, formed on first read and kept."""
+        else its pivoted Cholesky factor, formed on first read and kept.  A stack
+        of states has a factor only if it was built from one."""
+        if self._factor is None and self.matrix.ndim > 2:
+            raise ValueError("a stack of states has a factor only when built by from_factor")
         if self._factor is None:
             object.__setattr__(self, "_factor", _freeze(_cholesky_factor(self.matrix)))
         return self._factor
 
     @classmethod
     def from_factor(cls, c) -> "DensityOperator":
-        """The state C C†, validated as any matrix is, with C kept as its factor."""
-        rho = cls(np.asarray(c) @ np.conj(c).T)
+        """The state C C†, validated as any matrix is, with C kept as its factor; a
+        (..., d, m) stack of factors gives the stack of states."""
+        rho = cls(np.asarray(c) @ np.conj(c).mT)
         object.__setattr__(rho, "_factor", _freeze(np.array(c, dtype=complex)))
         return rho
 
@@ -206,10 +216,10 @@ def _cholesky_factor(m: np.ndarray) -> np.ndarray:
     """
     d = len(m)
     c, diag, piv = np.zeros((d, d), complex), np.real(np.diagonal(m)).copy(), np.arange(d)
-    floor = (1e-10 * diag).tolist()  # the pivot search runs on Python floats: numpy calls cost more
+    floor = 1e-10 * diag
     for k in range(d):
-        score = [x if x > f else -np.inf for x, f in zip(diag[k:].tolist(), floor[k:])]
-        j = k + score.index(max(score))  # the first of equal maxima
+        score = np.where(diag[k:] > floor[k:], diag[k:], -np.inf)
+        j = k + int(np.argmax(score))  # the first of equal maxima
         if score[j - k] == -np.inf:  # no live row
             return c[np.argsort(piv), :k]
         if j != k:  # the pivot to row k; rows below k are not yet pivoted, nor past column k

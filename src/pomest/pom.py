@@ -113,7 +113,9 @@ class Pom:
     Outcome k is M_k = U_k U_k†, stored as ``amplitudes[k] = U_k^T`` of shape
     (K, r, d): M_k sums the projectors onto its r (unnormalized) ket rows, r = 1
     for kets, and zero rows pad an outcome of lower rank.  Each method applies
-    the rank-one formula to the K r rows and sums each outcome's rows.
+    the rank-one formula to the K r rows and sums each outcome's rows.  The
+    amplitudes may carry leading axes, (..., K, r, d): a stack of POMs that share
+    their values and weights, on which every method reads each POM of the stack.
     """
 
     def __init__(self, dim, values, weights, amplitudes, labels=None,
@@ -124,8 +126,8 @@ class Pom:
         if np.any(self.weights <= 0):
             raise ValueError("outcome weights must be positive")
         self.amplitudes = np.ascontiguousarray(amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 3 or self.amplitudes.shape[2] != self.dim:
-            raise ValueError(f"amplitudes must be (K, r, {self.dim}), not {self.amplitudes.shape}")
+        if self.amplitudes.ndim < 3 or self.amplitudes.shape[-1] != self.dim:
+            raise ValueError(f"amplitudes must be (..., K, r, {self.dim}), not {self.amplitudes.shape}")
         self._labels = None if labels is None else list(labels)
         n_values = grid.points_per_axis**2 if values is None else len(self._values)
         n_labels = n_values if labels is None else len(self._labels)
@@ -158,16 +160,20 @@ class Pom:
 
     @property
     def n_outcomes(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.amplitudes.shape[-3]
+
+    def _rows(self) -> np.ndarray:
+        """The (..., K r, d) amplitude rows of each POM of the stack."""
+        return self.amplitudes.reshape(*self.amplitudes.shape[:-3], -1, self.dim)
 
     @property
     def kets(self):
-        """(K, d) view of the kets when every outcome is rank one (r = 1), else None."""
-        return self.amplitudes[:, 0] if self.amplitudes.shape[1] == 1 else None
+        """(..., K, d) view of the kets when every outcome is rank one (r = 1), else None."""
+        return self.amplitudes[..., 0, :] if self.amplitudes.shape[-2] == 1 else None
 
     def operator(self, k: int) -> np.ndarray:
-        u = self.amplitudes[k]
-        return u.T @ u.conj()
+        u = self.amplitudes[..., k, :, :]
+        return u.mT @ u.conj()
 
     def operators(self):
         return map(self.operator, range(self.n_outcomes))
@@ -178,19 +184,20 @@ class Pom:
         With x = rho A this is tr[rho M_k] times the generalized weak value of
         A at outcome k, whose real part gives the optimal estimate.
         """
-        rows = self.amplitudes.reshape(-1, self.dim)
-        return np.vecdot(rows, rows @ x.T).reshape(self.n_outcomes, -1).sum(axis=1)
+        rows = self._rows()
+        traces = np.vecdot(rows, rows @ np.swapaxes(x, -1, -2))
+        return traces.reshape(*traces.shape[:-1], self.n_outcomes, -1).sum(axis=-1)
 
     def project(self, columns) -> np.ndarray:
-        """(K, r, m) overlaps <c_j|u> = ``amplitudes[k, i] @ columns.conj()`` of every amplitude row
-        with the (d, m) columns; only the small column stack is conjugated."""
-        rows = self.amplitudes.reshape(-1, self.dim)
-        return (rows @ np.conj(columns)).reshape(*self.amplitudes.shape[:2], -1)
+        """(..., K, r, m) overlaps <c_j|u> = ``amplitudes[..., k, i, :] @ columns.conj()`` of every
+        amplitude row with the (..., d, m) columns; only the small column stack is conjugated."""
+        overlaps = self._rows() @ np.conj(columns)
+        return overlaps.reshape(*overlaps.shape[:-2], *self.amplitudes.shape[-3:-1], -1)
 
     def weighted_sum(self, c) -> np.ndarray:
-        """sum_k c_k M_k for per-outcome coefficients c."""
-        rows = self.amplitudes.reshape(-1, self.dim)
-        return (rows.T * np.repeat(c, self.amplitudes.shape[1])) @ rows.conj()
+        """sum_k c_k M_k for per-outcome coefficients c, (..., K) for a stack."""
+        rows = self._rows()
+        return (rows.mT * np.repeat(c, self.amplitudes.shape[-2], axis=-1)[..., None, :]) @ rows.conj()
 
     def values_array(self, component=None) -> np.ndarray:
         """Outcome values as floats, selecting one component of tuple values."""

@@ -12,7 +12,10 @@ are judged on |slack|.  ``report`` builds every RelationReport and
 The exact finite-dimensional checkers read one ``OptimalAnalysis`` of A
 (observable 0) and B (observable 1), which takes an instance's per-outcome
 traces once; ``check_ungen`` and ``check_uni`` judge any value vectors f, g.
-``check_uncanon`` likewise reads one ``heterodyne_analysis`` result.
+An analysis of a stack of instances is checked in one pass over its arrays
+and gives a list of reports, one per instance in stack order; an analysis of
+one instance gives its report.  ``check_uncanon`` likewise reads one
+``heterodyne_analysis`` result.
 
 Exact finite-dimensional checks use saturation tolerance 1e-6;
 grid-quadrature checks (``heterodyne_analysis``) use 1e-3.
@@ -126,13 +129,28 @@ def report(relation_id, lhs, rhs, saturation_tol, numeric_tol=NUMERIC_TOL, diges
     return rep
 
 
+def _reports(relation_id, lhs, rhs, saturation_tol, numeric_tol, **digest):
+    """``report`` for each instance of the stack the sides are arrays over: one RelationReport
+    for scalar sides, else a list in stack order; each digest entry is an array like the sides."""
+    columns = [np.ravel(x).tolist() for x in np.broadcast_arrays(lhs, rhs, *digest.values())]
+    reps = [report(relation_id, lo, hi, saturation_tol, numeric_tol, dict(zip(digest, values)))
+            for lo, hi, *values in zip(*columns)]
+    return reps if np.ndim(lhs) else reps[0]
+
+
+def _square(x):
+    """x**2 rounded as libm ``pow`` rounds it, like a Python float's ** 2; numpy's ** 2 is x*x,
+    whose last bit differs for about one input in 1,200."""
+    return np.float_power(x, 2)
+
+
 def commutator_bound(a: HermitianOperator, b: HermitianOperator, rho: DensityOperator) -> float:
     """|<[A, B]>|/2; the commutator of Hermitian operators is anti-Hermitian."""
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
     return float(abs(np.trace(rho.matrix @ comm))) / 2
 
 
-def check_geom(an: OptimalAnalysis) -> RelationReport:
+def check_geom(an: OptimalAnalysis) -> RelationReport | list:
     """Geometric relation for the optimal estimates of observables 0 and 1 of ``an``.
 
     lhs = sqrt(disp_A^2 + eps_A^2) * sqrt(disp_B^2 + eps_B^2), which equals
@@ -140,13 +158,13 @@ def check_geom(an: OptimalAnalysis) -> RelationReport:
     observed gap between the two evaluations is recorded in the digest.
     """
     disp, eps = an.dispersions, an.inaccuracies
-    lhs = float(np.sqrt(disp[0]**2 + eps[0]**2) * np.sqrt(disp[1]**2 + eps[1]**2))
-    direct = float(np.sqrt(an.variances[0] * an.variances[1]))
-    return report("geom", lhs, an.commutator_bound, SATURATION_TOL_EXACT, NUMERIC_TOL,
-                  {"delta_a_delta_b": direct, "pythagoras_gap": abs(lhs - direct)})
+    lhs = np.sqrt(_square(disp[0]) + _square(eps[0])) * np.sqrt(_square(disp[1]) + _square(eps[1]))
+    direct = np.sqrt(an.variances[0] * an.variances[1])
+    return _reports("geom", lhs, an.commutator_bound, SATURATION_TOL_EXACT, NUMERIC_TOL,
+                    delta_a_delta_b=direct, pythagoras_gap=np.abs(lhs - direct))
 
 
-def check_accbound(an: OptimalAnalysis) -> RelationReport:
+def check_accbound(an: OptimalAnalysis) -> RelationReport | list:
     """Incompatibility lower bound on the inaccuracy of observable 0's optimal estimate.
 
     lhs = eps(A_opt)^2; rhs sums |tr[rho [A, E_k]]|^2 / (4 tr[rho E_k]) over
@@ -156,12 +174,12 @@ def check_accbound(an: OptimalAnalysis) -> RelationReport:
     """
     w, t = an.pom.weights, an.t
     keep = w * t > 1e-14
-    rhs = float(np.sum(w[keep] * np.imag(an.t_a[0][keep]) ** 2 / t[keep]))
-    return report("accbound", an.inaccuracies[0]**2, rhs, SATURATION_TOL_EXACT, NUMERIC_TOL,
-                  {"n_outcomes_kept": int(keep.sum())})
+    terms = np.divide(w * np.imag(an.t_a[0]) ** 2, t, out=np.zeros(t.shape), where=keep)
+    return _reports("accbound", _square(an.inaccuracies[0]), terms.sum(axis=-1), SATURATION_TOL_EXACT,
+                    NUMERIC_TOL, n_outcomes_kept=keep.sum(axis=-1))
 
 
-def check_ungen(an: OptimalAnalysis, f, g) -> RelationReport:
+def check_ungen(an: OptimalAnalysis, f, g) -> RelationReport | list:
     """Universal joint-measurement relation for arbitrary estimates f, g of
     observables 0 and 1 of ``an``, given as one value per outcome.
 
@@ -170,11 +188,11 @@ def check_ungen(an: OptimalAnalysis, f, g) -> RelationReport:
     disp_a, disp_b = an.dispersion(f), an.dispersion(g)
     eps_a, eps_b = an.deviation(0, f), an.deviation(1, g)
     lhs = disp_a * eps_b + eps_a * disp_b + eps_a * eps_b
-    return report("ungen", lhs, an.commutator_bound, SATURATION_TOL_EXACT, NUMERIC_TOL,
-                  {"disp_a": disp_a, "eps_a": eps_a, "disp_b": disp_b, "eps_b": eps_b})
+    return _reports("ungen", lhs, an.commutator_bound, SATURATION_TOL_EXACT, NUMERIC_TOL,
+                    disp_a=disp_a, eps_a=eps_a, disp_b=disp_b, eps_b=eps_b)
 
 
-def check_uni(an: OptimalAnalysis, f, g, subspace_dim=None) -> RelationReport:
+def check_uni(an: OptimalAnalysis, f, g, subspace_dim=None) -> RelationReport | list:
     """Product relation eps_A eps_B >= |<[A,B]>|/2 for universally unbiased
     estimates f, g of observables 0 and 1 of ``an``.
 
@@ -182,21 +200,21 @@ def check_uni(an: OptimalAnalysis, f, g, subspace_dim=None) -> RelationReport:
     to ``BIAS_TOL`` before checking; for POMs truncated from continuous
     families pass ``subspace_dim`` to verify it on the faithful leading block.
     """
-    gap_a, gap_b = (float(np.abs(_bias_operator(an.pom, v, op)[:subspace_dim, :subspace_dim]).max())
+    gap_a, gap_b = (np.abs(_bias_operator(an.pom, v, op)[..., :subspace_dim, :subspace_dim]).max((-2, -1))
                     for v, op in zip((f, g), an.observables))
-    if max(gap_a, gap_b) > BIAS_TOL:
+    if np.any(np.maximum(gap_a, gap_b) > BIAS_TOL):
         raise UnbiasednessError(
-            f"estimates are not universally unbiased (gaps {gap_a:.2e}, {gap_b:.2e})"
+            f"estimates are not universally unbiased (gaps {np.max(gap_a):.2e}, {np.max(gap_b):.2e})"
         )
     eps_a, eps_b = an.deviation(0, f), an.deviation(1, g)
-    return report("uni", eps_a * eps_b, an.commutator_bound, SATURATION_TOL_EXACT,
-                  NUMERIC_TOL, {"eps_a": eps_a, "eps_b": eps_b, "unbiased_gap": max(gap_a, gap_b)})
+    return _reports("uni", eps_a * eps_b, an.commutator_bound, SATURATION_TOL_EXACT, NUMERIC_TOL,
+                    eps_a=eps_a, eps_b=eps_b, unbiased_gap=np.maximum(gap_a, gap_b))
 
 
-def check_varsum(an: OptimalAnalysis) -> RelationReport:
+def check_varsum(an: OptimalAnalysis) -> RelationReport | list:
     """Pythagorean identity Var A = disp^2 + eps^2 for observable 0's optimal estimate."""
-    return report("varsum", an.variances[0], an.dispersions[0]**2 + an.inaccuracies[0]**2,
-                  1e-10, 1e-10)
+    return _reports("varsum", an.variances[0], _square(an.dispersions[0]) + _square(an.inaccuracies[0]),
+                    1e-10, 1e-10)
 
 
 @dataclass

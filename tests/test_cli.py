@@ -344,11 +344,13 @@ def test_relations_instance_reads_one_analysis(monkeypatch):
     monkeypatch.setattr(Pom, "traces", spy("traces", Pom.traces))
     monkeypatch.setattr(Pom, "project", spy("project", Pom.project))
     monkeypatch.setattr(estimation, "_out_of_range", spy("_out_of_range", estimation._out_of_range))
-    rows = _relation_instances(RunConfig("relations", params={"instances": 1}))
-    assert [r["relation_id"] for r in rows] == ["geom", "accbound", "ungen", "varsum"]
-    # tr[rho M_k], tr[rho A M_k] and tr[A rho A M_k] for A and B, and the
-    # probabilities, from one projection of the factored POM onto [C, A C, B C]
-    assert counts["traces"] == 0 and counts["project"] == 1
+    rows = _relation_instances(RunConfig("relations", params={"instances": 20}))
+    assert [r["relation_id"] for r in rows] == ["geom", "accbound", "ungen", "varsum"] * 20
+    groups = {(r["inputs_digest"]["dim"], r["inputs_digest"]["outcomes"]) for r in rows}
+    assert 2 <= len(groups) < 20  # (5, 8), (2, 3), (5, 10) and (5, 6) hold two instances each
+    # tr[rho M_k], tr[rho A M_k] and tr[A rho A M_k] for A and B, and the probabilities,
+    # from one projection of each (dim, K) stack of factored POMs onto its [C, A C, B C]
+    assert counts["traces"] == 0 and counts["project"] == len(groups)
     # the rows read the value vectors, so no Estimator and no out-of-range spectrum is formed
     assert counts["_out_of_range"] == 0
 
@@ -360,6 +362,23 @@ def test_relations_draw_order_is_pinned():
     assert [(r["inputs_digest"]["dim"], r["inputs_digest"]["outcomes"]) for r in rows] == [
         (5, 8), (5, 4), (5, 3), (5, 5), (5, 6), (5, 7), (2, 3), (2, 3), (2, 4), (4, 5),
         (5, 9), (5, 10), (5, 10), (5, 8), (5, 6), (3, 5), (4, 7), (4, 2), (3, 6), (4, 4)]
+
+
+def test_relations_subset_draws_no_perturbation():
+    # without ungen no perturbation is drawn, so the later instances differ from the full
+    # set's; the (dim, outcomes) pairs of the first 20 instances and the sides of the first
+    # and last were recorded before the instances were checked as (dim, K) stacks
+    params = {"instances": 20, "relations": ["geom", "varsum"]}
+    rows = _relation_instances(RunConfig("relations", params=params))
+    assert [r["relation_id"] for r in rows] == ["geom", "varsum"] * 20
+    assert [(r["inputs_digest"]["dim"], r["inputs_digest"]["outcomes"]) for r in rows[::2]] == [
+        (5, 8), (5, 2), (2, 3), (4, 2), (4, 4), (2, 4), (2, 2), (5, 3), (5, 2), (2, 5),
+        (2, 3), (2, 3), (4, 9), (4, 4), (4, 3), (5, 10), (3, 3), (2, 3), (2, 3), (3, 2)]
+    sides = [(r["lhs"], r["rhs"]) for r in rows[:2] + rows[-2:]]
+    assert sides == pytest.approx([(4.436410200046281, 0.5494635101384451),
+                                   (6.555019950417034, 6.555019950417029),
+                                   (1.4376816598052289, 0.07682880126961586),
+                                   (2.069241340699158, 2.0692413406991585)], rel=1e-12)
 
 
 @pytest.mark.parametrize("center", ["5", "[1]", "[1, 2, 3]", '"0,0"', "[NaN, 0]", "[0, Infinity]", '["a", 0]'])

@@ -68,6 +68,27 @@ def test_factor_of_a_matrix_is_its_pivoted_cholesky_formed_once():
     assert np.abs(rho.factor @ rho.factor.conj().T - rho.matrix).max() <= 1e-15
 
 
+def test_a_stack_is_validated_matrix_by_matrix():
+    good = np.stack([np.diag([0.25, 0.75]), np.full((2, 2), 0.5)])
+    assert DensityOperator(good).dim == 2 and HermitianOperator(good).matrix.shape == (2, 2, 2)
+    assert HermitianOperator(good).norm().tolist() == [0.75, 1.0]
+    # the worst matrix relative to its own largest entry: 3/3 beats 0.5/1 and 5/30
+    with pytest.raises(HermiticityError, match=r"by 3\.000e\+00 \(tol 1\.0e-08 x 3\.000e\+00\)"):
+        HermitianOperator([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0, 3.0], [-3.0, 0.0]],
+                           [[0.0, 30.0], [20.0, 0.0]]])
+    with pytest.raises(ValueError, match=r"matrix entry \[1\]\[0\]\[1\] is"):
+        DensityOperator([good[0], [[0.5, np.nan], [0.0, 0.5]]])
+    with pytest.raises(ValueError, match=r"trace is np.float64\(1.4\)"):
+        DensityOperator([good[0], np.diag([0.6, 0.6]), np.diag([0.7, 0.7]), good[1]])
+    with pytest.raises(ValueError, match="smallest eigenvalue -5.000e-01"):
+        DensityOperator([np.diag([1.2, -0.2]), good[0], np.diag([1.5, -0.5])])
+    with pytest.raises(ValueError, match="from_factor"):
+        DensityOperator(good).factor
+    stacked = DensityOperator.from_factor(np.stack([np.diag([0.6, 0.8j]), np.diag([0.8, 0.6])]))
+    assert stacked.factor.shape == (2, 2, 2)
+    assert np.abs(stacked.matrix[1] - np.diag([0.64, 0.36])).max() <= 1e-15
+
+
 def test_tensor_identity_case():
     eye6 = tensor(HermitianOperator.identity(2), HermitianOperator.identity(3))
     assert np.allclose(eye6.matrix, np.eye(6))

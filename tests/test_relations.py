@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pomest import fock
 from pomest.estimation import (
@@ -16,10 +18,22 @@ from pomest.relations import (
     check_uncanon,
     check_ungen,
     check_uni,
+    check_varsum,
     commutator_bound,
     heterodyne_analysis,
 )
-from pomest.sampling import random_density, random_hermitian, random_pom, random_pure_ket
+from pomest.sampling import (
+    complex_normal,
+    hermitian_part,
+    make_rng,
+    normalized_density,
+    pom_normal,
+    random_density,
+    random_hermitian,
+    random_pom,
+    random_pure_ket,
+    whitened_pom,
+)
 
 DIM40_GRID = GridSpec(0j, 7.0, 240)
 
@@ -357,3 +371,41 @@ def test_heterodyne_analysis_traces_rho_and_the_quadratures_only(monkeypatch):
     assert len(traced) == 1
     assert np.array_equal(traced[0], fock.annihilation(12))
     assert not any(np.array_equal(x, np.eye(12)) for x in traced)
+
+
+@st.composite
+def relation_stacks(draw):
+    """N instances of one (dim, K) and state rank, as the draws ``relations`` gathers for a stack."""
+    dim = draw(st.integers(2, 6))
+    n_out, rank, n = draw(st.integers(2, 2 * dim + 1)), draw(st.integers(1, dim)), draw(st.integers(1, 5))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    return [(pom_normal(rng, n_out, dim), complex_normal(rng, dim, rank), complex_normal(rng, dim, dim),
+             complex_normal(rng, dim, dim), rng.normal(size=n_out)) for _ in range(n)]
+
+
+def _stack_analysis(g_pom, g_rho, g_a, g_b):
+    return optimal_analysis((hermitian_part(g_a), hermitian_part(g_b)), whitened_pom(g_pom),
+                            normalized_density(g_rho))
+
+
+def _stack_rows(an, noise):
+    f, g = an.values
+    return [check_geom(an), check_accbound(an), check_varsum(an), check_ungen(an, f + noise, g)]
+
+
+@given(draws=relation_stacks())
+def test_a_stack_is_checked_bit_for_bit_as_its_instances_one_by_one(draws):
+    stack = [np.stack(x) for x in zip(*draws)]
+    an = _stack_analysis(*stack[:4])
+    rows = _stack_rows(an, stack[4])
+    for n, (*instance, noise) in enumerate(draws):
+        one = _stack_analysis(*instance)
+        for name in ("t", "t_a", "t_aa"):
+            assert getattr(an, name)[..., n, :].tobytes() == getattr(one, name).tobytes(), name
+        assert an.values[:, n].tobytes() == one.values.tobytes()
+        for name in ("dispersions", "inaccuracies"):
+            assert [x[n] for x in getattr(an, name)] == list(getattr(one, name)), name
+        assert an.variances[:, n].tobytes() == one.variances.tobytes()
+        assert an.commutator_bound[n] == one.commutator_bound
+        # lhs, rhs, flags and digest of every row
+        assert [reps[n] for reps in rows] == _stack_rows(one, noise)
