@@ -329,9 +329,12 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
             # relative, which bounds lhs below by hbar/2 - 1e-3 hbar
             num = scenarios.epr_numeric(p, pts)
             tol = 1e-3 * max(1.0, p.hbar)
+            # the grid's own diagnostics, so that the row says how well it resolved the state
+            digest = {"route": "grid", "points": num.points, "spacing": num.spacing,
+                      "points_per_sigma": num.points_per_sigma, "rel_err_disp_x": num.rel_err_disp_x,
+                      "rel_err_disp_p": num.rel_err_disp_p, "rel_err_eps_p": num.rel_err_eps_p}
             rows.append(relations.report(
-                "ungen", num.numeric.ungen_lhs, num.numeric.ungen_rhs, tol, tol,
-                {"route": "grid", "points": num.points}).to_json("epr"))
+                "ungen", num.numeric.ungen_lhs, num.numeric.ungen_rhs, tol, tol, digest).to_json("epr"))
             extras["numeric"] = {
                 "disp_x": num.numeric.disp_x, "disp_p": num.numeric.disp_p,
                 "eps_p": num.numeric.eps_p, "points": num.points,

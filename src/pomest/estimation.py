@@ -258,6 +258,8 @@ class OptimalAnalysis:
     @cached_property
     def estimates(self) -> list:
         """``values`` as Estimators, with their zero-probability and out-of-range flags."""
+        if self.t.ndim > 1:
+            raise ValueError(f"estimates are per instance, not for a stack of shape {self.t.shape}")
         return [Estimator(self.pom, f, meta="optimal-with-state", zero_probability=self.t < ZERO_PROB_TOL,
                           out_of_range=_out_of_range(f, a)) for a, f in zip(self.observables, self.values)]
 

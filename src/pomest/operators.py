@@ -130,10 +130,12 @@ class HermitianOperator:
 
     def expectation(self, rho: "DensityOperator") -> float:
         _check_dims(self.dim, rho.dim)
+        _one_matrix("expectation", self, rho)
         return float(np.real(np.trace(rho.matrix @ self.matrix)))
 
     def variance(self, rho: "DensityOperator") -> float:
         _check_dims(self.dim, rho.dim)
+        _one_matrix("variance", self, rho)
         m = self.expectation(rho)
         m2 = float(np.real(np.trace(rho.matrix @ self.matrix @ self.matrix)))
         return max(m2 - m * m, 0.0)
@@ -198,6 +200,7 @@ class DensityOperator:
         return cls(np.eye(dim, dtype=complex) / dim)
 
     def purity(self) -> float:
+        _one_matrix("purity", self)
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def __repr__(self):
@@ -236,6 +239,13 @@ def _cholesky_factor(m: np.ndarray) -> np.ndarray:
 def _check_dims(*dims):
     if len(set(dims)) != 1:
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
+
+
+def _one_matrix(method, *operands):
+    """Reject a stack where ``method`` reads one scalar per operand."""
+    for op in operands:
+        if op.matrix.ndim > 2:
+            raise ValueError(f"{method} reads one matrix, not a stack of shape {op.matrix.shape}")
 
 
 def tensor(a, b):

@@ -10,6 +10,7 @@ spacing 2 pi hbar / (N h).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -180,6 +181,7 @@ def quantum_potential_estimate(psi: GridWavefunction, potential) -> PointwiseEst
 
 
 _EPR_STRIP = 32  # grid rows per FFT batch: a few strips of complex rows stay in cache
+_EPR_THREADS = 2  # strips in flight at once; the sums are taken in strip order whatever it is
 
 
 @dataclass(frozen=True)
@@ -291,12 +293,17 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     row is independent.  The rows are streamed in strips of ``_EPR_STRIP``, in
     one pass, mode strip (x = a/2) first: outcomes below 1e-13 of its largest
     outcome probability are cut, and the pass reruns with the global peak if a
-    later strip peaks higher.  No N x N array is ever held.  A state beyond the
-    grid's reach (every sampled amplitude 0) raises GridResolutionError, and
-    so, with ``validate`` set, do deviations from the closed forms beyond 1e-3
-    relative; the dispersion of P is compared on the scale of the prior
-    momentum spread sqrt(disp_p^2 + eps_p^2), which is never 0.
+    later strip peaks higher.  After the mode strip, ``_EPR_THREADS`` strips run
+    at once and their sums are added in strip order, so the result is the same
+    bit for bit on any number of threads.  No N x N array is ever held.  A state
+    beyond the grid's reach (every sampled amplitude 0) raises
+    GridResolutionError, and so, with ``validate`` set, do deviations from the
+    closed forms beyond 1e-3 relative; the dispersion of P is compared on the
+    scale of the prior momentum spread sqrt(disp_p^2 + eps_p^2), which is never 0.
     """
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
     from .relations import GridResolutionError
 
     closed = epr_closed_form(params)
@@ -329,36 +336,65 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     # -i hbar d/dx log psi, so that P psi = psi * (p_rel + p_tot) exactly
     p_rel = toeplitz(1j * hb * rel / (2 * s2))
     p_tot = hankel(params.p0 / 2 + 1j * t2 * tot / (2 * hb))
-    strips = [slice(r, r + _EPR_STRIP) for r in range(0, n, _EPR_STRIP)]
+    strips = [slice(r, min(r + _EPR_STRIP, n)) for r in range(0, n, _EPR_STRIP)]
     strips.insert(0, strips.pop(_nearest_row(x, params.a / 2) // _EPR_STRIP))
-    peak = 0.0
-    for _ in range(2):
-        # sums over the unnormalized prob, divided by the norm below; on the kept outcomes
-        # prob * f_p = Re overlap, and the eps_p^2 density is Im overlap^2 / prob
-        px = np.empty(n)
-        w = np.zeros(n)
-        fw_cols = np.zeros(n)
-        ffw = eps_p2 = top = 0.0
-        for rows in strips:
-            psi = psi_rel[rows] * psi_tot[rows]
-            phi = np.fft.fft(psi, axis=1, norm="ortho")
-            g = np.fft.fft(psi * (p_rel[rows] + p_tot[rows]), axis=1, norm="ortho")
-            prob = np.abs(phi) ** 2
-            top = max(top, float(prob.max()))
-            peak = peak or top  # the first strip with any weight sets the cut
-            overlap = g * np.conj(phi)
-            keep = prob > 1e-13 * peak
-            inv = np.divide(1.0, prob, out=np.zeros_like(prob), where=keep)
-            pf = overlap.real * keep
+    # one buffer set per worker, allocated here: temporaries freed in a worker thread
+    # stay in its malloc arena, where the calling thread's later work cannot reuse them
+    buffers = SimpleQueue()
+    for _ in range(_EPR_THREADS):
+        buffers.put((*np.empty((3, _EPR_STRIP, n), complex), *np.empty((4, _EPR_STRIP, n)),
+                     np.empty((_EPR_STRIP, n), bool)))
+
+    def strip(rows, peak):
+        """The strip's largest outcome probability and its sums, outcomes below
+        1e-13 of peak (of its own largest when peak is 0) cut."""
+        full = buffers.get()
+        try:
+            psi, phi, g, prob, inv, pf, tmp, keep = (b[:rows.stop - rows.start] for b in full)
+            np.multiply(psi_rel[rows], psi_tot[rows], out=psi)
+            np.add(p_rel[rows], p_tot[rows], out=phi)
+            np.multiply(psi, phi, out=phi)
+            np.fft.fft(phi, axis=1, norm="ortho", out=g)
+            np.fft.fft(psi, axis=1, norm="ortho", out=phi)
+            np.square(np.abs(phi, out=prob), out=prob)
+            top = float(prob.max())
+            np.greater(prob, 1e-13 * (peak or top), out=keep)
+            inv.fill(0.0)
+            np.divide(1.0, prob, out=inv, where=keep)
+            overlap = np.multiply(g, np.conjugate(phi, out=psi), out=g)
+            np.multiply(overlap.real, keep, out=pf)
+            ffw = float(np.multiply(np.multiply(pf, pf, out=tmp), inv, out=tmp).sum())
             im = overlap.imag
-            px[rows] = prob.sum(axis=1)
-            w += prob.sum(axis=0)
-            fw_cols += pf.sum(axis=0)
-            ffw += float((pf * pf * inv).sum())
-            eps_p2 += float((im * im * inv).sum())
-        if top <= peak:
-            break
-        peak = top  # a later strip peaked higher: rerun with the global peak
+            eps_p2 = float(np.multiply(np.multiply(im, im, out=tmp), inv, out=tmp).sum())
+            return top, prob.sum(axis=1), prob.sum(axis=0), pf.sum(axis=0), ffw, eps_p2
+        finally:
+            buffers.put(full)
+
+    peak = 0.0
+    with ThreadPoolExecutor(_EPR_THREADS) as pool:
+        for _ in range(2):
+            # sums over the unnormalized prob, divided by the norm below; on the kept outcomes
+            # prob * f_p = Re overlap, and the eps_p^2 density is Im overlap^2 / prob
+            px = np.empty(n)
+            w = np.zeros(n)
+            fw_cols = np.zeros(n)
+            ffw = eps_p2 = top = 0.0
+            first = strip(strips[0], peak)
+            # the mode strip sets the cut; if it holds no weight, each strip cuts at its own top
+            # and the pass reruns
+            peak = peak or first[0]
+            # added in strip order as they arrive, so the sums never depend on the threads
+            results = itertools.chain([first], pool.map(strip, strips[1:], itertools.repeat(peak)))
+            for rows, (top_r, px_r, w_r, fw_r, ffw_r, eps_r) in zip(strips, results):
+                top = max(top, top_r)
+                px[rows] = px_r
+                w += w_r
+                fw_cols += fw_r
+                ffw += ffw_r
+                eps_p2 += eps_r
+            if top <= peak:
+                break
+            peak = top  # a later strip peaked higher: rerun with the global peak
     norm2 = float(px.sum())
     if norm2 == 0:  # every sampled amplitude underflowed
         raise GridResolutionError("the EPR state lies beyond the grid's reach")

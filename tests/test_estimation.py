@@ -34,7 +34,18 @@ from pomest.pom import (
     validate,
 )
 from pomest.relations import check_accbound, commutator_bound
-from pomest.sampling import make_rng, random_density, random_hermitian, random_pom, random_pure_ket
+from pomest.sampling import (
+    complex_normal,
+    hermitian_part,
+    make_rng,
+    normalized_density,
+    pom_normal,
+    random_density,
+    random_hermitian,
+    random_pom,
+    random_pure_ket,
+    whitened_pom,
+)
 from pomest.scenarios import _thermal_state, log_partition_estimate
 
 
@@ -272,6 +283,16 @@ def test_optimal_estimate_and_stats_project_once_each(monkeypatch):
     estimate_stats(optimal_estimate(x1, pom, rho), x1, rho)
     assert counts == {"traces": 0, "project": 2}
 
+
+
+def test_estimates_of_a_stack_name_its_shape(rng):
+    # three instances of dim 2 and 4 outcomes analysed as one stack
+    an = optimal_analysis((hermitian_part(complex_normal(rng, 3, 2, 2)),),
+                          whitened_pom(np.stack([pom_normal(rng, 4, 2) for _ in range(3)])),
+                          normalized_density(complex_normal(rng, 3, 2, 1)))
+    assert an.values.shape == (1, 3, 4)
+    with pytest.raises(ValueError, match=r"estimates are per instance, not for a stack of shape \(3, 4\)"):
+        an.estimates
 
 def test_optimal_analysis_matches_separate_calls(rng):
     d, n_kets = 5, 9

@@ -89,6 +89,27 @@ def test_a_stack_is_validated_matrix_by_matrix():
     assert np.abs(stacked.matrix[1] - np.diag([0.64, 0.36])).max() <= 1e-15
 
 
+
+_STACK = np.stack([np.diag([0.25, 0.75]), np.full((2, 2), 0.5), np.eye(2) / 2])
+
+
+@pytest.mark.parametrize("stacked", ["operator", "state"])
+def test_expectation_of_a_stack_names_its_shape(stacked):
+    a = HermitianOperator(_STACK if stacked == "operator" else np.diag([1.0, -1.0]))
+    rho = DensityOperator(_STACK if stacked == "state" else np.eye(2) / 2)
+    with pytest.raises(ValueError, match=r"expectation reads one matrix, not a stack of shape \(3, 2, 2\)"):
+        a.expectation(rho)
+
+
+def test_variance_of_a_stack_names_its_shape():
+    with pytest.raises(ValueError, match=r"variance reads one matrix, not a stack of shape \(3, 2, 2\)"):
+        HermitianOperator(_STACK).variance(DensityOperator(np.eye(2) / 2))
+
+
+def test_purity_of_a_stack_names_its_shape():
+    with pytest.raises(ValueError, match=r"purity reads one matrix, not a stack of shape \(3, 2, 2\)"):
+        DensityOperator(_STACK).purity()
+
 def test_tensor_identity_case():
     eye6 = tensor(HermitianOperator.identity(2), HermitianOperator.identity(3))
     assert np.allclose(eye6.matrix, np.eye(6))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -383,6 +384,27 @@ def test_epr_numeric_mode_row_clipped_to_the_grid_edge(monkeypatch):
     assert _leaves(dataclasses.astuple(clipped)) == pytest.approx(
         _leaves(dataclasses.astuple(whole)), rel=1e-12, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("mode_row", ["nearest", "edge"])
+def test_epr_numeric_is_the_same_on_one_thread(monkeypatch, mode_row):
+    # the edge row first forces the rerun with the global peak
+    if mode_row == "edge":
+        monkeypatch.setattr(scenarios, "_nearest_row", lambda x, v: 0)
+    params = EprParams()
+    points, _ = recommended_epr_points(params)
+    pooled = epr_numeric(params, points, validate=False)
+    monkeypatch.setattr(scenarios, "_EPR_THREADS", 1)
+    assert dataclasses.astuple(epr_numeric(params, points, validate=False)) == dataclasses.astuple(pooled)
+
+
+def test_epr_numeric_leaves_no_thread_running():
+    before = threading.active_count()
+    epr_numeric(EprParams(), 512, validate=False)
+    assert threading.active_count() == before
+    with pytest.raises(GridResolutionError):
+        epr_numeric(EprParams(a=100), 512)
+    assert threading.active_count() == before
 
 def test_epr_numeric_rejects_hopeless_grid():
     with pytest.raises(GridResolutionError):
