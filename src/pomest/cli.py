@@ -237,8 +237,11 @@ def _cmd_estimate(config: RunConfig) -> int:
     pom = _named_pom(params, config.seed)
     if "operator" in params:
         op = HermitianOperator(matrix_from_json(params["operator"]))
-    elif params.get("quadrature") in (1, 2):
-        op = fock.quadratures(pom.dim)[params["quadrature"] - 1]
+    elif "quadrature" in params:
+        j = _number(params, "quadrature", None, int)
+        if j not in (1, 2):
+            raise ConfigError(f"quadrature must be 1 or 2, not {j!r}")
+        op = fock.quadratures(pom.dim)[j - 1]
     else:
         op = random_hermitian(pom.dim, make_rng(config.seed))
     mode = params.get("mode", "with-state")

@@ -88,10 +88,6 @@ class Ket:
     def to_density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "Ket") -> complex:
-        _check_dims(self.dim, other.dim)
-        return complex(self.amplitudes.conj() @ other.amplitudes)
-
     def __repr__(self):
         return f"Ket(dim={self.dim})"
 

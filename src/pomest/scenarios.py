@@ -114,9 +114,8 @@ def thermal_energy_estimate(h: HermitianOperator, pom: Pom, beta: float) -> Esti
 
 @dataclass
 class GridWavefunction:
-    """Complex amplitudes on a uniform 1D or 2D position grid."""
+    """Complex amplitudes on a uniform position grid of any number of axes, one spacing for all."""
 
-    positions: np.ndarray
     spacing: float
     amplitudes: np.ndarray
     hbar: float = 1.0
@@ -139,8 +138,8 @@ def quantum_potential_estimate(psi: GridWavefunction, potential) -> PointwiseEst
     """Local optimal energy estimate |grad S|^2/2m + V + Q from a position readout.
 
     Writes the amplitude as R e^{iS/hbar} and adds the curvature term
-    Q = -hbar^2/(2m) lap(R)/R, all by central differences.  Points within
-    1e-12 (relative) of a node and the boundary ring are flagged and carry nan.
+    Q = -hbar^2/(2m) lap(R)/R, all by central differences along every axis.  Points
+    within 1e-12 (relative) of a node and the boundary ring are flagged and carry nan.
     """
     amp = psi.amplitudes
     h = psi.spacing
@@ -149,25 +148,19 @@ def quantum_potential_estimate(psi: GridWavefunction, potential) -> PointwiseEst
         raise ValueError("potential must be sampled on the wavefunction grid")
     R = np.abs(amp)
     node = R <= 1e-12 * R.max()
-    phase = np.angle(amp)
-    ndim = amp.ndim
-    if ndim == 1:
-        S = psi.hbar * np.unwrap(phase)
-    else:
-        S = psi.hbar * np.unwrap(np.unwrap(phase, axis=0), axis=1)
+    S = np.angle(amp)
+    for axis in range(amp.ndim):
+        S = np.unwrap(S, axis=axis)
+    S = psi.hbar * S
     grad2 = np.zeros_like(R)
     lap_R = np.zeros_like(R)
     boundary = np.ones_like(R, dtype=bool)
-    if ndim == 1:
-        boundary[1:-1] = False
-        grad2[1:-1] = ((S[2:] - S[:-2]) / (2 * h)) ** 2
-        lap_R[1:-1] = (R[2:] - 2 * R[1:-1] + R[:-2]) / h**2
-    else:
-        boundary[1:-1, 1:-1] = False
-        grad2[1:-1, :] += ((S[2:, :] - S[:-2, :]) / (2 * h)) ** 2
-        grad2[:, 1:-1] += ((S[:, 2:] - S[:, :-2]) / (2 * h)) ** 2
-        lap_R[1:-1, :] += (R[2:, :] - 2 * R[1:-1, :] + R[:-2, :]) / h**2
-        lap_R[:, 1:-1] += (R[:, 2:] - 2 * R[:, 1:-1] + R[:, :-2]) / h**2
+    boundary[(slice(1, -1),) * amp.ndim] = False
+    for axis in range(amp.ndim):
+        # views with this axis first: its central differences fill the interior slab
+        s, r, g2, lap = (np.moveaxis(a, axis, 0) for a in (S, R, grad2, lap_R))
+        g2[1:-1] += ((s[2:] - s[:-2]) / (2 * h)) ** 2
+        lap[1:-1] += (r[2:] - 2 * r[1:-1] + r[:-2]) / h**2
     flagged = node | boundary
     with np.errstate(divide="ignore", invalid="ignore"):
         qpot = -psi.hbar**2 / (2 * psi.mass) * lap_R / R

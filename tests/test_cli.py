@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from pomest import estimation, fock, relations, scenarios
-from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, RunConfig, _relation_instances, main
+from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, RunConfig, _atomic_write, _relation_instances, main
 from pomest.estimation import estimate_stats, probabilities
+from pomest.operators import DensityOperator
 from pomest.pom import Pom, pom_to_json, trine_pom
 
 TRINE_FIXTURE = str(Path(__file__).resolve().parents[1] / "fixtures" / "trine.json")
@@ -95,6 +96,56 @@ def test_estimate_command(tmp_path):
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
     assert len(doc["estimator"]["values"]) == 3
+
+
+@pytest.mark.parametrize("quadrature, expect", [
+    (1, 1), (2, 2), (1.0, 1),
+    (True, "must be a number, not True"), ("1", "must be a number, not '1'"),
+    (0, "must be 1 or 2, not 0"), (3, "must be 1 or 2, not 3"),
+], ids=["1", "2", "1.0", "true", "string", "0", "3"])
+def test_estimate_quadrature_is_1_or_2(quadrature, expect, capsys):
+    code = main(["estimate", "--params", json.dumps({"quadrature": quadrature})])
+    captured = capsys.readouterr()
+    if isinstance(expect, str):
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert captured.err == f"config error: quadrature {expect}\n"
+        return
+    assert code == EXIT_OK
+    est = estimation.optimal_estimate(fock.quadratures(2)[expect - 1], trine_pom(),
+                                      DensityOperator.maximally_mixed(2))
+    assert json.loads(captured.out)["estimator"]["values"] == est.values.tolist()
+
+
+def test_params_from_a_file_match_the_inline_json(tmp_path, capsys):
+    params = '{"instances": 4, "dims": [2, 3]}'
+    (tmp_path / "params.json").write_text(params)
+    outputs = []
+    for arg in (params, "@" + str(tmp_path / "params.json")):
+        assert main(["relations", "--params", arg, "--seed", "2"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert main(["relations", "--params", "@" + str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: cannot parse --params")
+
+
+def test_atomic_write_leaves_no_temporary_file_when_the_replace_fails(tmp_path):
+    target = tmp_path / "report.json"
+    target.mkdir()  # os.replace of a file onto a directory fails
+    with pytest.raises(OSError):
+        _atomic_write(str(target), "{}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_random_state_is_drawn_from_the_seed(capsys):
+    outputs = []
+    for seed in ("5", "5", "6"):
+        argv = ["estimate", "--params", '{"state": "random", "quadrature": 1}', "--seed", seed]
+        assert main(argv) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    values = [json.loads(out)["estimator"]["values"] for out in outputs]
+    assert values[0] != values[2]
 
 
 def test_scenario_squeezing(tmp_path):

@@ -546,6 +546,16 @@ def test_unbiased_correction_photon_counting():
     assert np.abs(corrected.values[:26] - m / eta).max() < 1e-10
 
 
+def test_unbiased_correction_of_a_qubit_pom_with_a_zero_outcome_is_not_correctable():
+    # the Bloch form M_k = q_k (1 + sigma . m_k) has no m_k where q_k = 0, so the qubit fit
+    # declines before it divides by q
+    amps = np.zeros((3, 1, 2), dtype=complex)
+    amps[0, 0, 0] = amps[1, 0, 1] = 1.0
+    pom = Pom(2, [0.0, 1.0, 2.0], [1.0, 1.0, 1.0], amps)
+    with pytest.raises(NotCorrectableError):
+        unbiased_correction(Estimator(pom, np.array([0.0, 1.0, 5.0])), HermitianOperator(PAULI_Z))
+
+
 def test_unbiased_correction_tetrahedral_componentwise(rng):
     pom = tetrahedral_pom()
     dirs = np.array(pom.values)

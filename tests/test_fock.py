@@ -225,6 +225,10 @@ def test_thermal_state_mean_photon():
     assert n_op.expectation(rho) == pytest.approx(2.5, abs=1e-8)
 
 
+def test_thermal_state_at_zero_mean_is_the_vacuum():
+    np.testing.assert_array_equal(fock.thermal_state(6, 0).matrix, fock.vacuum_ket(6).to_density().matrix)
+
+
 def test_oscillator_operators():
     h = fock.oscillator_hamiltonian(10, hbar=2.0, omega=1.5)
     assert h.matrix[0, 0] == pytest.approx(1.5)  # hbar*omega/2

@@ -12,6 +12,7 @@ from pomest.estimation import (
 from pomest.operators import DensityOperator, HermitianOperator, Ket, PAULI_X, PAULI_Y
 from pomest.pom import GridSpec, Pom, coherent_pom, projective_pom, trine_pom
 from pomest.relations import (
+    GridResolutionError,
     UnbiasednessError,
     check_accbound,
     check_geom,
@@ -289,6 +290,14 @@ def test_heterodyne_rejects_non_grid_pom(rng):
     rho = random_density(2, rng)
     with pytest.raises(ValueError):
         heterodyne_analysis(rho, trine_pom())
+
+
+def test_heterodyne_grid_that_cuts_q_fails_marginal_cramer_rao():
+    # radius 2.7 cuts the vacuum's Q at 7e-4 of its peak, so the grid's first moments
+    # sum_k w alpha_k M_k miss X_j; the 12^2 grid still passes the spectral cross-check
+    # (rms 5.2e-4 against 1e-3), and 1/Var alpha_j exceeds the marginal by 1.28 times the slack
+    with pytest.raises(GridResolutionError, match="Cramer-Rao"):
+        heterodyne_analysis(fock.vacuum_ket(4).to_density(), coherent_pom(4, GridSpec(0j, 2.7, 12)))
 
 
 def test_uncanon_levels(het_pom):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pomest import fock, scenarios
-from pomest.estimation import probabilities
+from pomest.estimation import optimal_estimate, probabilities
 from pomest.operators import HermitianOperator, Ket
 from pomest.pom import projective_pom
 from pomest.relations import GridResolutionError
@@ -128,7 +128,7 @@ def _oscillator_ground(n, length, hbar=1.0, mass=1.0, omega=1.0):
 
 def test_quantum_potential_oscillator_ground_state():
     x, h, psi = _oscillator_ground(400, 8.0)
-    wf = GridWavefunction(x, h, psi)
+    wf = GridWavefunction(h, psi)
     v = 0.5 * x**2
     result = quantum_potential_estimate(wf, v)
     # the h^2 error constant grows as x^4 in the Gaussian tail
@@ -140,7 +140,7 @@ def test_quantum_potential_second_order_convergence():
     errs = []
     for n in (200, 400):
         x, h, psi = _oscillator_ground(n, 8.0)
-        wf = GridWavefunction(x, h, psi)
+        wf = GridWavefunction(h, psi)
         result = quantum_potential_estimate(wf, 0.5 * x**2)
         interior = ~result.flagged & (np.abs(x) < 4.0)
         errs.append(np.abs(result.values[interior] - 0.5).max())
@@ -154,7 +154,7 @@ def test_quantum_potential_plane_wave_kinetic_term():
     envelope = np.exp(-(x**2) / (2 * 36.0))
     psi = envelope * np.exp(1j * p0 * x)
     psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * h)
-    wf = GridWavefunction(x, h, psi)
+    wf = GridWavefunction(h, psi)
     result = quantum_potential_estimate(wf, np.zeros_like(x))
     core = ~result.flagged & (np.abs(x) < 2.0)
     # analytic R, S: kinetic term p0^2/2 plus the envelope curvature term
@@ -166,7 +166,7 @@ def test_quantum_potential_plane_wave_kinetic_term():
 
 def test_quantum_potential_real_wavefunction_no_kinetic_term():
     x, h, psi = _oscillator_ground(300, 8.0)
-    wf = GridWavefunction(x, h, psi)
+    wf = GridWavefunction(h, psi)
     v = 1.7 * np.ones_like(x)
     result = quantum_potential_estimate(wf, v)
     interior = ~result.flagged & (np.abs(x) < 4.0)
@@ -183,7 +183,7 @@ def test_quantum_potential_cross_check_against_discrete_hamiltonian():
     # from the position-projector readout
     n, length = 220, 8.0
     x, h, psi = _oscillator_ground(n, length)
-    wf = GridWavefunction(x, h, psi)
+    wf = GridWavefunction(h, psi)
     v = 0.5 * x**2
     result = quantum_potential_estimate(wf, v)
 
@@ -194,8 +194,6 @@ def test_quantum_potential_cross_check_against_discrete_hamiltonian():
     lap[idx[:-1] + 1, idx[:-1]] = 1.0
     h_op = HermitianOperator(-0.5 * lap / h**2 + np.diag(v))
     pom = projective_pom(HermitianOperator(np.diag(x)), degeneracy_tol=1e-13)
-    from pomest.estimation import optimal_estimate
-
     est = optimal_estimate(h_op, pom, Ket(psi).to_density())
     order = np.argsort(pom.values_array())
     est_sorted = est.values[order]
@@ -209,9 +207,49 @@ def test_quantum_potential_flags_nodes():
     x = -length + h * np.arange(n)
     psi = x * np.exp(-(x**2) / 2)  # first excited state: node at the origin
     psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * h)
-    wf = GridWavefunction(x, h, psi)
+    wf = GridWavefunction(h, psi)
     result = quantum_potential_estimate(wf, 0.5 * x**2)
     assert result.flagged[np.argmin(np.abs(x))]
+
+
+def _isotropic_ground(ndim, n, h, k=()):
+    """Oscillator ground state on an n^ndim grid of spacing h, times exp(i k.x)."""
+    x = (np.arange(n) - (n - 1) / 2) * h
+    axes = np.meshgrid(*(x,) * ndim, indexing="ij")
+    r2 = sum(a**2 for a in axes)
+    psi = np.exp(-r2 / 2 + 1j * sum(kj * a for kj, a in zip(k, axes)))
+    return axes, r2, psi / np.sqrt(np.sum(np.abs(psi) ** 2) * h**ndim)
+
+
+@pytest.mark.parametrize("ndim, k", [(2, ()), (3, ()), (2, (3.0, -2.0)), (3, (3.0, -2.0, 2.5))],
+                         ids=["2d", "3d", "2d-wrapping-phase", "3d-wrapping-phase"])
+def test_quantum_potential_isotropic_ground_state_in_any_dimension(ndim, k):
+    # the local energy is d/2 + |k|^2/2 everywhere; the phase wraps along every axis, and
+    # its central differences are exact.  Per axis the error is the 1-D test's h^2 error
+    # (1e-3 at h = 0.04), so the bound is ndim times that at h = 0.05
+    h = 0.05
+    axes, r2, psi = _isotropic_ground(ndim, 61, h, k)
+    result = quantum_potential_estimate(GridWavefunction(h, psi), r2 / 2)
+    exact = ndim / 2 + sum(kj**2 for kj in k) / 2
+    assert result.flagged.sum() == 61**ndim - 59**ndim  # the boundary ring, and no node
+    assert np.abs(result.values[~result.flagged] - exact).max() < ndim * 1e-3 * (h / 0.04) ** 2
+
+
+def test_quantum_potential_2d_cross_check_against_discrete_hamiltonian():
+    # as in 1-D: the optimal estimate of the finite-difference Hamiltonian, kron of the
+    # 1-D Laplacians, from a readout of each grid point
+    n, h = 30, 0.25
+    (x, y), r2, psi = _isotropic_ground(2, n, h)
+    v = r2 / 2
+    result = quantum_potential_estimate(GridWavefunction(h, psi), v)
+
+    lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) / h**2
+    eye = np.eye(n)
+    h_op = HermitianOperator(-0.5 * (np.kron(lap, eye) + np.kron(eye, lap)) + np.diag(v.ravel()))
+    pom = projective_pom(HermitianOperator(np.diag(np.arange(n * n, dtype=float))))
+    est = optimal_estimate(h_op, pom, Ket(psi.ravel()).to_density())
+    interior = ~result.flagged & (np.abs(x) < 2) & (np.abs(y) < 2)
+    assert np.abs(est.values.reshape(n, n) - result.values)[interior].max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
