@@ -163,7 +163,10 @@ def _emit(config: RunConfig, rows: list, extras: dict, passed: bool):
         }
         payload = json.dumps(doc, sort_keys=True, indent=2, check_circular=False) + "\n"
     if config.output_path:
-        _atomic_write(config.output_path, payload)
+        try:
+            _atomic_write(config.output_path, payload)
+        except OSError as exc:  # a directory, a missing parent, no permission: not a violated relation
+            raise ConfigError(f"cannot write --output {config.output_path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
 

@@ -67,6 +67,7 @@ class Estimator:
     zero_probability: np.ndarray | None = None
     out_of_range: np.ndarray | None = None
     probabilities: np.ndarray | None = None  # under the state it was made for, when already computed
+    analysis: OptimalAnalysis | None = field(default=None, repr=False, compare=False)  # the one it came from
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -105,7 +106,7 @@ def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOper
 
     A total below -1e-9 signals a positivity bug upstream and raises.
     """
-    return optimal_analysis((a,), est.pom, rho).deviation(0, est.values)
+    return estimate_stats(est, a, rho).inaccuracy
 
 
 def hs_distance(a: HermitianOperator, pom: Pom) -> float:
@@ -210,11 +211,13 @@ def _qubit_linear_correction(pom: Pom, a: HermitianOperator, scale):
 
 
 def estimate_stats(est: Estimator, a: HermitianOperator, rho: DensityOperator) -> EstimateStats:
-    """Mean, rms dispersion of the estimate distribution, and inaccuracy,
-    from one analysis of A."""
-    an = optimal_analysis((a,), est.pom, rho)
-    return EstimateStats(float(an.p @ est.values), an.dispersion(est.values),
-                         an.deviation(0, est.values))
+    """Mean, rms dispersion of the estimate distribution, and inaccuracy, from one analysis of A:
+    the one ``est`` was made from if that saw these very POM, rho and A (each immutable)."""
+    an = est.analysis
+    j = next((j for j, b in enumerate(an.observables) if b is a), None) if an is not None else None
+    if j is None or an.pom is not est.pom or an.rho is not rho:
+        an, j = optimal_analysis((a,), est.pom, rho), 0
+    return EstimateStats(float(an.p @ est.values), an.dispersion(est.values), an.deviation(j, est.values))
 
 
 @dataclass
@@ -255,13 +258,14 @@ class OptimalAnalysis:
         zero = self.t < ZERO_PROB_TOL
         return np.where(zero, 0.0, np.real(self.t_a) / np.where(zero, 1.0, self.t))
 
-    @cached_property
+    @property  # not cached: each Estimator refers back to this analysis, and a cycle waits for the GC
     def estimates(self) -> list:
-        """``values`` as Estimators, with their zero-probability and out-of-range flags."""
+        """``values`` as Estimators, with their zero-probability and out-of-range flags and this analysis."""
         if self.t.ndim > 1:
             raise ValueError(f"estimates are per instance, not for a stack of shape {self.t.shape}")
         return [Estimator(self.pom, f, meta="optimal-with-state", zero_probability=self.t < ZERO_PROB_TOL,
-                          out_of_range=_out_of_range(f, a)) for a, f in zip(self.observables, self.values)]
+                          out_of_range=_out_of_range(f, a), analysis=self)
+                for a, f in zip(self.observables, self.values)]
 
     @cached_property
     def dispersions(self) -> tuple:

@@ -120,9 +120,11 @@ def displacement_columns(dim: int, alphas, columns: int) -> np.ndarray:
         d = -x[:, 0] / (j + order + 1) * p[:, :, j] + j / (j + order + 1) * d
     logf = _log_factorials(dim)
     # sqrt(lo!/(lo+k)!) C(lo+k, lo) = sqrt((lo+k)!/lo!) / k!
-    al = np.where(m >= n, alphas, -np.conjugate(alphas))
     pref = np.exp(0.5 * (logf[lo + k] - logf[lo]) - logf[k] - x / 2)
-    D = pref * al**k * p[:, k, lo]
+    powers = np.ones((alphas.shape[0], 2, dim), dtype=complex)  # a^k and (-a*)^k by running products
+    powers[..., 1:] = np.concatenate([alphas, -np.conjugate(alphas)], axis=1)
+    np.cumprod(powers, axis=-1, out=powers)
+    D = pref * powers[:, (m < n).astype(int), k] * p[:, k, lo]
     D[x[:, 0, 0] == 0] = np.eye(dim, columns)
     return D
 

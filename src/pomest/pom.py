@@ -268,8 +268,9 @@ def validate(pom: Pom, positivity_tol=1e-10, completeness_tol=1e-8) -> Validatio
 def _renormalize_kets(kets, weight):
     """Kets T^{-1/2}|k>, T = weight sum_k |k><k|, and T's mean and max eigenvalue corrections;
     a mean correction above 0.1 is no longer a correction."""
-    total = weight * (kets.T @ kets.conj())
-    total = (total + total.conj().T) / 2
+    # Re T and Im T from the real Gram r.T @ r of the interleaved (Re, Im) columns (numpy forms it symmetric)
+    g = weight * (kets.view(float).T @ kets.view(float))
+    total = g[::2, ::2] + g[1::2, 1::2] + 1j * (g[1::2, ::2] - g[::2, 1::2])
     vals, vecs = np.linalg.eigh(total)
     if vals.min() <= 0:
         raise CompletenessError(

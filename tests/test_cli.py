@@ -137,6 +137,17 @@ def test_atomic_write_leaves_no_temporary_file_when_the_replace_fails(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+@pytest.mark.parametrize("target", ["a_directory", "missing/report.json"])
+def test_an_unwritable_output_is_a_config_error(target, tmp_path, capsys):
+    # a directory, or a file whose parent directory does not exist: exit 3 with one
+    # line naming --output, after the command ran, and no temporary file left behind
+    (tmp_path / "a_directory").mkdir()
+    assert main(["scenario", "squeezing", "--output", str(tmp_path / target)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write --output") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob("*")] == ["a_directory"]
+
+
 def test_random_state_is_drawn_from_the_seed(capsys):
     outputs = []
     for seed in ("5", "5", "6"):

@@ -1,3 +1,8 @@
+import dataclasses
+import gc
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -25,6 +30,7 @@ from pomest.pom import (
     Pom,
     coherent_pom,
     identity_pom,
+    imageband_pom,
     inefficient_photon_pom,
     naimark_extend,
     projective_pom,
@@ -280,8 +286,64 @@ def test_optimal_estimate_and_stats_project_once_each(monkeypatch):
             counts[_name] += 1
             return _original(self, x)
         monkeypatch.setattr(Pom, name, spy)
+    # the statistics read the analysis the estimate was made from
     estimate_stats(optimal_estimate(x1, pom, rho), x1, rho)
+    assert counts == {"traces": 0, "project": 1}
+    # an equal but distinct state is not the one the estimate saw: it projects afresh
+    counts["project"] = 0
+    estimate_stats(optimal_estimate(x1, pom, rho), x1, DensityOperator(rho.matrix))
     assert counts == {"traces": 0, "project": 2}
+
+
+def _fresh_stats(est, a, rho):
+    an = optimal_analysis((a,), est.pom, rho)
+    return float(an.p @ est.values), an.dispersion(est.values), an.deviation(0, est.values)
+
+
+def test_statistics_project_afresh_unless_they_see_the_estimates_own_objects(rng):
+    pom, rho, a = random_pom(4, 7, rng), random_density(4, rng), random_hermitian(4, rng)
+    est = optimal_estimate(a, pom, rho)
+    copy = Pom.from_operators(list(pom.operators()), pom.values)
+    moved = dataclasses.replace(est, pom=copy)  # carries the analysis, of another POM
+    cases = [(est, DensityOperator(rho.matrix), a), (est, rho, HermitianOperator(a.matrix)),
+             (measurement_estimator(pom), rho, a), (moved, rho, a)]
+    project = Pom.project
+    for case_est, case_rho, case_a in cases:
+        projected = []
+        with mock.patch.object(Pom, "project", autospec=True,
+                               side_effect=lambda self, c: projected.append(self) or project(self, c)):
+            stats = estimate_stats(case_est, case_a, case_rho)
+            deviation = statistical_deviation(case_a, case_est, case_rho)
+        assert projected == [case_est.pom] * 2
+        assert (stats.mean, stats.dispersion, stats.inaccuracy) == _fresh_stats(case_est, case_a, case_rho)
+        assert deviation == stats.inaccuracy
+
+
+def test_an_optimal_estimate_is_freed_by_reference_counting(rng):
+    # the estimate refers to its analysis, and the analysis must not refer back:
+    # a cycle would hold both until the cyclic collector runs
+    pom, rho, a = random_pom(3, 5, rng), random_density(3, rng), random_hermitian(3, rng)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        est = optimal_estimate(a, pom, rho)
+        refs = weakref.ref(est), weakref.ref(est.analysis)
+        del est
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_imageband_statistics_through_the_carried_analysis_equal_a_fresh_one_bit_for_bit(rng):
+    # a rank-2 imageband (r = 2 rows per outcome) on a coherent and a thermal probe
+    dim = 10
+    pom = imageband_pom(dim, GridSpec(0j, 5.0, 21), random_density(3, rng, rank=2))
+    for rho in (fock.coherent_ket(dim, 0.6 - 0.4j).to_density(), fock.thermal_state(dim, 0.5)):
+        for a in fock.quadratures(dim):
+            est = optimal_estimate(a, pom, rho)
+            stats = estimate_stats(est, a, rho)
+            assert (stats.mean, stats.dispersion, stats.inaccuracy) == _fresh_stats(est, a, rho)
 
 
 
@@ -503,6 +565,32 @@ def test_a_pom_and_its_refactored_copy_agree(case):
     # dispersion is zero, as on a POM of one outcome
     assert an_copy.dispersion(f) ** 2 == pytest.approx(an.dispersion(f) ** 2, rel=0, abs=1e-12)
     assert validate(copy).passed == validate(pom).passed
+
+
+@given(case=poms_states_and_observables())
+def test_statistics_through_the_carried_analysis_equal_a_fresh_one_bit_for_bit(case):
+    # observable 0 of a one-observable analysis, and observable 1 of a two-observable one
+    # as heterodyne_analysis builds; the carried analysis projects nothing
+    pom, rho, a, rng = case
+    b = random_hermitian(pom.dim, rng)
+    pair = optimal_analysis((a, b), pom, rho)
+    for est, obs in ((optimal_estimate(a, pom, rho), a), (pair.estimates[1], b)):
+        with mock.patch.object(Pom, "project", side_effect=AssertionError("projected afresh")):
+            stats = estimate_stats(est, obs, rho)
+            deviation = statistical_deviation(obs, est, rho)
+        assert deviation == stats.inaccuracy
+        fresh = _fresh_stats(est, obs, rho)
+        if obs is a:
+            assert (stats.mean, stats.dispersion, stats.inaccuracy) == fresh
+            continue
+        # the fresh analysis of the same pair; one of b alone projects b's columns at
+        # another position of the BLAS product, which moves the last bits of tr[rho B M_k]
+        again = optimal_analysis((a, b), pom, rho)
+        assert (stats.mean, stats.dispersion, stats.inaccuracy) == (
+            float(again.p @ est.values), again.dispersion(est.values), again.deviation(1, est.values))
+        assert stats.mean == pytest.approx(fresh[0], rel=0, abs=1e-12)
+        for got, want in zip((stats.dispersion, stats.inaccuracy), fresh[1:]):
+            assert got**2 == pytest.approx(want**2, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("beta", [0.8 - 0.5j, -1.1 + 0.9j])

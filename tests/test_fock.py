@@ -194,6 +194,38 @@ def test_displacement_columns_are_the_leading_columns_bit_for_bit(dim):
         assert np.array_equal(fock.displacement_columns(dim, alphas, columns), full[:, :, :columns])
 
 
+def _displacement_columns_power(dim, alphas, columns):
+    """Reference: ``displacement_columns`` with a complex power a**k for every entry."""
+    alphas = np.asarray(alphas, dtype=complex)[:, None, None]
+    x = np.hypot(alphas.real, alphas.imag) ** 2
+    m, n = np.indices((dim, columns))
+    k, lo = np.abs(m - n), np.minimum(m, n)
+    p = np.ones((alphas.shape[0], dim, columns))
+    order = np.arange(dim)
+    d = -x[:, 0] / (order + 1)
+    for j in range(1, columns):
+        p[:, :, j] = p[:, :, j - 1] + d
+        d = -x[:, 0] / (j + order + 1) * p[:, :, j] + j / (j + order + 1) * d
+    logf = fock._log_factorials(dim)
+    al = np.where(m >= n, alphas, -np.conjugate(alphas))
+    D = np.exp(0.5 * (logf[lo + k] - logf[lo]) - logf[k] - x / 2) * al**k * p[:, k, lo]
+    D[x[:, 0, 0] == 0] = np.eye(dim, columns)
+    return D
+
+
+@given(dim=st.integers(2, 40), data=st.data(),
+       polar=st.lists(st.tuples(st.floats(0, 10), st.floats(-np.pi, np.pi)), min_size=1, max_size=4))
+def test_displacement_power_table_matches_the_power_per_entry(dim, data, polar):
+    # the running products of a and -a* against a complex ** for every entry: the
+    # Laguerre values are the same, so only the powers' rounding may differ; entries
+    # below the normal range (tiny |a| to a high power) carry no relative accuracy
+    columns = data.draw(st.integers(1, dim))
+    alphas = [r * complex(np.cos(t), np.sin(t)) for r, t in polar]
+    got = fock.displacement_columns(dim, alphas, columns)
+    ref = _displacement_columns_power(dim, alphas, columns)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref) + np.finfo(float).tiny)
+
+
 def test_displacements_match_generator_exponential():
     alphas = [0.4 + 0.2j, 1.1, -0.8j, 0.0]
     stack = fock.displacements(60, alphas)

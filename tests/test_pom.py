@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,31 @@ def test_coherent_grid_pom_valid_after_renormalization():
     report = validate(pom)
     assert report.passed
     assert pom.renorm_correction < 0.1
+
+
+_GRID_POM_DIGESTS = """
+import hashlib
+from pomest.pom import GridSpec, coherent_pom, imageband_pom
+from pomest.sampling import make_rng, random_density
+for pom in (coherent_pom(40, GridSpec(0j, 7.0, 112)),
+            imageband_pom(20, GridSpec(0j, 6.0, 41), random_density(3, make_rng(7), rank=2))):
+    print(hashlib.sha256(pom.amplitudes.tobytes()).hexdigest())
+"""
+
+
+def test_grid_pom_amplitudes_are_the_same_bytes_on_one_and_two_blas_threads():
+    """The renormalized amplitudes of the default heterodyne grid and of a rank-2 imageband,
+    in fresh interpreters under OPENBLAS_NUM_THREADS=1 and =2.  On a one-core host both
+    settings run one thread, and the test passes vacuously there."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _GRID_POM_DIGESTS], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout)
+    assert len(digests[0].split()) == 2 and digests[0] == digests[1]
 
 
 def test_coherent_pom_rejects_tiny_grid():
