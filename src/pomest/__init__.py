@@ -14,7 +14,6 @@ from .operators import (
     HermiticityError,
     Ket,
     partial_trace_ancilla,
-    spectral_apply,
     tensor,
 )
 from .pom import (

@@ -11,7 +11,8 @@ failure, 3 a configuration error.  Reports are byte-identical for identical
 tolerances ``validate`` applies can be overridden through the environment
 variables POMEST_POSITIVITY_TOL and POMEST_COMPLETENESS_TOL, each a finite
 number >= 0.  A bad variable or parameter (a size that is not an integer,
-among others) exits 3 with one ``config error:`` line that names it.
+among others) exits 3 with one ``config error:`` line that names it; so does
+running out of memory, as a size parameter too large for the host does.
 """
 
 from __future__ import annotations
@@ -351,14 +352,14 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
     if name == "thermal":
         beta = _positive(params, "beta", 1.0)
         # measured: at 50/beta Fock levels the gap is 5e-11 to 9e-11 for beta 0.07-0.5
-        dim = _number(params, "fock_dim", max(80, int(50 / beta)), int)
+        dim = _positive(params, "fock_dim", max(80, int(50 / beta)), int)
         h = fock.oscillator_hamiltonian(dim)
         pom = projective_pom(fock.position_operator(dim))
         est = scenarios.thermal_energy_estimate(h, pom, beta)
         at = 0.5 / np.tanh(beta)
         bt = 0.5 / np.cosh(beta / 2) ** 2
         xs = pom.values_array()
-        keep = est.probabilities > 1e-12
+        keep = est.analysis.p > 1e-12
         gap = float(np.abs(est.values[keep] - (at + bt * xs[keep] ** 2)).max())
         rep = relations.report("thermalgap", gap, 0.0, 1e-6, 1e-6,
                                {"route": "thermal-closed-form-gap", "beta": beta, "fock_dim": dim})
@@ -477,6 +478,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except ValueError as exc:  # ConfigError and invalid parameter values
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a size parameter too large for this host
+        print(f"config error: out of memory: {str(exc) or 'no detail'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

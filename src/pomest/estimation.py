@@ -66,7 +66,6 @@ class Estimator:
     meta: str = "custom"
     zero_probability: np.ndarray | None = None
     out_of_range: np.ndarray | None = None
-    probabilities: np.ndarray | None = None  # under the state it was made for, when already computed
     analysis: OptimalAnalysis | None = field(default=None, repr=False, compare=False)  # the one it came from
 
     def __post_init__(self):
@@ -121,7 +120,7 @@ def hs_distance(a: HermitianOperator, pom: Pom) -> float:
 
 
 def _out_of_range(values, a: HermitianOperator):
-    spec = np.linalg.eigvalsh(a.matrix)
+    spec = a.eigensystem()[0]
     return (values < spec[0] - 1e-12) | (values > spec[-1] + 1e-12)
 
 

@@ -140,7 +140,7 @@ def displacement(dim: int, alpha: complex) -> np.ndarray:
 
 
 def thermal_state(dim: int, mean_n: float) -> DensityOperator:
-    """Bose-Einstein diagonal state with the given mean photon number."""
+    """Bose-Einstein diagonal state with the given mean photon number, built from its factor."""
     if mean_n < 0:
         raise ValueError("mean photon number must be nonnegative")
     if mean_n == 0:
@@ -151,7 +151,7 @@ def thermal_state(dim: int, mean_n: float) -> DensityOperator:
         logp = n * np.log(mean_n / (1 + mean_n)) - np.log(1 + mean_n)
         probs = np.exp(logp)
         probs /= probs.sum()  # renormalize the truncated tail
-    return DensityOperator(np.diag(probs).astype(complex))
+    return DensityOperator.from_factor(np.diag(np.sqrt(probs))[:, probs > 0])
 
 
 def oscillator_hamiltonian(dim: int, hbar=1.0, omega=1.0) -> HermitianOperator:

@@ -4,7 +4,8 @@ Kets, Hermitian operators and density operators are thin immutable wrappers
 around numpy arrays, validated on construction.  An operator or a state may
 also hold a (..., d, d) stack of matrices, validated matrix by matrix in one
 pass; one matrix is the stack with no leading axis.  All functions here are
-pure; instances are safe to share between threads.
+pure; instances are safe to share between threads: two threads that first read
+a kept spectrum or factor at the same time each compute the same one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "DensityOperator",
     "tensor",
     "partial_trace_ancilla",
-    "spectral_apply",
     "matrix_to_json",
     "matrix_from_json",
     "PAULI_X",
@@ -101,7 +101,7 @@ class HermitianOperator:
     caller, not roundoff.  The error reads the worst matrix of a stack.
     """
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "_spectrum")
 
     def __init__(self, matrix):
         mat = _finite_square(matrix)
@@ -112,6 +112,7 @@ class HermitianOperator:
             raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e} (tol 1.0e-08 x {scale:.3e})")
         object.__setattr__(self, "dim", mat.shape[-1])
         object.__setattr__(self, "matrix", _freeze((mat + mat.conj().mT) / 2))
+        object.__setattr__(self, "_spectrum", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")
@@ -121,8 +122,10 @@ class HermitianOperator:
         return cls(np.eye(dim, dtype=complex))
 
     def eigensystem(self):
-        """Eigenvalues (ascending) and unitary of eigenvectors as columns."""
-        return np.linalg.eigh(self.matrix)
+        """Ascending eigenvalues and eigenvector columns, per matrix of a stack: one kept ``eigh``."""
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum", tuple(map(_freeze, np.linalg.eigh(self.matrix))))
+        return self._spectrum
 
     def expectation(self, rho: "DensityOperator") -> float:
         _check_dims(self.dim, rho.dim)
@@ -138,7 +141,7 @@ class HermitianOperator:
 
     def norm(self) -> float:
         """Spectral norm, matrix by matrix for a stack."""
-        return np.abs(np.linalg.eigvalsh(self.matrix)).max(axis=-1)
+        return np.abs(self.eigensystem()[0]).max(axis=-1)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -275,13 +278,6 @@ def partial_trace_ancilla(op: HermitianOperator, sys_dim: int, anc_state: Densit
     # sum_{s,s'} rho'[s', s] op[(i,s),(j,s')]
     reduced = np.einsum("ts,isjt->ij", anc_state.matrix, blocks)
     return HermitianOperator(reduced)
-
-
-def spectral_apply(op: HermitianOperator, fn) -> HermitianOperator:
-    """Apply a real function to a Hermitian operator through its spectrum."""
-    vals, vecs = op.eigensystem()
-    mapped = np.asarray([float(fn(v)) for v in vals])
-    return HermitianOperator((vecs * mapped) @ vecs.conj().T)
 
 
 def matrix_to_json(mat) -> list:

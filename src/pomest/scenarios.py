@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .estimation import Estimator, optimal_analysis
-from .operators import DensityOperator, HermitianOperator, spectral_apply
+from .operators import DensityOperator, HermitianOperator
 from .pom import Pom
 
 __all__ = [
@@ -52,16 +52,16 @@ class ScenarioError(RuntimeError):
 
 
 def _thermal_state(h: HermitianOperator, beta: float) -> DensityOperator:
-    vals = np.linalg.eigvalsh(h.matrix)
+    """e^{-beta H}/Z, built from its factor V sqrt(g/Z) on H's kept eigensystem."""
+    vals, vecs = h.eigensystem()
     spread = float(vals[-1] - vals[0])
     if not math.isfinite(beta * spread):
         raise OverflowError("beta times the spectral spread is not representable")
     e0 = float(vals[0])
     # weights are rescaled by the ground energy, so large beta*spread only
     # underflows the high levels (the zero-temperature limit), never overflows
-    gibbs = spectral_apply(h, lambda x: math.exp(max(-beta * (x - e0), -745.0)))
-    z = float(np.real(np.trace(gibbs.matrix)))
-    return DensityOperator(gibbs.matrix / z)
+    g = np.array([math.exp(max(-beta * (x - e0), -745.0)) for x in vals])
+    return DensityOperator.from_factor(vecs * np.sqrt(g / g.sum()))
 
 
 def log_partition_estimate(h: HermitianOperator, pom: Pom, beta: float,
@@ -71,7 +71,7 @@ def log_partition_estimate(h: HermitianOperator, pom: Pom, beta: float,
     Independent route to the thermal optimal estimate; outcomes whose
     generalized partition function underflows return nan.
     """
-    vals, vecs = np.linalg.eigh(h.matrix)
+    vals, vecs = h.eigensystem()
     e0 = vals[0]
     # (K, n): <v_n|M_k|v_n>, a sum of nonnegative terms in tr[e^{-beta H} M_k]
     w2 = (np.abs(pom.project(vecs)) ** 2).sum(axis=1)
@@ -91,7 +91,8 @@ def thermal_energy_estimate(h: HermitianOperator, pom: Pom, beta: float) -> Esti
     and cross-checks it to 1e-6 against the log-derivative of the generalized
     partition function tr[e^{-beta H} M_k] on outcomes carrying more than
     1e-12 of the largest outcome probability, leaving out those the
-    estimate flags as of zero probability (it sets them to 0).
+    estimate flags as of zero probability (it sets them to 0).  The estimate
+    keeps its ``analysis``, whose ``p`` are the outcome probabilities.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -104,8 +105,7 @@ def thermal_energy_estimate(h: HermitianOperator, pom: Pom, beta: float) -> Esti
         raise ScenarioError(
             f"thermal estimate disagrees with the log-partition route by {gap:.2e}"
         )
-    return Estimator(est.pom, est.values, meta="thermal", zero_probability=est.zero_probability,
-                     out_of_range=est.out_of_range, probabilities=p)
+    return replace(est, meta="thermal")
 
 
 # ---------------------------------------------------------------------------

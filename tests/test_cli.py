@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pomest import estimation, fock, relations, scenarios
+from pomest import estimation, fock, operators, relations, scenarios
 from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, RunConfig, _atomic_write, _relation_instances, main
 from pomest.estimation import estimate_stats, probabilities
 from pomest.operators import DensityOperator
@@ -233,8 +233,11 @@ def test_population_at_the_fock_cut_is_a_validation_error_naming_fock_dim(capsys
     (["scenario", "thermal", "--params", '{"beta": 1e400}'], "beta must be finite, not inf"),
     (["scenario", "squeezing", "--params", '{"hbar": 0}'], "hbar must be positive"),
     (["scenario", "squeezing", "--params", '{"hbar": -1}'], "hbar must be positive"),
+    (["scenario", "thermal", "--params", '{"fock_dim": 0}'], "fock_dim must be positive"),
+    (["scenario", "thermal", "--params", '{"fock_dim": -3}'], "fock_dim must be positive"),
 ], ids=["no-points", "one-point", "no-fock-levels", "negative-radius", "heterodyne-hbar", "grid-not-object",
-        "infinite-beta", "zero-squeezing-hbar", "negative-squeezing-hbar"])
+        "infinite-beta", "zero-squeezing-hbar", "negative-squeezing-hbar", "thermal-no-fock-levels",
+        "thermal-negative-fock-levels"])
 def test_bad_grid_or_physics_parameter_is_a_config_error_naming_it(argv, message, capsys):
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -327,6 +330,21 @@ def test_nonpositive_thermal_beta_is_config_error(beta, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: beta must be positive\n"
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 18.6 GiB"), MemoryError()])
+def test_running_out_of_memory_is_a_config_error(exc, tmp_path, monkeypatch, capsys):
+    # stands in for the dense matrices of a huge fock_dim; a real allocation of that size
+    # could take the host's memory or, with overcommit, run for hours
+    def oversized(dim):
+        raise exc
+
+    monkeypatch.setattr(fock, "oscillator_hamiltonian", oversized)
+    out = tmp_path / "thermal.json"
+    assert main(["scenario", "thermal", "--params", '{"beta": 1e-3}', "--output", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists() and list(tmp_path.iterdir()) == []
+    assert captured.err == f"config error: out of memory: {str(exc) or 'no detail'}\n"
 
 
 def test_thermal_default_dim_resolves_small_beta(capsys):
@@ -552,6 +570,27 @@ def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):
     code = main(["scenario", "thermal", "--output", str(tmp_path / "thermal.json")])
     assert code == EXIT_OK
     assert sorted(calls) == ["_thermal_state", "optimal_analysis"]
+
+
+def test_scenario_thermal_decomposes_h_once(tmp_path, monkeypatch):
+    calls = {"eigh": [], "eigvalsh": [], "_cholesky_factor": []}
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (operators, "_cholesky_factor")):
+        def spy(m, *args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name].append(np.array(m))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    assert main(["scenario", "thermal", "--output", str(tmp_path / "thermal.json")]) == EXIT_OK
+    h = fock.oscillator_hamiltonian(80).matrix  # the default fock_dim at beta 1
+
+    def of_h(ms):
+        return sum(m.shape == h.shape and np.array_equal(m, h) for m in ms)
+
+    # H's kept eigensystem builds the state, its factor and the log-partition route
+    assert of_h(calls["eigh"]) == 1 and of_h(calls["eigvalsh"]) == 0
+    assert calls["_cholesky_factor"] == []
+    # the other two: the position operator's eigh (its POM) and the state's validating eigvalsh
+    assert len(calls["eigh"]) == 2 and len(calls["eigvalsh"]) == 1
 
 
 @pytest.mark.parametrize("params", [

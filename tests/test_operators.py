@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,6 @@ from pomest.operators import (
     matrix_from_json,
     matrix_to_json,
     partial_trace_ancilla,
-    spectral_apply,
     tensor,
 )
 from pomest.sampling import random_density, random_hermitian
@@ -152,24 +154,46 @@ def test_partial_trace_dim_mismatch():
         partial_trace_ancilla(HermitianOperator.identity(5), 2, DensityOperator.maximally_mixed(2))
 
 
-def test_spectral_apply_identity_and_exp():
-    op = HermitianOperator(np.diag([0.0, np.log(2.0)]))
-    assert np.allclose(spectral_apply(op, lambda x: x).matrix, op.matrix, atol=1e-12)
-    assert np.allclose(spectral_apply(op, np.exp).matrix, np.diag([1.0, 2.0]), atol=1e-12)
-
-
-def test_spectral_sqrt_squares_back(rng):
+def test_eigensystem_is_formed_once_kept_read_only_and_squares_back(rng, monkeypatch):
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     psd = HermitianOperator(g @ g.conj().T)
-    root = spectral_apply(psd, lambda x: np.sqrt(max(x, 0.0)))
-    assert np.abs(root.matrix @ root.matrix - psd.matrix).max() < 1e-10
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    vals, vecs = psd.eigensystem()
+    again = psd.eigensystem()
+    assert again[0] is vals and again[1] is vecs and len(calls) == 1
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        vals[0] = 0.0
+    # the norm reads the kept spectrum too
+    assert psd.norm() == np.abs(vals).max() and len(calls) == 1
+    root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
+    assert np.abs(root @ root - psd.matrix).max() < 1e-10
+    # a stack keeps one spectrum per matrix
+    stack = HermitianOperator(_STACK)
+    assert stack.eigensystem()[0].shape == (3, 2) and stack.norm().tolist() == [0.75, 1.0, 0.5]
 
 
-def test_spectral_apply_commuting_structure(rng):
-    m = random_hermitian(5, rng)
-    f = spectral_apply(m, np.exp)
-    g = spectral_apply(m, np.tanh)
-    assert np.abs(f.matrix @ g.matrix - g.matrix @ f.matrix).max() < 1e-10
+def test_threads_that_first_read_a_spectrum_together_see_the_same_one(rng):
+    # the kept spectrum takes no lock: threads racing to the first read may each compute it,
+    # and every one must see the same values, equal to those finally kept
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            op = random_hermitian(30, rng)
+            seen = []
+            threads = [threading.Thread(target=lambda: seen.append(op.eigensystem())) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads) and len(seen) == 8
+            kept = op.eigensystem()
+            assert all(np.array_equal(v, kept[0]) and np.array_equal(w, kept[1]) for v, w in seen)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_matrix_json_roundtrip(rng):

@@ -97,7 +97,7 @@ def test_thermal_crosscheck_skips_outcomes_of_zero_probability():
     dim = 800
     h = fock.oscillator_hamiltonian(dim)
     est = thermal_energy_estimate(h, oscillator_position_pom(dim), 0.05)
-    p = est.probabilities
+    p = est.analysis.p
     assert np.any(est.zero_probability & (p > 1e-12 * p.max()))
 
 
