@@ -38,7 +38,7 @@ from .estimation import (
 from .operators import DensityOperator, HermitianOperator, matrix_from_json
 from .pom import (CompletenessError, GridSpec, coherent_pom, pom_from_json, projective_pom,
                   tetrahedral_pom, trine_pom, validate)
-from .sampling import (GENERATOR_NAME, complex_normal, hermitian_part, make_rng, normalized_density,
+from .sampling import (GENERATOR_NAME, hermitian_part, make_rng, normalized_density,
                        pom_normal, random_density, random_hermitian, random_pom, whitened_pom)
 
 EXIT_OK = 0
@@ -268,7 +268,7 @@ def _cmd_estimate(config: RunConfig) -> int:
 
 def _relation_instances(config: RunConfig) -> list:
     """Randomized property batches for the finite-dimensional relations.  Every
-    instance is drawn first, in a fixed order; the instances of each (dim, K)
+    instance is drawn first, in a fixed order; the instances of each dimension
     are then built and checked as one stack, through one ``optimal_analysis``
     of the pair (A, B), and the rows come out in instance order."""
     params = config.params
@@ -277,24 +277,27 @@ def _relation_instances(config: RunConfig) -> list:
         which = RELATION_IDS
     elif not isinstance(which, list) or not which or any(r not in RELATION_IDS for r in which):
         raise ConfigError(f"relations must be \"all\" or a list from {list(RELATION_IDS)}, not {which!r}")
-    instances = params.get("instances", 100)
-    if not isinstance(instances, int) or isinstance(instances, bool) or instances < 1:
-        raise ConfigError(f"instances must be a positive integer, not {instances!r}")
+    instances = _positive(params, "instances", 100, int)
     dims = params.get("dims", [2, 3, 4, 5])
-    if not isinstance(dims, list) or not dims or any(type(d) is not int or d < 2 for d in dims):
+    if not isinstance(dims, list) or not dims or any(_number({"dims": d}, "dims", d, int) < 2 for d in dims):
         raise ConfigError(f"dims must be a non-empty list of integers >= 2, not {dims!r}")
     rng = make_rng(config.seed)
-    groups = {}  # (dim, K) -> the draws of its instances: index, POM, rho, A, B, ungen's perturbation
+    groups = {}  # dim -> its instances: index, K, the K + 3 normals of POM, rho, A, B, ungen's perturbation
     for i in range(instances):
-        dim = dims[rng.integers(len(dims))]
+        dim = int(dims[rng.integers(len(dims))])
         n_out = int(rng.integers(2, 2 * dim + 2))
-        draws = (i, pom_normal(rng, n_out, dim), *(complex_normal(rng, dim, dim) for _ in range(3)),
-                 rng.normal(size=n_out) if "ungen" in which else 0.0)
-        groups.setdefault((dim, n_out), []).append(draws)
+        groups.setdefault(dim, []).append((i, n_out, pom_normal(rng, n_out + 3, dim),
+                                           rng.normal(size=n_out) if "ungen" in which else 0.0))
     rows = [None] * instances
-    for (dim, n_out), draws in groups.items():
-        index, *stacks = zip(*draws)
-        g_pom, g_rho, g_a, g_b, noise = map(np.stack, stacks)
+    for dim, draws in groups.items():
+        # zero outcomes pad each POM to 2 dim + 1, the most a draw has: whitened, each is M_k = 0,
+        # of probability and value 0, and adds exact zeros to every sum
+        g_pom = np.zeros((len(draws), 2 * dim + 1, dim, dim), complex)
+        noise = np.zeros(g_pom.shape[:2])
+        g_rho, g_a, g_b = np.empty((3, len(draws), dim, dim), complex)
+        for n, (_, n_out, normals, perturbation) in enumerate(draws):
+            g_pom[n, :n_out], noise[n, :n_out] = normals[:n_out], perturbation
+            g_rho[n], g_a[n], g_b[n] = normals[n_out:]
         an = optimal_analysis((hermitian_part(g_a), hermitian_part(g_b)), whitened_pom(g_pom),
                               normalized_density(g_rho))
         f, g = an.values
@@ -303,7 +306,7 @@ def _relation_instances(config: RunConfig) -> list:
                   "ungen": lambda: relations.check_ungen(an, f + noise, g),
                   "varsum": lambda: relations.check_varsum(an)}
         reports = [checks[r]() for r in RELATION_IDS if r in which]
-        for i, reps in zip(index, zip(*reports)):
+        for (i, n_out, *_), reps in zip(draws, zip(*reports)):
             for rep in reps:
                 rep.inputs_digest.update(instance=i, dim=dim, outcomes=n_out)
             rows[i] = [rep.to_json("relations") for rep in reps]

@@ -412,6 +412,29 @@ def test_non_numeric_parameter_is_a_config_error_naming_the_key(argv, key, capsy
     assert captured.err.startswith(f"config error: {key} must be a number")
 
 
+@pytest.mark.parametrize("params, expect", [
+    ('{"instances": 3.0, "dims": [2.0, 3]}', None),
+    ('{"instances": 2.7}', "instances must be an integer, not 2.7"),
+    ('{"instances": true}', "instances must be a number, not True"),
+    ('{"instances": 0}', "instances must be positive"),
+    ('{"dims": [2, 2.5]}', "dims must be an integer, not 2.5"),
+    ('{"dims": [true, 3]}', "dims must be a number, not True"),
+], ids=["integral-floats", "fractional-instances", "boolean-instances", "zero-instances",
+        "fractional-dim", "boolean-dim"])
+def test_relations_sizes_follow_the_integral_parameter_rule(params, expect, capsys):
+    code = main(["relations", "--params", params])
+    captured = capsys.readouterr()
+    if expect:
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert captured.err == f"config error: {expect}\n"
+        return
+    # 3.0 reads as 3 and 2.0 as 2: the rows are those of the integers, down to the digest's dim
+    assert code == EXIT_OK
+    assert main(["relations", "--params", '{"instances": 3, "dims": [2, 3]}']) == EXIT_OK
+    rows = [json.dumps(json.loads(out)["rows"]) for out in (captured.out, capsys.readouterr().out)]
+    assert rows[0] == rows[1]
+
+
 def test_relations_instance_reads_one_analysis(monkeypatch):
     counts = {"traces": 0, "project": 0, "_out_of_range": 0}
 
@@ -426,11 +449,11 @@ def test_relations_instance_reads_one_analysis(monkeypatch):
     monkeypatch.setattr(estimation, "_out_of_range", spy("_out_of_range", estimation._out_of_range))
     rows = _relation_instances(RunConfig("relations", params={"instances": 20}))
     assert [r["relation_id"] for r in rows] == ["geom", "accbound", "ungen", "varsum"] * 20
-    groups = {(r["inputs_digest"]["dim"], r["inputs_digest"]["outcomes"]) for r in rows}
-    assert 2 <= len(groups) < 20  # (5, 8), (2, 3), (5, 10) and (5, 6) hold two instances each
+    dims = {r["inputs_digest"]["dim"] for r in rows}
+    assert dims == {2, 3, 4, 5}  # 20 instances over 16 (dim, K) pairs
     # tr[rho M_k], tr[rho A M_k] and tr[A rho A M_k] for A and B, and the probabilities,
-    # from one projection of each (dim, K) stack of factored POMs onto its [C, A C, B C]
-    assert counts["traces"] == 0 and counts["project"] == len(groups)
+    # from one projection of each dimension's stack of factored POMs onto its [C, A C, B C]
+    assert counts["traces"] == 0 and counts["project"] == len(dims)
     # the rows read the value vectors, so no Estimator and no out-of-range spectrum is formed
     assert counts["_out_of_range"] == 0
 

@@ -418,3 +418,25 @@ def test_a_stack_is_checked_bit_for_bit_as_its_instances_one_by_one(draws):
         assert an.commutator_bound[n] == one.commutator_bound
         # lhs, rhs, flags and digest of every row
         assert [reps[n] for reps in rows] == _stack_rows(one, noise)
+
+
+@given(draws=relation_stacks())
+def test_zero_outcomes_padding_a_stack_change_no_flag_and_no_number_beyond_rounding(draws):
+    # `relations` pads each POM draw with zero outcomes to 2 dim + 1 and checks a dimension as one stack
+    g_pom, *g_ops, noise = (np.stack(x) for x in zip(*draws))
+    n, n_out, dim = g_pom.shape[:3]
+    padded_pom, padded_noise = np.zeros((n, 2 * dim + 1, dim, dim), complex), np.zeros((n, 2 * dim + 1))
+    padded_pom[:, :n_out], padded_noise[:, :n_out] = g_pom, noise
+    an, padded = _stack_analysis(g_pom, *g_ops), _stack_analysis(padded_pom, *g_ops)
+    for name in ("t", "t_a", "t_aa"):
+        x, y = getattr(an, name), getattr(padded, name)
+        assert y[..., :n_out].tobytes() == x.tobytes(), name
+        assert not y[..., n_out:].any(), name
+    for reps, padded_reps in zip(_stack_rows(an, noise), _stack_rows(padded, padded_noise)):
+        for rep, pad in zip(reps, padded_reps):
+            assert (rep.passed, rep.saturated) == (pad.passed, pad.saturated)
+            assert rep.inputs_digest.keys() == pad.inputs_digest.keys()
+            assert rep.inputs_digest.get("n_outcomes_kept") == pad.inputs_digest.get("n_outcomes_kept")
+            for x, y in zip([rep.lhs, rep.rhs, rep.slack, *rep.inputs_digest.values()],
+                            [pad.lhs, pad.rhs, pad.slack, *pad.inputs_digest.values()]):
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(x))
