@@ -23,10 +23,11 @@ for label, ket in (
     ("coherent b=1.2+0.5i", fock.coherent_ket(dim, 1.2 + 0.5j)),
 ):
     an = heterodyne_analysis(ket.to_density(), pom)
+    disp, eps = an.optimal.dispersions, an.optimal.inaccuracies
     print(f"\nstate {label}:")
-    print(f"  dispersion product (with state) = {an.disp[0] * an.disp[1]:.6f}")
+    print(f"  dispersion product (with state) = {disp[0] * disp[1]:.6f}")
     print(f"  dispersion product (no info)    = {an.noinfo_disp[0] * an.noinfo_disp[1]:.6f}")
-    print(f"  eps1^2 + eps2^2                 = {an.eps2[0] + an.eps2[1]:.6f}")
+    print(f"  eps1^2 + eps2^2                 = {eps[0] ** 2 + eps[1] ** 2:.6f}")
     print(f"  tr Fisher                        = {an.trace_fisher:.6f}  (<= 4)")
     print(f"  spectral log-gradient check      = {an.crosscheck_rms:.2e} rms under p")
     for rep in an.reports:

@@ -192,7 +192,7 @@ def _named_pom(params: dict, seed: int):
         return coherent_pom(_positive(params, "fock_dim", 30, int), grid)
     if name == "random":
         rng = make_rng(seed)
-        return random_pom(_number(params, "dim", 3, int), _number(params, "outcomes", 4, int), rng)
+        return random_pom(_positive(params, "dim", 3, int), _positive(params, "outcomes", 4, int), rng)
     raise ConfigError(f"unknown POM name {name!r}")
 
 

@@ -27,6 +27,9 @@ from .operators import (
     HermiticityError,
     HermitianOperator,
     Ket,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     matrix_from_json,
     matrix_to_json,
 )
@@ -265,11 +268,12 @@ def validate(pom: Pom, positivity_tol=1e-10, completeness_tol=1e-8) -> Validatio
                             pom.renorm_correction)
 
 
-def _renormalize_kets(kets, weight):
-    """Kets T^{-1/2}|k>, T = weight sum_k |k><k|, and T's mean and max eigenvalue corrections;
-    a mean correction above 0.1 is no longer a correction."""
+def _grid_pom(amps, grid: GridSpec, cell, kind) -> Pom:
+    """Grid POM of weight cell/pi of the (K, r, d) rows u renormalized together, T^{-1/2}|u> with
+    T = (cell/pi) sum |u><u|, and T's mean and max corrections; a mean one above 0.1 is no correction."""
+    weight, rows = cell / np.pi, amps.reshape(-1, amps.shape[-1])
     # Re T and Im T from the real Gram r.T @ r of the interleaved (Re, Im) columns (numpy forms it symmetric)
-    g = weight * (kets.view(float).T @ kets.view(float))
+    g = weight * (rows.view(float).T @ rows.view(float))
     total = g[::2, ::2] + g[1::2, 1::2] + 1j * (g[1::2, ::2] - g[::2, 1::2])
     vals, vecs = np.linalg.eigh(total)
     if vals.min() <= 0:
@@ -279,13 +283,15 @@ def _renormalize_kets(kets, weight):
     # Mean eigenvalue deficiency measures whether the grid covers the truncated
     # space; individual top Fock levels may sit near the coverage boundary.
     mean_corr = float(abs(vals.mean() - 1.0))
-    max_corr = float(np.abs(vals - 1.0).max())
     if mean_corr > 0.1:
         raise CompletenessError(
             f"renormalization correction {mean_corr:.3f} exceeds 0.10; "
             "enlarge the grid or reduce the Fock dimension"
         )
-    return kets @ ((vecs * vals**-0.5) @ vecs.conj().T).T, mean_corr, max_corr
+    rows = rows @ ((vecs * vals**-0.5) @ vecs.conj().T).T
+    return Pom(amps.shape[-1], None, np.full(len(amps), weight), rows.reshape(amps.shape), kind=kind,
+               grid=grid, renorm_correction=mean_corr,
+               meta={"max_renorm_correction": float(np.abs(vals - 1.0).max())})
 
 
 def coherent_pom(fock_dim: int, grid: GridSpec) -> Pom:
@@ -296,12 +302,7 @@ def coherent_pom(fock_dim: int, grid: GridSpec) -> Pom:
     family is complete on the truncated space.
     """
     alphas, cell = grid.points()
-    weights = np.full(alphas.size, cell / np.pi)
-    kets = fock.coherent_amplitudes(fock_dim, alphas)
-    kets, mean_corr, max_corr = _renormalize_kets(kets, cell / np.pi)
-    return Pom(fock_dim, None, weights, kets[:, None],
-               kind="coherent-grid", grid=grid, renorm_correction=mean_corr,
-               meta={"max_renorm_correction": max_corr})
+    return _grid_pom(fock.coherent_amplitudes(fock_dim, alphas)[:, None], grid, cell, "coherent-grid")
 
 
 def imageband_conjugate(imageband: DensityOperator) -> np.ndarray:
@@ -331,10 +332,7 @@ def imageband_pom(fock_dim: int, grid: GridSpec, imageband: DensityOperator) -> 
     amps = np.empty((alphas.size, factor.shape[1], fock_dim), dtype=complex)  # amps[k] = U_k^T
     for c in (slice(i, i + _GRID_CHUNK) for i in range(0, alphas.size, _GRID_CHUNK)):
         amps[c] = (fock.displacement_columns(fock_dim, alphas[c], s) @ factor).mT
-    rows, mean_corr, max_corr = _renormalize_kets(amps.reshape(-1, fock_dim), cell / np.pi)
-    return Pom(fock_dim, None, np.full(alphas.size, cell / np.pi), rows.reshape(amps.shape),
-               kind="imageband-grid", grid=grid, renorm_correction=mean_corr,
-               meta={"max_renorm_correction": max_corr})
+    return _grid_pom(amps, grid, cell, "imageband-grid")
 
 
 def inefficient_photon_pom(fock_dim: int, eta: float, max_faithful_outcome=None) -> Pom:
@@ -377,8 +375,6 @@ def spin_pom(directions, probs) -> Pom:
 
     Requires sum_m q_m m = 0, |m| <= 1, q_m >= 0 and sum q_m = 1.
     """
-    from .operators import PAULI_X, PAULI_Y, PAULI_Z
-
     dirs = np.asarray(directions, dtype=float)
     q = np.asarray(probs, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3 or dirs.shape[0] != q.size:

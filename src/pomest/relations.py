@@ -31,7 +31,6 @@ from . import fock
 from .estimation import (
     BIAS_TOL,
     ZERO_PROB_TOL,
-    Estimator,
     OptimalAnalysis,
     _bias_operator,
     _no_info_values,
@@ -219,15 +218,10 @@ def check_varsum(an: OptimalAnalysis) -> RelationReport | list:
 
 @dataclass
 class HeterodyneAnalysis:
-    """Full diagnostics of a phase-space grid measurement on one state."""
+    """Full diagnostics of a phase-space grid measurement on one state: the one ``OptimalAnalysis``
+    of X1, X2 (POM, state, p, estimates and their statistics) and what ``heterodyne_analysis`` adds."""
 
-    pom: Pom
-    rho: DensityOperator
-    p: np.ndarray
-    est_1: Estimator
-    est_2: Estimator
-    disp: tuple
-    eps2: tuple
+    optimal: OptimalAnalysis
     noinfo_disp: tuple
     fisher: np.ndarray
     fisher_marginal: tuple
@@ -258,7 +252,7 @@ def _spectral_gradient(q, step):
 
 
 def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
-    """Estimates, dispersions, inaccuracies and Fisher data for a grid POM.
+    """Optimal quadrature estimates on a grid POM, kept as one ``OptimalAnalysis``, and their Fisher data.
 
     The optimal estimates are the paper's f_j = alpha_j + (1/4) dlog Q/dalpha_j,
     so dQ/dalpha_j = 4 Q d_j with d = f - alpha is exact at every grid point, and
@@ -278,7 +272,6 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     n, h, w = pom.grid.points_per_axis, pom.grid.step, pom.weights
     opt = optimal_analysis(fock.quadratures(pom.dim), pom, rho)
     p = opt.p
-    est_1, est_2 = opt.estimates
     disp, eps2 = opt.dispersions, tuple(e**2 for e in opt.inaccuracies)
     # tr[a M_k] = tr[X1 M_k] + i tr[X2 M_k]: both no-information traces from one pass
     t_id, t_a = _outcome_traces(pom), pom.traces(fock.annihilation(pom.dim))
@@ -332,8 +325,7 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
         report("tracefish", 4.0, tr_f, tol, tol, digest),
         report("fishident", eps_sum, 0.5 - tr_f / 16, tol, tol, digest),
     ]
-    return HeterodyneAnalysis(pom, rho, p, est_1, est_2, disp, eps2, noinfo_disp,
-                              F, fisher_marginal, cov_q, cc_rms, mat_gap, reports)
+    return HeterodyneAnalysis(opt, noinfo_disp, F, fisher_marginal, cov_q, cc_rms, mat_gap, reports)
 
 
 def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0) -> RelationReport:
@@ -346,7 +338,7 @@ def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0) -> RelationReport:
     universally-unbiased bound hbar.  Reads the dispersions of an existing
     ``heterodyne_analysis`` result.
     """
-    product = 2 * hbar * analysis.disp[0] * analysis.disp[1]
+    product = 2 * hbar * analysis.optimal.dispersions[0] * analysis.optimal.dispersions[1]
     noinfo = 2 * hbar * analysis.noinfo_disp[0] * analysis.noinfo_disp[1]
     return report("uncanon", product, hbar / 4, SATURATION_TOL_GRID, SATURATION_TOL_GRID,
                   digest={"hbar": hbar, "unbiased_bound": hbar,

@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .estimation import Estimator, optimal_analysis
 from .operators import DensityOperator, HermitianOperator
 from .pom import Pom
+from .relations import GridResolutionError
 
 __all__ = [
     "ScenarioError",
@@ -296,8 +297,6 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     """
     from concurrent.futures import ThreadPoolExecutor
     from queue import SimpleQueue
-
-    from .relations import GridResolutionError
 
     closed = epr_closed_form(params)
     n = int(points)

@@ -111,7 +111,8 @@ def test_criterion_01_heterodyne_coherent_products(capsys):
 
 def test_criterion_02_accuracy_bound_saturation(capsys, fine_grid_states):
     _, analyses = fine_grid_states
-    worst = max(abs(an.eps2[0] + an.eps2[1] - 0.25) for an in analyses.values())
+    worst = max(abs(an.optimal.inaccuracies[0] ** 2 + an.optimal.inaccuracies[1] ** 2 - 0.25)
+                for an in analyses.values())
     _line(capsys, 2, worst < 1e-3,
           f"max |eps1^2 + eps2^2 - 1/4| = {worst:.2e} over 5 pure states")
 
@@ -119,7 +120,8 @@ def test_criterion_02_accuracy_bound_saturation(capsys, fine_grid_states):
 def test_criterion_03_fisher_identities(capsys, fine_grid_states):
     _, analyses = fine_grid_states
     worst_ident = max(
-        abs(an.eps2[0] + an.eps2[1] - (0.5 - an.trace_fisher / 16)) for an in analyses.values()
+        abs(an.optimal.inaccuracies[0] ** 2 + an.optimal.inaccuracies[1] ** 2 - (0.5 - an.trace_fisher / 16))
+        for an in analyses.values()
     )
     worst_trace = max(an.trace_fisher - 4.0 for an in analyses.values())
     ok = worst_ident < 1e-3 and worst_trace <= 1e-3

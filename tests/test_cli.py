@@ -559,26 +559,31 @@ def test_scenario_heterodyne_runs_one_analysis(tmp_path, monkeypatch):
 
     monkeypatch.setattr(relations, "heterodyne_analysis", spy(analyses, relations.heterodyne_analysis))
     monkeypatch.setattr(relations, "optimal_analysis", spy(optimal, relations.optimal_analysis))
+    range_checks = []
+    monkeypatch.setattr(estimation, "_out_of_range", spy(range_checks, estimation._out_of_range))
     out = tmp_path / "het.json"
     params = {"fock_dim": 16, "radius": 6.5, "points_per_axis": 101,
               "state": "coherent:0.6,-0.2", "hbar": 0.5}
     code = main(["scenario", "heterodyne", "--params", json.dumps(params), "--output", str(out)])
     assert code == EXIT_OK
     assert len(analyses) == 1
+    # the result keeps its one optimal analysis and builds no Estimator from it
+    (opt,) = optimal
     an = analyses[0]
+    assert an.optimal is opt
+    assert range_checks == []
     rows = json.loads(out.read_text())["rows"]
     assert [r["relation_id"] for r in rows[:-1]] == [r.relation_id for r in an.reports]
     assert rows[-1]["relation_id"] == "uncanon"
-    assert rows[-1]["lhs"] == 2 * 0.5 * an.disp[0] * an.disp[1]
+    assert rows[-1]["lhs"] == 2 * 0.5 * opt.dispersions[0] * opt.dispersions[1]
 
     # the probabilities are the clipped w t of the one optimal analysis
-    (opt,) = optimal
-    assert np.array_equal(an.p, np.clip(an.pom.weights * opt.t, 0.0, None))
+    assert np.array_equal(opt.p, np.clip(opt.pom.weights * opt.t, 0.0, None))
     # estimate_stats, from its own analysis of X1, gives the analysis's dispersion
-    x1 = fock.quadratures(an.pom.dim)[0]
-    assert estimate_stats(an.est_1, x1, an.rho).dispersion == an.disp[0]
+    x1 = fock.quadratures(opt.pom.dim)[0]
+    assert estimate_stats(opt.estimates[0], x1, opt.rho).dispersion == opt.dispersions[0]
     # the (K, 3) projection and probabilities' own (K, 1) one differ only in roundoff
-    assert np.abs(an.p - probabilities(an.pom, an.rho)).max() <= 16 * np.spacing(an.p.max())
+    assert np.abs(opt.p - probabilities(opt.pom, opt.rho)).max() <= 16 * np.spacing(opt.p.max())
 
 
 def test_scenario_thermal_builds_its_state_once(tmp_path, monkeypatch):
@@ -672,6 +677,10 @@ def test_completeness_tolerance_is_applied(monkeypatch, capsys):
 @pytest.mark.parametrize("env, argv, named", [
     ({}, ["estimate", "--params", '{"state": {"mat": 1}}'], "'matrix'"),
     ({}, ["estimate", "--params", '{"pom": "random", "dim": 2.7}'], "dim must be an integer"),
+    ({}, ["estimate", "--params", '{"pom": "random", "dim": 0}'], "dim must be positive"),
+    ({}, ["estimate", "--params", '{"pom": "random", "dim": -2}'], "dim must be positive"),
+    ({}, ["estimate", "--params", '{"pom": "random", "dim": 2, "outcomes": 0}'], "outcomes must be positive"),
+    ({}, ["validate", "--params", '{"pom": "random", "outcomes": -1}'], "outcomes must be positive"),
     ({}, ["scenario", "heterodyne", "--params", '{"fock_dim": 40.5}'], "fock_dim must be an integer"),
     ({}, ["estimate", "--params", '{"pom": "coherent", "fock_dim": 6, '
                                   '"grid": {"points_per_axis": 2.9, "radius": 3}}'],
@@ -681,7 +690,8 @@ def test_completeness_tolerance_is_applied(monkeypatch, capsys):
     ({"POMEST_POSITIVITY_TOL": "nan"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_POSITIVITY_TOL"),
     ({"POMEST_POSITIVITY_TOL": "inf"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_POSITIVITY_TOL"),
     ({"POMEST_COMPLETENESS_TOL": "abc"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_COMPLETENESS_TOL"),
-], ids=["state-without-matrix", "fractional-dim", "fractional-fock-dim", "fractional-points",
+], ids=["state-without-matrix", "fractional-dim", "zero-dim", "negative-dim", "zero-outcomes",
+        "negative-outcomes", "fractional-fock-dim", "fractional-points",
         "nan-completeness", "negative-completeness", "nan-positivity", "infinite-positivity",
         "text-completeness"])
 def test_missing_matrix_fractional_size_or_bad_tolerance_is_a_config_error_naming_it(

@@ -217,8 +217,8 @@ def test_heterodyne_coherent_state(het_pom):
     n = DIM40_GRID.points_per_axis
     a1 = het_pom.values_array(0)
     core = np.abs(a1 + 1j * het_pom.values_array(1) - beta) < 3.0
-    assert np.abs(an.est_1.values[core] - (a1[core] + beta.real) / 2).max() < 1e-6
-    assert an.disp[0] * an.disp[1] == pytest.approx(0.125, abs=1e-6)
+    assert np.abs(an.optimal.estimates[0].values[core] - (a1[core] + beta.real) / 2).max() < 1e-6
+    assert an.optimal.dispersions[0] * an.optimal.dispersions[1] == pytest.approx(0.125, abs=1e-6)
     assert an.noinfo_disp[0] * an.noinfo_disp[1] == pytest.approx(0.5, abs=1e-5)
     by_id = {r.relation_id: r for r in an.reports}
     assert by_id["unbest"].saturated
@@ -237,8 +237,9 @@ def test_heterodyne_number_state(het_pom):
     alpha = a1 + 1j * a2
     ring = (np.abs(alpha) > 1.0) & (np.abs(alpha) < 3.0)
     expect = 0.5 * alpha * (1 + 1 / np.abs(alpha) ** 2)
-    assert np.abs(an.est_1.values[ring] - expect.real[ring]).max() < 1e-6
-    assert np.abs(an.est_2.values[ring] - expect.imag[ring]).max() < 1e-6
+    est_1, est_2 = an.optimal.estimates
+    assert np.abs(est_1.values[ring] - expect.real[ring]).max() < 1e-6
+    assert np.abs(est_2.values[ring] - expect.imag[ring]).max() < 1e-6
     by_id = {r.relation_id: r for r in an.reports}
     assert by_id["accbest"].saturated  # pure state
     assert not by_id["unbest"].saturated  # only coherent states saturate
@@ -261,11 +262,12 @@ def test_heterodyne_fisher_identities(het_pom):
         fock.number_ket(het_pom.dim, 1).to_density(),
     ):
         an = heterodyne_analysis(rho, het_pom)
-        eps_sum = an.eps2[0] + an.eps2[1]
+        eps2 = [e**2 for e in an.optimal.inaccuracies]
+        eps_sum = eps2[0] + eps2[1]
         assert eps_sum == pytest.approx(0.5 - an.trace_fisher / 16, abs=1e-3)
         assert an.trace_fisher <= 4 + 1e-3
-        assert abs(an.eps2[0] - an.fisher[1, 1] / 16) < 1e-3
-        assert abs(an.eps2[1] - an.fisher[0, 0] / 16) < 1e-3
+        assert abs(eps2[0] - an.fisher[1, 1] / 16) < 1e-3
+        assert abs(eps2[1] - an.fisher[0, 0] / 16) < 1e-3
         # marginal Cramer-Rao chain (quadrature slack)
         for j in (0, 1):
             assert an.fisher_marginal[j] >= 1 / an.cov_q[j, j] - 1e-4
@@ -356,11 +358,11 @@ def test_heterodyne_analysis_matches_reference_route(monkeypatch):
         for j, x in enumerate(fock.quadratures(dim)):
             x = x.matrix
             f = np.where(t < 1e-14, 0.0, traces(r @ x) / t)
-            got = (an.est_1, an.est_2)[j]
+            got = an.optimal.estimates[j]
             np.testing.assert_allclose(got.values[keep], f[keep], rtol=0, atol=1e-12)
-            assert an.disp[j] == pytest.approx(dispersion(f), rel=0, abs=1e-12)
+            assert an.optimal.dispersions[j] == pytest.approx(dispersion(f), rel=0, abs=1e-12)
             eps2 = pom.weights @ (traces(x @ r @ x) - 2 * f * traces(r @ x) + f * f * t)
-            assert an.eps2[j] == pytest.approx(eps2, rel=0, abs=1e-12)
+            assert an.optimal.inaccuracies[j] ** 2 == pytest.approx(eps2, rel=0, abs=1e-12)
             assert an.noinfo_disp[j] == pytest.approx(dispersion(traces(x) / noinfo_t), rel=0, abs=1e-12)
 
 
