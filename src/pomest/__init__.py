@@ -62,7 +62,6 @@ from .relations import (
     check_ungen,
     check_uni,
     check_varsum,
-    commutator_bound,
     heterodyne_analysis,
 )
 from .scenarios import (

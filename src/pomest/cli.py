@@ -7,12 +7,11 @@ Usage:
 Exit codes: 0 all checks passed, 1 a relation was violated, 2 a validation
 failure, 3 a configuration error.  Reports are byte-identical for identical
 (config, seed).  Every row is built by ``relations.report`` and written by
-``RelationReport.to_json``, so slack = lhs - rhs on every row.  The two
-tolerances ``validate`` applies can be overridden through the environment
-variables POMEST_POSITIVITY_TOL and POMEST_COMPLETENESS_TOL, each a finite
-number >= 0.  A bad variable or parameter (a size that is not an integer,
-among others) exits 3 with one ``config error:`` line that names it; so does
-running out of memory, as a size parameter too large for the host does.
+``RelationReport.to_json``, so slack = lhs - rhs on every row.  ``validate``
+applies ``pom.POSITIVITY_TOL`` and ``pom.COMPLETENESS_TOL``.  A bad parameter
+(a size that is not an integer, among others) exits 3 with one ``config
+error:`` line that names it; so does running out of memory, as a size
+parameter too large for the host does.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from .estimation import (
     optimal_estimate_no_info,
 )
 from .operators import DensityOperator, HermitianOperator, matrix_from_json
-from .pom import (CompletenessError, GridSpec, coherent_pom, pom_from_json, projective_pom,
-                  tetrahedral_pom, trine_pom, validate)
+from .pom import (COMPLETENESS_TOL, CompletenessError, GridSpec, coherent_pom, pom_from_json,
+                  projective_pom, tetrahedral_pom, trine_pom, validate)
 from .sampling import (GENERATOR_NAME, hermitian_part, make_rng, normalized_density,
                        pom_normal, random_density, random_hermitian, random_pom, whitened_pom)
 
@@ -50,12 +49,6 @@ RELATION_IDS = ("geom", "accbound", "ungen", "varsum")
 
 CSV_COLUMNS = ["scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance",
                "pass_tolerance", "passed"]
-
-ENV_PREFIX = "POMEST_"
-ENV_TOLERANCES = {
-    "POSITIVITY_TOL": 1e-10,
-    "COMPLETENESS_TOL": 1e-8,
-}
 
 
 class ConfigError(ValueError):
@@ -70,24 +63,6 @@ class RunConfig:
     output_format: str = "json"
     output_path: str | None = None
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-
-
-def _env_tolerances() -> dict:
-    """The tolerances ``validate`` applies, each a finite number >= 0; a ConfigError names the variable."""
-    tols = {}
-    for key, default in ENV_TOLERANCES.items():
-        name = ENV_PREFIX + key
-        raw = os.environ.get(name, default)
-        try:  # environment values are strings; one that is not a number stays one, for _number to name
-            raw = float(raw)
-        except ValueError:
-            pass
-        value = _number({name: raw}, name, default)
-        if value < 0:
-            raise ConfigError(f"{name} must be >= 0, not {value!r}")
-        tols[key.lower()] = value
-    return tols
 
 
 def _number(params, key: str, default, kind=float, finite=True):
@@ -206,9 +181,9 @@ def _cmd_validate(config: RunConfig) -> int:
             raise ConfigError(f"cannot load POM descriptor: {exc}") from exc
     else:
         pom = _named_pom(params, config.seed)
-    tol = config.tolerances["completeness_tol"]
-    checked = validate(pom, config.tolerances["positivity_tol"], tol)
-    row = relations.report("completeness", checked.completeness_deviation, 0.0, tol, tol)
+    checked = validate(pom)
+    row = relations.report("completeness", checked.completeness_deviation, 0.0, COMPLETENESS_TOL,
+                           COMPLETENESS_TOL)
     _emit(config, [row.to_json("validate")], {"validation": checked.to_json()}, checked.passed)
     return EXIT_OK if checked.passed else EXIT_VALIDATION
 
@@ -254,11 +229,15 @@ def _cmd_estimate(config: RunConfig) -> int:
     elif mode == "with-state":
         est = optimal_estimate(op, pom, _load_state(params, pom.dim, config.seed))
     elif mode == "measurement":
-        component = params.get("component")
+        raw = params.get("component")
         width = len(pom.values[0]) if isinstance(pom.values[0], tuple) else 0
-        if component is not None and not (type(component) is int and 0 <= component < width):
+        try:  # an integral number reads as an integer, as every integral parameter does
+            component = None if raw is None else _number(params, "component", None, int)
+        except ConfigError:
+            component = -1  # not an integer: named below with the values allowed
+        if component is not None and not 0 <= component < width:
             allowed = f"an integer from 0 to {width - 1}" if width else "omitted for scalar outcome values"
-            raise ConfigError(f"component must be {allowed}, not {component!r}")
+            raise ConfigError(f"component must be {allowed}, not {raw!r}")
         est = measurement_estimator(pom, component)
     else:
         raise ConfigError(f"unknown estimate mode {mode!r}")
@@ -405,8 +384,7 @@ def _cmd_scenario(config: RunConfig) -> int:
 
 
 def _cmd_suite(config: RunConfig) -> int:
-    rows = _relation_instances(RunConfig("relations", params={"instances": 50},
-                                         seed=config.seed, tolerances=config.tolerances))
+    rows = _relation_instances(RunConfig("relations", params={"instances": 50}, seed=config.seed))
     extras = {}
     for name, params in (
         ("epr", {"points": 2048}),
@@ -472,7 +450,6 @@ def main(argv=None) -> int:
             output_format=args.format,
             output_path=args.output,
             seed=args.seed,
-            tolerances=_env_tolerances(),
         )
         return run(config)
     # CompletenessError is a ValueError: the validation failures go first

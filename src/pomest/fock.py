@@ -154,10 +154,12 @@ def thermal_state(dim: int, mean_n: float) -> DensityOperator:
     return DensityOperator.from_factor(np.diag(np.sqrt(probs))[:, probs > 0])
 
 
-def oscillator_hamiltonian(dim: int, hbar=1.0, omega=1.0) -> HermitianOperator:
-    return HermitianOperator(np.diag(hbar * omega * (np.arange(dim) + 0.5)).astype(complex))
+def oscillator_hamiltonian(dim: int) -> HermitianOperator:
+    """H = n + 1/2, the oscillator energy in units hbar = omega = 1."""
+    return HermitianOperator(np.diag(np.arange(dim) + 0.5).astype(complex))
 
 
-def position_operator(dim: int, hbar=1.0, mass=1.0, omega=1.0) -> HermitianOperator:
+def position_operator(dim: int) -> HermitianOperator:
+    """X = (a + a†)/sqrt(2), the oscillator position in units hbar = m = omega = 1."""
     a = annihilation(dim)
-    return HermitianOperator(np.sqrt(hbar / (2 * mass * omega)) * (a + a.conj().T))
+    return HermitianOperator(np.sqrt(0.5) * (a + a.conj().T))

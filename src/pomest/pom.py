@@ -42,6 +42,8 @@ __all__ = [
     "TruncationTailError",
     "CompletionError",
     "validate",
+    "POSITIVITY_TOL",
+    "COMPLETENESS_TOL",
     "coherent_pom",
     "imageband_pom",
     "imageband_conjugate",
@@ -58,6 +60,8 @@ __all__ = [
 ]
 
 
+POSITIVITY_TOL = 1e-10  # how far below 0 an outcome's least eigenvalue may fall in ``validate``
+COMPLETENESS_TOL = 1e-8  # how far sum_k w_k M_k may deviate from 1, in spectral norm, in ``validate``
 _GRID_CHUNK = 256  # grid points per displacement batch: bounds imageband_pom's temporaries
 
 
@@ -243,8 +247,6 @@ class ValidationReport:
     passed: bool
     min_eigenvalues: np.ndarray
     completeness_deviation: float
-    positivity_tol: float
-    completeness_tol: float
     renorm_correction: float | None = None
 
     def to_json(self) -> dict:
@@ -252,20 +254,20 @@ class ValidationReport:
             "passed": bool(self.passed),
             "min_eigenvalue": float(self.min_eigenvalues.min()),
             "completeness_deviation": float(self.completeness_deviation),
-            "positivity_tol": self.positivity_tol,
-            "completeness_tol": self.completeness_tol,
+            "positivity_tol": POSITIVITY_TOL,
+            "completeness_tol": COMPLETENESS_TOL,
             "renorm_correction": self.renorm_correction,
         }
 
 
-def validate(pom: Pom, positivity_tol=1e-10, completeness_tol=1e-8) -> ValidationReport:
+def validate(pom: Pom) -> ValidationReport:
     """Diagnostic check: per-outcome positivity and completeness of the family, of the
-    matrices as given for a POM from ``Pom.from_operators`` (a factor U U† is positive)."""
+    matrices as given for a POM from ``Pom.from_operators`` (a factor U U† is positive),
+    at ``POSITIVITY_TOL`` and ``COMPLETENESS_TOL``."""
     dev_mat = pom.completeness_operator() - np.eye(pom.dim)
     deviation = float(np.abs(np.linalg.eigvalsh((dev_mat + dev_mat.conj().T) / 2)).max())
-    passed = bool(pom.min_eigenvalues.min() >= -positivity_tol and deviation <= completeness_tol)
-    return ValidationReport(passed, pom.min_eigenvalues, deviation, positivity_tol, completeness_tol,
-                            pom.renorm_correction)
+    passed = bool(pom.min_eigenvalues.min() >= -POSITIVITY_TOL and deviation <= COMPLETENESS_TOL)
+    return ValidationReport(passed, pom.min_eigenvalues, deviation, pom.renorm_correction)
 
 
 def _grid_pom(amps, grid: GridSpec, cell, kind) -> Pom:
@@ -427,9 +429,9 @@ def projective_pom(op: HermitianOperator, degeneracy_tol=1e-8) -> Pom:
                kind="projective")
 
 
-def identity_pom(dim: int, value=0.0) -> Pom:
-    """The trivial single-outcome measurement."""
-    return Pom(dim, [value], [1.0], np.eye(dim, dtype=complex)[None], kind="trivial")
+def identity_pom(dim: int) -> Pom:
+    """The trivial single-outcome measurement, of value 0."""
+    return Pom(dim, [0.0], [1.0], np.eye(dim, dtype=complex)[None], kind="trivial")
 
 
 @dataclass

@@ -37,7 +37,7 @@ from .estimation import (
     _outcome_traces,
     optimal_analysis,
 )
-from .operators import DensityOperator, HermitianOperator
+from .operators import DensityOperator
 from .pom import Pom
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "report",
     "GridResolutionError",
     "UnbiasednessError",
-    "commutator_bound",
     "check_geom",
     "check_accbound",
     "check_ungen",
@@ -141,12 +140,6 @@ def _square(x):
     """x**2 rounded as libm ``pow`` rounds it, like a Python float's ** 2; numpy's ** 2 is x*x,
     whose last bit differs for about one input in 1,200."""
     return np.float_power(x, 2)
-
-
-def commutator_bound(a: HermitianOperator, b: HermitianOperator, rho: DensityOperator) -> float:
-    """|<[A, B]>|/2; the commutator of Hermitian operators is anti-Hermitian."""
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return float(abs(np.trace(rho.matrix @ comm))) / 2
 
 
 def check_geom(an: OptimalAnalysis) -> RelationReport | list:

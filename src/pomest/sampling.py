@@ -43,9 +43,9 @@ def pom_normal(rng, n_outcomes: int, dim: int):
     return g[:, 0] + 1j * g[:, 1]
 
 
-def hermitian_part(g, scale: float = 1.0) -> HermitianOperator:
-    """The operator scale (g + g†)/2 of the (..., d, d) draws g."""
-    return HermitianOperator(scale * (g + g.conj().mT) / 2)
+def hermitian_part(g) -> HermitianOperator:
+    """The operator (g + g†)/2 of the (..., d, d) draws g."""
+    return HermitianOperator((g + g.conj().mT) / 2)
 
 
 def normalized_density(g) -> DensityOperator:
@@ -69,8 +69,8 @@ def whitened_pom(g):
                (whiten[..., None, :, :] @ g).mT, kind="random")
 
 
-def random_hermitian(dim: int, rng, scale: float = 1.0) -> HermitianOperator:
-    return hermitian_part(complex_normal(rng, dim, dim), scale)
+def random_hermitian(dim: int, rng) -> HermitianOperator:
+    return hermitian_part(complex_normal(rng, dim, dim))
 
 
 def random_pure_ket(dim: int, rng) -> Ket:

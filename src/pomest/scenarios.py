@@ -115,12 +115,11 @@ def thermal_energy_estimate(h: HermitianOperator, pom: Pom, beta: float) -> Esti
 
 @dataclass
 class GridWavefunction:
-    """Complex amplitudes on a uniform position grid of any number of axes, one spacing for all."""
+    """Complex amplitudes on a uniform position grid of any number of axes, one spacing for all,
+    of a particle in units hbar = m = 1."""
 
     spacing: float
     amplitudes: np.ndarray
-    hbar: float = 1.0
-    mass: float = 1.0
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -136,10 +135,10 @@ class PointwiseEstimate:
 
 
 def quantum_potential_estimate(psi: GridWavefunction, potential) -> PointwiseEstimate:
-    """Local optimal energy estimate |grad S|^2/2m + V + Q from a position readout.
+    """Local optimal energy estimate |grad S|^2/2 + V + Q from a position readout, hbar = m = 1.
 
-    Writes the amplitude as R e^{iS/hbar} and adds the curvature term
-    Q = -hbar^2/(2m) lap(R)/R, all by central differences along every axis.  Points
+    Writes the amplitude as R e^{iS} and adds the curvature term
+    Q = -lap(R)/(2R), all by central differences along every axis.  Points
     within 1e-12 (relative) of a node and the boundary ring are flagged and carry nan.
     """
     amp = psi.amplitudes
@@ -152,7 +151,6 @@ def quantum_potential_estimate(psi: GridWavefunction, potential) -> PointwiseEst
     S = np.angle(amp)
     for axis in range(amp.ndim):
         S = np.unwrap(S, axis=axis)
-    S = psi.hbar * S
     grad2 = np.zeros_like(R)
     lap_R = np.zeros_like(R)
     boundary = np.ones_like(R, dtype=bool)
@@ -164,8 +162,8 @@ def quantum_potential_estimate(psi: GridWavefunction, potential) -> PointwiseEst
         lap[1:-1] += (r[2:] - 2 * r[1:-1] + r[:-2]) / h**2
     flagged = node | boundary
     with np.errstate(divide="ignore", invalid="ignore"):
-        qpot = -psi.hbar**2 / (2 * psi.mass) * lap_R / R
-    values = grad2 / (2 * psi.mass) + v + qpot
+        qpot = -0.5 * lap_R / R
+    values = grad2 / 2 + v + qpot
     values = np.where(flagged, np.nan, values)
     return PointwiseEstimate(values, flagged)
 
@@ -220,7 +218,6 @@ class EprNumericReport:
     rel_err_disp_p: float
     rel_err_eps_p: float
     points: int
-    length: float
     spacing: float
     points_per_sigma: float
 
@@ -421,8 +418,7 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     # Var P = disp_p^2 + eps_p^2 > 0, while disp_p itself vanishes at sigma tau = hbar
     rd_p = abs(numeric.disp_p - closed.disp_p) / math.hypot(closed.disp_p, closed.eps_p)
     re_p = abs(numeric.eps_p - closed.eps_p) / closed.eps_p
-    report = EprNumericReport(numeric, closed, rd_x, rd_p, re_p, n, float(length), h,
-                              params.sigma / h)
+    report = EprNumericReport(numeric, closed, rd_x, rd_p, re_p, n, h, params.sigma / h)
     if validate and max(rd_x, rd_p, re_p) > 1e-3:
         raise GridResolutionError(
             f"EPR grid run deviates from the closed form by up to "
@@ -506,15 +502,16 @@ def linear_estimate(inputs: LinearEstimateInputs) -> LinearReport:
 # squeezing-ratio optimization of the joint-uncertainty cost
 
 
-def golden_section(f, lo, hi, tol=1e-10):
-    """Scalar golden-section minimization on [lo, hi], at most 200 steps; returns (x, f(x))."""
+def golden_section(f, lo, hi):
+    """Scalar golden-section minimization on [lo, hi] to a bracket of 1e-12, at most 200 steps;
+    returns (x, f(x))."""
     inv_phi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(200):
-        if abs(b - a) < tol:
+        if abs(b - a) < 1e-12:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -583,7 +580,7 @@ def optimize_squeezing(var_x: float, var_p: float, hbar=1.0) -> SqueezingReport:
     k = int(np.argmin(coarse))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
-    t_star, j_star = golden_section(cost_of_log_ratio, lo, hi, tol=1e-12)
+    t_star, j_star = golden_section(cost_of_log_ratio, lo, hi)
 
     j_endpoint = math.sqrt(var_x * var_p)  # either degenerate choice
     matched_ratio = math.sqrt(var_x / var_p)  # DeltaX / DeltaP

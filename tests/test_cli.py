@@ -527,6 +527,15 @@ def test_measurement_estimate_of_pair_values_needs_a_component(capsys):
     assert err.startswith("config error: ") and "component" in err and err.count("\n") == 1
 
 
+def test_integral_measurement_component_reads_as_an_integer(capsys):
+    estimators = []
+    for component in (1.0, 1):
+        params = {"mode": "measurement", "pom": "tetrahedral", "component": component}
+        assert main(["estimate", "--params", json.dumps(params)]) == EXIT_OK
+        estimators.append(json.loads(capsys.readouterr().out)["estimator"])
+    assert estimators[0] == estimators[1]
+
+
 @pytest.mark.parametrize("pom, component, message", [
     ("tetrahedral", 7, "an integer from 0 to 2, not 7"),
     ("tetrahedral", "x", "an integer from 0 to 2, not 'x'"),
@@ -661,17 +670,40 @@ def test_linear_row_is_ungen_and_judged_on_its_slack(capsys):
     assert row["slack"] == pytest.approx(0.5)
 
 
-def test_completeness_tolerance_is_applied(monkeypatch, capsys):
-    # environment values are strings, converted where they are read
-    monkeypatch.setenv("POMEST_COMPLETENESS_TOL", "1e-20")
-    monkeypatch.setenv("POMEST_POSITIVITY_TOL", "1e-9")
-    assert main(["validate", "--pom", TRINE_FIXTURE]) == EXIT_VALIDATION
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["validation"]["completeness_tol"] == 1e-20
-    assert doc["validation"]["positivity_tol"] == 1e-9
-    assert doc["rows"][0]["tolerance"] == 1e-20
-    assert doc["rows"][0]["passed"] is False
-    assert "tolerances" not in doc
+def test_completeness_tolerance_is_applied(tmp_path, capsys):
+    # one trine outcome's top entry moved by shift: sum_k M_k deviates from 1 by shift,
+    # judged against pom.COMPLETENESS_TOL = 1e-8 in the row and the validation block
+    for shift, code in ((5e-9, EXIT_OK), (2e-8, EXIT_VALIDATION)):
+        descriptor = json.loads(Path(TRINE_FIXTURE).read_text())
+        descriptor["outcomes"][0]["matrix"][0][0][0] += shift
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(descriptor))
+        assert main(["validate", "--pom", str(path)]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["validation"]["completeness_deviation"] == pytest.approx(shift, rel=1e-6)
+        assert doc["validation"]["completeness_tol"] == 1e-8
+        assert doc["validation"]["positivity_tol"] == 1e-10
+        assert doc["rows"][0]["tolerance"] == 1e-8
+        assert doc["rows"][0]["passed"] is (code == EXIT_OK)
+        assert "tolerances" not in doc
+
+
+@pytest.mark.parametrize("name, value", [
+    ("POMEST_COMPLETENESS_TOL", "nan"), ("POMEST_COMPLETENESS_TOL", "-1"), ("POMEST_POSITIVITY_TOL", "nan"),
+    ("POMEST_POSITIVITY_TOL", "inf"), ("POMEST_COMPLETENESS_TOL", "abc"), ("POMEST_COMPLETENESS_TOL", "1e-20"),
+])
+def test_the_environment_sets_no_tolerance(name, value, monkeypatch, capsys):
+    # the tolerances are pom.POSITIVITY_TOL and pom.COMPLETENESS_TOL; no variable is read, so none
+    # is a config error, not even for a command that validates no POM
+    argvs = (["relations", "--params", '{"instances": 3}'], ["validate", "--pom", TRINE_FIXTURE])
+    expected = []
+    for argv in argvs:
+        assert main(argv) == EXIT_OK
+        expected.append(capsys.readouterr())
+    monkeypatch.setenv(name, value)
+    for argv, before in zip(argvs, expected):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == before
 
 
 @pytest.mark.parametrize("env, argv, named", [
@@ -685,15 +717,22 @@ def test_completeness_tolerance_is_applied(monkeypatch, capsys):
     ({}, ["estimate", "--params", '{"pom": "coherent", "fock_dim": 6, '
                                   '"grid": {"points_per_axis": 2.9, "radius": 3}}'],
      "points_per_axis must be an integer"),
-    ({"POMEST_COMPLETENESS_TOL": "nan"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_COMPLETENESS_TOL"),
-    ({"POMEST_COMPLETENESS_TOL": "-1"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_COMPLETENESS_TOL"),
-    ({"POMEST_POSITIVITY_TOL": "nan"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_POSITIVITY_TOL"),
-    ({"POMEST_POSITIVITY_TOL": "inf"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_POSITIVITY_TOL"),
-    ({"POMEST_COMPLETENESS_TOL": "abc"}, ["validate", "--pom", TRINE_FIXTURE], "POMEST_COMPLETENESS_TOL"),
+    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": true}'],
+     "component must be an integer from 0 to 2, not True"),
+    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": 1.5}'],
+     "component must be an integer from 0 to 2, not 1.5"),
+    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": "1"}'],
+     "component must be an integer from 0 to 2, not '1'"),
+    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": 3}'],
+     "component must be an integer from 0 to 2, not 3"),
+    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": NaN}'],
+     "component must be an integer from 0 to 2, not nan"),
+    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": Infinity}'],
+     "component must be an integer from 0 to 2, not inf"),
 ], ids=["state-without-matrix", "fractional-dim", "zero-dim", "negative-dim", "zero-outcomes",
         "negative-outcomes", "fractional-fock-dim", "fractional-points",
-        "nan-completeness", "negative-completeness", "nan-positivity", "infinite-positivity",
-        "text-completeness"])
+        "boolean-component", "fractional-component", "text-component", "out-of-range-component",
+        "nan-component", "infinite-component"])
 def test_missing_matrix_fractional_size_or_bad_tolerance_is_a_config_error_naming_it(
         env, argv, named, monkeypatch, capsys):
     for name, value in env.items():

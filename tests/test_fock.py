@@ -262,7 +262,10 @@ def test_thermal_state_at_zero_mean_is_the_vacuum():
 
 
 def test_oscillator_operators():
-    h = fock.oscillator_hamiltonian(10, hbar=2.0, omega=1.5)
-    assert h.matrix[0, 0] == pytest.approx(1.5)  # hbar*omega/2
+    # units hbar = m = omega = 1: H = n + 1/2 and X = (a + a†)/sqrt(2)
+    h = fock.oscillator_hamiltonian(10)
+    assert h.matrix[0, 0] == 0.5
+    np.testing.assert_array_equal(h.matrix, np.diag(np.arange(10) + 0.5))
     x = fock.position_operator(4)
     assert x.matrix[0, 1] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+    np.testing.assert_array_equal(x.matrix, (fock.annihilation(4) + fock.annihilation(4).T) * np.sqrt(0.5))

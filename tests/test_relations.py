@@ -20,7 +20,6 @@ from pomest.relations import (
     check_ungen,
     check_uni,
     check_varsum,
-    commutator_bound,
     heterodyne_analysis,
 )
 from pomest.sampling import (
@@ -41,7 +40,6 @@ DIM40_GRID = GridSpec(0j, 7.0, 240)
 
 def _analysis(pom, rho, *observables):
     return optimal_analysis(observables, pom, rho)
-
 
 @pytest.fixture(scope="module")
 def het_pom():
@@ -94,6 +92,19 @@ def test_accbound_saturated_pure_complete(rng):
     rep = check_accbound(_analysis(pom, rho, a))
     assert rep.saturated
     assert abs(rep.slack) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5])
+def test_accbound_saturates_with_a_rare_outcome(eps):
+    # |0> measured in {eps|0> + sqrt(1 - eps^2)|1>, its complement}, A = sigma_y: the rare outcome has
+    # probability eps^2 (1e-6, 1e-10) and an rhs term of about 1, which only the 1e-14 cut keeps
+    c = np.sqrt(1 - eps**2)
+    pom = Pom(2, [0.0, 1.0], np.ones(2), np.array([[[eps, c]], [[c, -eps]]], complex), kind="projective")
+    rep = check_accbound(_analysis(pom, Ket(np.array([1.0, 0.0])).to_density(), HermitianOperator(PAULI_Y)))
+    assert rep.inputs_digest["n_outcomes_kept"] == 2
+    assert rep.lhs == pytest.approx(1.0, abs=1e-9)
+    assert rep.rhs == pytest.approx(1.0, abs=1e-9)
+    assert rep.saturated
 
 
 def test_accbound_strict_for_mixed_state(rng):
@@ -176,6 +187,9 @@ def test_uni_commuting_pair(rng):
     rep = check_uni(_analysis(pom, rho, a, b), est_a.values, est_b.values)
     assert rep.rhs == pytest.approx(0.0, abs=1e-14)
     assert rep.passed
+    # one value off by 1e-5 leaves a bias operator far above BIAS_TOL = 1e-8
+    with pytest.raises(UnbiasednessError):
+        check_uni(_analysis(pom, rho, a, b), est_a.values + np.array([1e-5, 0.0]), est_b.values)
 
 
 def test_uni_heterodyne_saturation(rng):
@@ -319,7 +333,9 @@ def test_uncanon_levels(het_pom):
 def test_commutator_bound_quadratures():
     x1, x2 = fock.quadratures(30)
     vac = fock.vacuum_ket(30).to_density()
-    assert commutator_bound(x1, x2, vac) == pytest.approx(0.25, abs=1e-12)
+    dense = abs(np.trace(vac.matrix @ (x1.matrix @ x2.matrix - x2.matrix @ x1.matrix))) / 2  # |<[X1, X2]>|/2
+    assert dense == pytest.approx(0.25, abs=1e-12)
+    assert _analysis(projective_pom(x1), vac, x1, x2).commutator_bound == pytest.approx(0.25, abs=1e-12)
 
 
 def test_heterodyne_analysis_matches_reference_route(monkeypatch):
