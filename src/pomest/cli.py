@@ -8,10 +8,11 @@ Exit codes: 0 all checks passed, 1 a relation was violated, 2 a validation
 failure, 3 a configuration error.  Reports are byte-identical for identical
 (config, seed).  Every row is built by ``relations.report`` and written by
 ``RelationReport.to_json``, so slack = lhs - rhs on every row.  ``validate``
-applies ``pom.POSITIVITY_TOL`` and ``pom.COMPLETENESS_TOL``.  A bad parameter
-(a size that is not an integer, among others) exits 3 with one ``config
-error:`` line that names it; so does running out of memory, as a size
-parameter too large for the host does.
+applies ``pom.POSITIVITY_TOL`` and ``pom.COMPLETENESS_TOL``.  A usage error (an
+unknown command, scenario, option or format, or a ``--seed`` that is not a
+non-negative integer) and a bad parameter (a size that is not an integer, among
+others) exit 3 with one ``config error:`` line that names it; so does running
+out of memory, as a size parameter too large for the host does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -50,19 +51,14 @@ RELATION_IDS = ("geom", "accbound", "ungen", "varsum")
 CSV_COLUMNS = ["scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "tolerance",
                "pass_tolerance", "passed"]
 
+# each scenario and the params `suite` runs it at; the parser admits these names only
+SCENARIOS = {"epr": {"points": 2048}, "thermal": {"beta": 1.0},
+             "heterodyne": {"points_per_axis": 120, "radius": 6.5, "fock_dim": 30},
+             "linear": {}, "squeezing": {"var_x": 1.5, "var_p": 1.5}}
+
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    scenario_name: str | None = None
-    params: dict = field(default_factory=dict)
-    output_format: str = "json"
-    output_path: str | None = None
-    seed: int = 0
 
 
 def _number(params, key: str, default, kind=float, finite=True):
@@ -118,8 +114,8 @@ def _atomic_write(path: str, payload: str):
         raise
 
 
-def _emit(config: RunConfig, rows: list, extras: dict, passed: bool):
-    if config.output_format == "csv":
+def _emit(args: argparse.Namespace, rows: list, extras: dict, passed: bool):
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(CSV_COLUMNS)
@@ -128,21 +124,21 @@ def _emit(config: RunConfig, rows: list, extras: dict, passed: bool):
         payload = buf.getvalue()
     else:
         doc = {
-            "command": config.command,
-            "scenario": config.scenario_name,
-            "seed": config.seed,
+            "command": args.command,
+            "scenario": getattr(args, "scenario_name", None),
+            "seed": args.seed,
             "generator": GENERATOR_NAME,
-            "params": config.params,
+            "params": args.params,
             "passed": passed,
             "rows": rows,
             **extras,
         }
         payload = json.dumps(doc, sort_keys=True, indent=2, check_circular=False) + "\n"
-    if config.output_path:
+    if args.output:
         try:
-            _atomic_write(config.output_path, payload)
+            _atomic_write(args.output, payload)
         except OSError as exc:  # a directory, a missing parent, no permission: not a violated relation
-            raise ConfigError(f"cannot write --output {config.output_path!r}: {exc.strerror or exc}") from exc
+            raise ConfigError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -171,8 +167,8 @@ def _named_pom(params: dict, seed: int):
     raise ConfigError(f"unknown POM name {name!r}")
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    params = config.params
+def _cmd_validate(args: argparse.Namespace) -> tuple[list, dict, bool]:
+    params = args.params
     if "pom_path" in params:
         try:
             with open(params["pom_path"], "r", encoding="utf-8") as fh:
@@ -180,12 +176,11 @@ def _cmd_validate(config: RunConfig) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load POM descriptor: {exc}") from exc
     else:
-        pom = _named_pom(params, config.seed)
+        pom = _named_pom(params, args.seed)
     checked = validate(pom)
     row = relations.report("completeness", checked.completeness_deviation, 0.0, COMPLETENESS_TOL,
                            COMPLETENESS_TOL)
-    _emit(config, [row.to_json("validate")], {"validation": checked.to_json()}, checked.passed)
-    return EXIT_OK if checked.passed else EXIT_VALIDATION
+    return [row.to_json("validate")], {"validation": checked.to_json()}, checked.passed
 
 
 def _load_state(params: dict, dim: int, seed: int) -> DensityOperator:
@@ -211,9 +206,9 @@ def _load_state(params: dict, dim: int, seed: int) -> DensityOperator:
     raise ConfigError(f"unknown state spec {state!r}")
 
 
-def _cmd_estimate(config: RunConfig) -> int:
-    params = config.params
-    pom = _named_pom(params, config.seed)
+def _cmd_estimate(args: argparse.Namespace) -> tuple[list, dict, bool]:
+    params, seed = args.params, args.seed
+    pom = _named_pom(params, seed)
     if "operator" in params:
         op = HermitianOperator(matrix_from_json(params["operator"]))
     elif "quadrature" in params:
@@ -222,12 +217,12 @@ def _cmd_estimate(config: RunConfig) -> int:
             raise ConfigError(f"quadrature must be 1 or 2, not {j!r}")
         op = fock.quadratures(pom.dim)[j - 1]
     else:
-        op = random_hermitian(pom.dim, make_rng(config.seed))
+        op = random_hermitian(pom.dim, make_rng(seed))
     mode = params.get("mode", "with-state")
     if mode == "no-info":
         est = optimal_estimate_no_info(op, pom)
     elif mode == "with-state":
-        est = optimal_estimate(op, pom, _load_state(params, pom.dim, config.seed))
+        est = optimal_estimate(op, pom, _load_state(params, pom.dim, seed))
     elif mode == "measurement":
         raw = params.get("component")
         width = len(pom.values[0]) if isinstance(pom.values[0], tuple) else 0
@@ -241,16 +236,14 @@ def _cmd_estimate(config: RunConfig) -> int:
         est = measurement_estimator(pom, component)
     else:
         raise ConfigError(f"unknown estimate mode {mode!r}")
-    _emit(config, [], {"estimator": est.to_json()}, True)
-    return EXIT_OK
+    return [], {"estimator": est.to_json()}, True
 
 
-def _relation_instances(config: RunConfig) -> list:
+def _relation_instances(params: dict, seed: int) -> list:
     """Randomized property batches for the finite-dimensional relations.  Every
     instance is drawn first, in a fixed order; the instances of each dimension
     are then built and checked as one stack, through one ``optimal_analysis``
     of the pair (A, B), and the rows come out in instance order."""
-    params = config.params
     which = params.get("relations", "all")
     if which == "all":
         which = RELATION_IDS
@@ -260,7 +253,7 @@ def _relation_instances(config: RunConfig) -> list:
     dims = params.get("dims", [2, 3, 4, 5])
     if not isinstance(dims, list) or not dims or any(_number({"dims": d}, "dims", d, int) < 2 for d in dims):
         raise ConfigError(f"dims must be a non-empty list of integers >= 2, not {dims!r}")
-    rng = make_rng(config.seed)
+    rng = make_rng(seed)
     groups = {}  # dim -> its instances: index, K, the K + 3 normals of POM, rho, A, B, ungen's perturbation
     for i in range(instances):
         dim = int(dims[rng.integers(len(dims))])
@@ -292,11 +285,9 @@ def _relation_instances(config: RunConfig) -> list:
     return [row for instance in rows for row in instance]
 
 
-def _cmd_relations(config: RunConfig) -> int:
-    rows = _relation_instances(config)
-    passed = all(r["passed"] for r in rows)
-    _emit(config, rows, {}, passed)
-    return EXIT_OK if passed else EXIT_RELATION
+def _cmd_relations(args: argparse.Namespace) -> tuple[list, dict, bool]:
+    rows = _relation_instances(args.params, args.seed)
+    return rows, {}, all(r["passed"] for r in rows)
 
 
 def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
@@ -319,17 +310,14 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
             num = scenarios.epr_numeric(p, pts)
             tol = 1e-3 * max(1.0, p.hbar)
             # the grid's own diagnostics, so that the row says how well it resolved the state
-            digest = {"route": "grid", "points": num.points, "spacing": num.spacing,
-                      "points_per_sigma": num.points_per_sigma, "rel_err_disp_x": num.rel_err_disp_x,
+            shared = {"points": num.points, "rel_err_disp_x": num.rel_err_disp_x,
                       "rel_err_disp_p": num.rel_err_disp_p, "rel_err_eps_p": num.rel_err_eps_p}
+            digest = {"route": "grid", "spacing": num.spacing, "points_per_sigma": num.points_per_sigma,
+                      **shared}
             rows.append(relations.report(
                 "ungen", num.numeric.ungen_lhs, num.numeric.ungen_rhs, tol, tol, digest).to_json("epr"))
-            extras["numeric"] = {
-                "disp_x": num.numeric.disp_x, "disp_p": num.numeric.disp_p,
-                "eps_p": num.numeric.eps_p, "points": num.points,
-                "rel_err_disp_x": num.rel_err_disp_x, "rel_err_disp_p": num.rel_err_disp_p,
-                "rel_err_eps_p": num.rel_err_eps_p,
-            }
+            extras["numeric"] = {"disp_x": num.numeric.disp_x, "disp_p": num.numeric.disp_p,
+                                 "eps_p": num.numeric.eps_p, **shared}
         return rows, extras
     if name == "thermal":
         beta = _positive(params, "beta", 1.0)
@@ -367,91 +355,76 @@ def _scenario_rows(name: str, params: dict, seed: int) -> tuple[list, dict]:
         # the joint cost of biased, prior-informed estimates: the universal relation
         row = relations.report("ungen", rep.joint_cost, inputs.hbar / 2, 1e-9, 1e-9)
         return [row.to_json("linear")], {"linear": {"x": rep.x.__dict__, "p": rep.p.__dict__}}
-    if name == "squeezing":
-        hbar = _positive(params, "hbar", 1.0)
-        rep = scenarios.optimize_squeezing(
-            _positive(params, "var_x", 0.5), _positive(params, "var_p", 0.5), hbar)
-        row = relations.report("ungen", rep.j_min, hbar / 2, 1e-9, 1e-9)
-        return [row.to_json("squeezing")], {"squeezing": rep.__dict__.copy()}
-    raise ConfigError(f"unknown scenario {name!r}")
+    # squeezing, the last name of SCENARIOS, the only names the parser admits
+    hbar = _positive(params, "hbar", 1.0)
+    rep = scenarios.optimize_squeezing(
+        _positive(params, "var_x", 0.5), _positive(params, "var_p", 0.5), hbar)
+    row = relations.report("ungen", rep.j_min, hbar / 2, 1e-9, 1e-9)
+    return [row.to_json("squeezing")], {"squeezing": rep.__dict__.copy()}
 
 
-def _cmd_scenario(config: RunConfig) -> int:
-    rows, extras = _scenario_rows(config.scenario_name, config.params, config.seed)
-    passed = all(r["passed"] for r in rows)
-    _emit(config, rows, extras, passed)
-    return EXIT_OK if passed else EXIT_RELATION
+def _cmd_scenario(args: argparse.Namespace) -> tuple[list, dict, bool]:
+    rows, extras = _scenario_rows(args.scenario_name, args.params, args.seed)
+    return rows, extras, all(r["passed"] for r in rows)
 
 
-def _cmd_suite(config: RunConfig) -> int:
-    rows = _relation_instances(RunConfig("relations", params={"instances": 50}, seed=config.seed))
+def _cmd_suite(args: argparse.Namespace) -> tuple[list, dict, bool]:
+    rows = _relation_instances({"instances": 50}, args.seed)
     extras = {}
-    for name, params in (
-        ("epr", {"points": 2048}),
-        ("thermal", {"beta": 1.0}),
-        ("heterodyne", {"points_per_axis": 120, "radius": 6.5, "fock_dim": 30}),
-        ("linear", {}),
-        ("squeezing", {"var_x": 1.5, "var_p": 1.5}),
-    ):
-        srows, sextras = _scenario_rows(name, params, config.seed)
+    for name, params in SCENARIOS.items():
+        srows, sextras = _scenario_rows(name, params, args.seed)
         rows.extend(srows)
         extras.update({f"{name}_{k}": v for k, v in sextras.items()})
-    passed = all(r["passed"] for r in rows)
-    _emit(config, rows, extras, passed)
-    return EXIT_OK if passed else EXIT_RELATION
+    return rows, extras, all(r["passed"] for r in rows)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one batch command; returns the process exit code."""
-    handlers = {
-        "validate": _cmd_validate,
-        "estimate": _cmd_estimate,
-        "relations": _cmd_relations,
-        "scenario": _cmd_scenario,
-        "suite": _cmd_suite,
-    }
-    if config.command not in handlers:
-        raise ConfigError(f"unknown command {config.command!r}")
-    if config.command == "scenario" and not config.scenario_name:
-        raise ConfigError("scenario requires a scenario name")
-    if config.output_format not in ("json", "csv"):
-        raise ConfigError(f"unknown output format {config.output_format!r}")
-    return handlers[config.command](config)
+COMMANDS = {"validate": _cmd_validate, "estimate": _cmd_estimate, "relations": _cmd_relations,
+            "scenario": _cmd_scenario, "suite": _cmd_suite}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 3, not argparse's 2, which is the validation-failure code
+        raise ConfigError(message)
+
+
+def _seed(raw: str) -> int:
+    """``--seed``: a non-negative integer, as numpy's generator requires."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {raw!r}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pomest",
-                                     description="POM estimation and uncertainty-relation reports")
+    parser = _Parser(prog="pomest", description="POM estimation and uncertainty-relation reports")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "estimate", "relations", "scenario", "suite"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         if name == "scenario":
-            p.add_argument("scenario_name",
-                           choices=["epr", "thermal", "heterodyne", "linear", "squeezing"])
+            p.add_argument("scenario_name", choices=SCENARIOS)
         if name == "validate":
             p.add_argument("--pom", help="path to a POM descriptor JSON")
         p.add_argument("--params", help="inline JSON or @file")
         p.add_argument("--output", help="report file path (stdout if omitted)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        params = _load_params(args.params)
+        args.params = _load_params(args.params)
         if getattr(args, "pom", None):
-            params["pom_path"] = args.pom
-        config = RunConfig(
-            command=args.command,
-            scenario_name=getattr(args, "scenario_name", None),
-            params=params,
-            output_format=args.format,
-            output_path=args.output,
-            seed=args.seed,
-        )
-        return run(config)
+            args.params["pom_path"] = args.pom
+        rows, extras, passed = COMMANDS[args.command](args)
+        _emit(args, rows, extras, passed)
+        if passed:
+            return EXIT_OK
+        return EXIT_VALIDATION if args.command == "validate" else EXIT_RELATION
     # CompletenessError is a ValueError: the validation failures go first
     except (relations.GridResolutionError, CompletenessError, scenarios.ScenarioError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ __all__ = [
     "coherent_amplitudes",
     "displacement",
     "displacement_columns",
-    "displacements",
     "thermal_state",
     "oscillator_hamiltonian",
     "position_operator",
@@ -129,14 +128,9 @@ def displacement_columns(dim: int, alphas, columns: int) -> np.ndarray:
     return D
 
 
-def displacements(dim: int, alphas) -> np.ndarray:
-    """Truncated exact displacement matrices exp(a a† - a* a), shape (K, dim, dim)."""
-    return displacement_columns(dim, alphas, dim)
-
-
 def displacement(dim: int, alpha: complex) -> np.ndarray:
     """Truncation of the exact displacement matrix D(alpha); see ``displacement_columns``."""
-    return displacements(dim, [alpha])[0]
+    return displacement_columns(dim, [alpha], dim)[0]
 
 
 def thermal_state(dim: int, mean_n: float) -> DensityOperator:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -8,11 +7,6 @@ from pomest.sampling import make_rng
 @pytest.fixture
 def rng():
     return make_rng(20260811)
-
-
-def haar_pure(dim, rng):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 # Property tests draw the same examples on every run and keep no example

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pomest import estimation, fock, operators, relations, scenarios
-from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, RunConfig, _atomic_write, _relation_instances, main
+from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, _atomic_write, _relation_instances, main
 from pomest.estimation import estimate_stats, probabilities
 from pomest.operators import DensityOperator
 from pomest.pom import Pom, pom_to_json, trine_pom
@@ -181,6 +181,39 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["scenario", "foo"], "argument scenario_name: invalid choice: 'foo'"),
+    (["relations", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["relations", "--seed", "x"], "argument --seed: must be a non-negative integer, not 'x'"),
+    (["relations", "--seed", "-1"], "argument --seed: must be a non-negative integer, not '-1'"),
+    (["relations", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["no-command", "unknown-command", "unknown-scenario", "unknown-format", "text-seed",
+        "negative-seed", "unknown-option"])
+def test_usage_error_is_a_config_error_naming_the_argument(argv, named, capsys):
+    # argparse's own exit code, 2, is the validation-failure code
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+def test_console_usage_error_exits_3():
+    proc = subprocess.run([sys.executable, "-m", "pomest.cli", "bogus"], capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == "" and proc.stderr.startswith("config error: argument command: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scenario", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pomest")
 
 
 def test_import_loads_neither_scipy_nor_f2py():
@@ -447,7 +480,7 @@ def test_relations_instance_reads_one_analysis(monkeypatch):
     monkeypatch.setattr(Pom, "traces", spy("traces", Pom.traces))
     monkeypatch.setattr(Pom, "project", spy("project", Pom.project))
     monkeypatch.setattr(estimation, "_out_of_range", spy("_out_of_range", estimation._out_of_range))
-    rows = _relation_instances(RunConfig("relations", params={"instances": 20}))
+    rows = _relation_instances({"instances": 20}, 0)
     assert [r["relation_id"] for r in rows] == ["geom", "accbound", "ungen", "varsum"] * 20
     dims = {r["inputs_digest"]["dim"] for r in rows}
     assert dims == {2, 3, 4, 5}  # 20 instances over 16 (dim, K) pairs
@@ -461,7 +494,7 @@ def test_relations_instance_reads_one_analysis(monkeypatch):
 def test_relations_draw_order_is_pinned():
     # the (dim, outcomes) pairs of the first 20 instances of `relations --seed 0`,
     # recorded before the dimension draw moved off Generator.choice
-    rows = _relation_instances(RunConfig("relations", params={"instances": 20}))[::4]
+    rows = _relation_instances({"instances": 20}, 0)[::4]
     assert [(r["inputs_digest"]["dim"], r["inputs_digest"]["outcomes"]) for r in rows] == [
         (5, 8), (5, 4), (5, 3), (5, 5), (5, 6), (5, 7), (2, 3), (2, 3), (2, 4), (4, 5),
         (5, 9), (5, 10), (5, 10), (5, 8), (5, 6), (3, 5), (4, 7), (4, 2), (3, 6), (4, 4)]
@@ -472,7 +505,7 @@ def test_relations_subset_draws_no_perturbation():
     # set's; the (dim, outcomes) pairs of the first 20 instances and the sides of the first
     # and last were recorded before the instances were checked as (dim, K) stacks
     params = {"instances": 20, "relations": ["geom", "varsum"]}
-    rows = _relation_instances(RunConfig("relations", params=params))
+    rows = _relation_instances(params, 0)
     assert [r["relation_id"] for r in rows] == ["geom", "varsum"] * 20
     assert [(r["inputs_digest"]["dim"], r["inputs_digest"]["outcomes"]) for r in rows[::2]] == [
         (5, 8), (5, 2), (2, 3), (4, 2), (4, 4), (2, 4), (2, 2), (5, 3), (5, 2), (2, 5),

@@ -178,7 +178,7 @@ def test_displacements_stack_equals_single_matrices(dim):
     axes = [0, 1.3, -0.7, 2.25j, -0.15j]
     alphas = np.concatenate([axes, GridSpec(0j, 6.0, 41).points()[0][::53]])
     alphas = alphas[:: dim // 20]  # half of them at dim 40, where the references are slow
-    stack = fock.displacements(dim, alphas)
+    stack = fock.displacement_columns(dim, alphas, dim)
     assert stack.shape == (alphas.size, dim, dim)
     assert np.array_equal(stack, [fock.displacement(dim, a) for a in alphas])
     ref = np.array([_displacement_mpmath(dim, complex(a)) for a in alphas])
@@ -189,7 +189,7 @@ def test_displacements_stack_equals_single_matrices(dim):
 @pytest.mark.parametrize("dim", [20, 40])
 def test_displacement_columns_are_the_leading_columns_bit_for_bit(dim):
     alphas = np.concatenate([[0, 1.3, -0.7, 2.25j], GridSpec(0j, 6.0, 41).points()[0][::37]])
-    full = fock.displacements(dim, alphas)
+    full = fock.displacement_columns(dim, alphas, dim)
     for columns in (1, 2, 3, dim // 2, dim):
         assert np.array_equal(fock.displacement_columns(dim, alphas, columns), full[:, :, :columns])
 
@@ -228,7 +228,7 @@ def test_displacement_power_table_matches_the_power_per_entry(dim, data, polar):
 
 def test_displacements_match_generator_exponential():
     alphas = [0.4 + 0.2j, 1.1, -0.8j, 0.0]
-    stack = fock.displacements(60, alphas)
+    stack = fock.displacement_columns(60, alphas, 60)
     for d_closed, alpha in zip(stack, alphas):
         d_expm = _displacement_expm(60, alpha)
         assert np.abs(d_closed[:25, :25] - d_expm[:25, :25]).max() < 1e-12
