@@ -7,7 +7,10 @@ Usage:
 Exit codes: 0 all checks passed, 1 a relation was violated, 2 a validation
 failure, 3 a configuration error.  Reports are byte-identical for identical
 (config, seed).  Every row is built by ``relations.report`` and written by
-``RelationReport.to_json``, so slack = lhs - rhs on every row.  ``validate``
+``RelationReport.to_json``, so slack = lhs - rhs on every row.  A JSON report is
+written by ``_dumps``, byte for byte as ``json.dumps(doc, sort_keys=True, indent=2)``
+writes it (sorted keys, a two-space indent, ASCII-escaped strings, ``NaN`` and
+``Infinity``), and ends in a newline.  ``validate``
 applies ``pom.POSITIVITY_TOL`` and ``pom.COMPLETENESS_TOL``.  A usage error (an
 unknown command, scenario, option or format, or a ``--seed`` that is not a
 non-negative integer) and a bad parameter (a size that is not an integer, among
@@ -114,6 +117,51 @@ def _atomic_write(path: str, payload: str):
         raise
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, pad: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte when ``pad`` is "\\n", the
+    newline and indent that start obj's line.  json runs its pure-Python encoder when ``indent``
+    is set (Python 3.11), and that cost more than computing a ``relations`` report.  As in json,
+    a subclass of str, int, float, list or dict is written as its base, a tuple as a list, and
+    any other value raises TypeError; unlike json, so does a key that is not a str, which no
+    report has."""
+    t = type(obj)
+    if t is float:
+        return repr(obj) if obj - obj == 0.0 else _NONFINITE[repr(obj)]
+    if t is int:
+        return int.__repr__(obj)
+    if t is str:
+        return _ascii(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_ascii(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{{inner}{f',{inner}'.join(items)}{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return f"[{inner}{f',{inner}'.join([_dumps(v, inner) for v in obj])}{pad}]"
+    if isinstance(obj, str):
+        return _ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(args: argparse.Namespace, rows: list, extras: dict, passed: bool):
     if args.format == "csv":
         buf = io.StringIO()
@@ -133,7 +181,7 @@ def _emit(args: argparse.Namespace, rows: list, extras: dict, passed: bool):
             "rows": rows,
             **extras,
         }
-        payload = json.dumps(doc, sort_keys=True, indent=2, check_circular=False) + "\n"
+        payload = _dumps(doc, "\n") + "\n"
     if args.output:
         try:
             _atomic_write(args.output, payload)

@@ -2,13 +2,17 @@ import csv
 import json
 import subprocess
 import sys
+from http import HTTPStatus
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pomest import estimation, fock, operators, relations, scenarios
-from pomest.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, _atomic_write, _relation_instances, main
+from pomest.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, _atomic_write, _dumps,
+                        _relation_instances, main)
 from pomest.estimation import estimate_stats, probabilities
 from pomest.operators import DensityOperator
 from pomest.pom import Pom, pom_to_json, trine_pom
@@ -166,11 +170,6 @@ def test_scenario_squeezing(tmp_path):
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["squeezing"]["regime"] == "interior"
-
-
-def test_unknown_scenario_is_config_error(tmp_path):
-    code = main(["scenario", "epr", "--params", "{not json"])
-    assert code == EXIT_CONFIG
 
 
 def test_console_entry_point():
@@ -739,37 +738,36 @@ def test_the_environment_sets_no_tolerance(name, value, monkeypatch, capsys):
         assert capsys.readouterr() == before
 
 
-@pytest.mark.parametrize("env, argv, named", [
-    ({}, ["estimate", "--params", '{"state": {"mat": 1}}'], "'matrix'"),
-    ({}, ["estimate", "--params", '{"pom": "random", "dim": 2.7}'], "dim must be an integer"),
-    ({}, ["estimate", "--params", '{"pom": "random", "dim": 0}'], "dim must be positive"),
-    ({}, ["estimate", "--params", '{"pom": "random", "dim": -2}'], "dim must be positive"),
-    ({}, ["estimate", "--params", '{"pom": "random", "dim": 2, "outcomes": 0}'], "outcomes must be positive"),
-    ({}, ["validate", "--params", '{"pom": "random", "outcomes": -1}'], "outcomes must be positive"),
-    ({}, ["scenario", "heterodyne", "--params", '{"fock_dim": 40.5}'], "fock_dim must be an integer"),
-    ({}, ["estimate", "--params", '{"pom": "coherent", "fock_dim": 6, '
-                                  '"grid": {"points_per_axis": 2.9, "radius": 3}}'],
+@pytest.mark.parametrize("argv, named", [
+    (["estimate", "--params", '{"state": {"mat": 1}}'], "'matrix'"),
+    (["estimate", "--params", '{"pom": "random", "dim": 2.7}'], "dim must be an integer"),
+    (["estimate", "--params", '{"pom": "random", "dim": 0}'], "dim must be positive"),
+    (["estimate", "--params", '{"pom": "random", "dim": -2}'], "dim must be positive"),
+    (["estimate", "--params", '{"pom": "random", "dim": 2, "outcomes": 0}'], "outcomes must be positive"),
+    (["validate", "--params", '{"pom": "random", "outcomes": -1}'], "outcomes must be positive"),
+    (["scenario", "heterodyne", "--params", '{"fock_dim": 40.5}'], "fock_dim must be an integer"),
+    (["estimate", "--params", '{"pom": "coherent", "fock_dim": 6, '
+                             '"grid": {"points_per_axis": 2.9, "radius": 3}}'],
      "points_per_axis must be an integer"),
-    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": true}'],
+    (["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": true}'],
      "component must be an integer from 0 to 2, not True"),
-    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": 1.5}'],
+    (["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": 1.5}'],
      "component must be an integer from 0 to 2, not 1.5"),
-    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": "1"}'],
+    (["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": "1"}'],
      "component must be an integer from 0 to 2, not '1'"),
-    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": 3}'],
+    (["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": 3}'],
      "component must be an integer from 0 to 2, not 3"),
-    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": NaN}'],
+    (["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": NaN}'],
      "component must be an integer from 0 to 2, not nan"),
-    ({}, ["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": Infinity}'],
+    (["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": Infinity}'],
      "component must be an integer from 0 to 2, not inf"),
+    (["scenario", "epr", "--params", "{not json"], "cannot parse --params"),
 ], ids=["state-without-matrix", "fractional-dim", "zero-dim", "negative-dim", "zero-outcomes",
         "negative-outcomes", "fractional-fock-dim", "fractional-points",
         "boolean-component", "fractional-component", "text-component", "out-of-range-component",
-        "nan-component", "infinite-component"])
+        "nan-component", "infinite-component", "malformed-params"])
 def test_missing_matrix_fractional_size_or_bad_tolerance_is_a_config_error_naming_it(
-        env, argv, named, monkeypatch, capsys):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+        argv, named, capsys):
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -844,3 +842,45 @@ def test_rows_share_one_schema_and_are_deterministic(argv, capsys):
     _assert_row_schema(rows)
     if argv[:2] == ["scenario", "thermal"]:
         assert [r["relation_id"] for r in rows] == ["thermalgap"]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=10)
+
+
+@given(_JSON_VALUES)
+@example(-0.0)
+@example([float("nan"), float("inf"), -float("inf")])  # derandomized draws hold no nan
+@example(5e-324)
+@example(1e16)
+@example(2**70)
+@example(np.float64(0.1))
+@example([np.str_("é"), HTTPStatus.NOT_FOUND])  # subclasses of str and of int
+@example({})
+@example([])
+@example("é中😀\x00\"\\")
+@example({"a": {"b": {}}})
+def test_dumps_writes_what_json_dumps_writes_sorted_with_a_two_space_indent(value):
+    assert _dumps(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {1: "a"}], ids=["set", "int-key"])
+def test_dumps_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        _dumps(value, "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--seed", "0"],
+    ["relations", "--params", '{"instances": 50}'],
+    *(["scenario", name] for name in ("epr", "thermal", "heterodyne", "linear", "squeezing")),
+    ["validate", "--pom", TRINE_FIXTURE],
+    ["estimate"],
+], ids=["suite", "relations", "epr", "thermal", "heterodyne", "linear", "squeezing", "validate",
+        "estimate"])
+def test_json_reports_are_sorted_with_a_two_space_indent_and_a_final_newline(argv, capsys):
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
