@@ -12,9 +12,9 @@ import numpy as np
 
 from pomest import (
     HermitianOperator,
+    estimate_stats,
     naimark_extend,
     partial_trace_ancilla,
-    statistical_deviation,
     tensor,
     trine_pom,
 )
@@ -51,4 +51,4 @@ a_ext = tensor(a, HermitianOperator.identity(3)).matrix
 diff = a_ext - f_ext
 lifted_dev = np.real(np.trace(big.matrix @ diff @ diff))
 print(f"deviation on product space = {lifted_dev:.10f}")
-print(f"deviation from the formula = {statistical_deviation(a, est, rho)**2:.10f}")
+print(f"deviation from the formula = {estimate_stats(est, a, rho).inaccuracy**2:.10f}")

@@ -15,7 +15,6 @@ from pomest import (
     optimal_estimate,
     optimal_estimate_no_info,
     probabilities,
-    statistical_deviation,
     trine_pom,
 )
 from pomest.estimation import Estimator
@@ -41,7 +40,7 @@ print(f"disp^2 + eps^2 = {stats.dispersion**2 + stats.inaccuracy**2:.6f}  (right
 # any perturbation of the values can only increase the deviation
 for scale in (0.01, 0.1, 1.0):
     noisy = Estimator(pom, est.values + scale * rng.normal(size=3))
-    print(f"deviation with noise {scale:>4}: {statistical_deviation(a, noisy, rho):.6f} "
+    print(f"deviation with noise {scale:>4}: {estimate_stats(noisy, a, rho).inaccuracy:.6f} "
           f">= {stats.inaccuracy:.6f}")
 
 # without the state, the best one can do is the distance-minimizing assignment

@@ -48,7 +48,6 @@ from .estimation import (
     optimal_estimate_no_info,
     probabilities,
     repeatability_check,
-    statistical_deviation,
     unbiased_correction,
 )
 from .relations import (

@@ -34,7 +34,6 @@ __all__ = [
     "EstimateStats",
     "NotCorrectableError",
     "probabilities",
-    "statistical_deviation",
     "hs_distance",
     "optimal_estimate",
     "optimal_estimate_no_info",
@@ -100,14 +99,6 @@ def probabilities(pom: Pom, rho: DensityOperator) -> np.ndarray:
     return optimal_analysis((), pom, rho).p
 
 
-def statistical_deviation(a: HermitianOperator, est: Estimator, rho: DensityOperator) -> float:
-    """Root of D^2 = sum_k w_k tr[(A - f_k) rho (A - f_k) M_k].
-
-    A total below -1e-9 signals a positivity bug upstream and raises.
-    """
-    return estimate_stats(est, a, rho).inaccuracy
-
-
 def hs_distance(a: HermitianOperator, pom: Pom) -> float:
     """State-independent distance d^2 = sum_k w_k tr[M_k (A - m_k)^2].
 
@@ -116,7 +107,7 @@ def hs_distance(a: HermitianOperator, pom: Pom) -> float:
     equal to dim times that deviation at the maximally mixed state.
     """
     mixed = DensityOperator.maximally_mixed(pom.dim)
-    return float(np.sqrt(pom.dim) * statistical_deviation(a, measurement_estimator(pom), mixed))
+    return float(np.sqrt(pom.dim) * estimate_stats(measurement_estimator(pom), a, mixed).inaccuracy)
 
 
 def _out_of_range(values, a: HermitianOperator):
@@ -210,7 +201,8 @@ def _qubit_linear_correction(pom: Pom, a: HermitianOperator, scale):
 
 
 def estimate_stats(est: Estimator, a: HermitianOperator, rho: DensityOperator) -> EstimateStats:
-    """Mean, rms dispersion of the estimate distribution, and inaccuracy, from one analysis of A:
+    """Mean, rms dispersion of the estimate distribution, and inaccuracy, the statistical deviation
+    D with D^2 = sum_k w_k tr[(A - f_k) rho (A - f_k) M_k], from one analysis of A:
     the one ``est`` was made from if that saw these very POM, rho and A (each immutable)."""
     an = est.analysis
     j = next((j for j, b in enumerate(an.observables) if b is a), None) if an is not None else None
@@ -250,7 +242,7 @@ class OptimalAnalysis:
             raise ValueError(f"probability {p.min():.3e} below tolerance: POM or state invalid")
         self.p = np.clip(p, 0.0, None)
 
-    # formed on first read: estimate_stats and statistical_deviation need none of them
+    # formed on first read: estimate_stats needs none of them
     @cached_property
     def values(self) -> np.ndarray:
         """(J, *B, K) optimal values f_k = Re t_a / t, set to 0 where t < ``ZERO_PROB_TOL``."""

@@ -91,13 +91,10 @@ class GridSpec:
         if self.points_per_axis < 2:
             raise ValueError(f"points_per_axis must be at least 2, not {self.points_per_axis!r}")
 
-    def axes(self):
-        xs = np.linspace(-self.radius, self.radius, self.points_per_axis)
-        return xs + self.center.real, xs + self.center.imag
-
     def points(self):
         """Flattened grid points (first axis major) and the cell area."""
-        ax1, ax2 = self.axes()
+        xs = np.linspace(-self.radius, self.radius, self.points_per_axis)
+        ax1, ax2 = xs + self.center.real, xs + self.center.imag
         step = ax1[1] - ax1[0]
         A1, A2 = np.meshgrid(ax1, ax2, indexing="ij")
         return (A1 + 1j * A2).ravel(), step * step
@@ -247,7 +244,7 @@ class ValidationReport:
     passed: bool
     min_eigenvalues: np.ndarray
     completeness_deviation: float
-    renorm_correction: float | None = None
+    renorm_correction: float | None
 
     def to_json(self) -> dict:
         return {

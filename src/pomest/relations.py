@@ -116,7 +116,7 @@ class RelationReport:
         }
 
 
-def report(relation_id, lhs, rhs, saturation_tol, numeric_tol=NUMERIC_TOL, digest=None):
+def report(relation_id, lhs, rhs, saturation_tol, numeric_tol, digest=None):
     """The RelationReport for lhs >= rhs, or lhs = rhs for an equality relation."""
     slack = lhs - rhs
     rep = RelationReport(relation_id, float(lhs), float(rhs), float(slack),
@@ -321,7 +321,7 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     return HeterodyneAnalysis(opt, noinfo_disp, F, fisher_marginal, cov_q, cc_rms, mat_gap, reports)
 
 
-def check_uncanon(analysis: HeterodyneAnalysis, hbar=1.0) -> RelationReport:
+def check_uncanon(analysis: HeterodyneAnalysis, hbar) -> RelationReport:
     """Canonical joint measurement mapped from the quadrature pair.
 
     The quadrature pair has commutator i/2; rescaling both outcomes by

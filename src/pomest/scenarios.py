@@ -213,7 +213,6 @@ class EprReport:
 @dataclass
 class EprNumericReport:
     numeric: EprReport
-    closed: EprReport
     rel_err_disp_x: float
     rel_err_disp_p: float
     rel_err_eps_p: float
@@ -404,21 +403,22 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     c1 = (w.sum() * fpw - pw * fw) / det
     c0 = (ppw * fw - pw * fpw) / det
 
+    disp_x, eps_p = math.sqrt(max(var_x, 0.0)), math.sqrt(max(eps_p2, 0.0))
     numeric = EprReport(
         x_estimate_coeff=(0.0, 1.0),
         p_estimate_coeff=(float(c0), float(c1)),
-        disp_x=math.sqrt(max(var_x, 0.0)),
+        disp_x=disp_x,
         eps_x=0.0,
         disp_p=math.sqrt(max(var_p, 0.0)),
-        eps_p=math.sqrt(max(eps_p2, 0.0)),
-        ungen_lhs=math.sqrt(max(var_x, 0.0)) * math.sqrt(max(eps_p2, 0.0)),
+        eps_p=eps_p,
+        ungen_lhs=disp_x * eps_p,
         ungen_rhs=hb / 2,
     )
     rd_x = abs(numeric.disp_x - closed.disp_x) / closed.disp_x
     # Var P = disp_p^2 + eps_p^2 > 0, while disp_p itself vanishes at sigma tau = hbar
     rd_p = abs(numeric.disp_p - closed.disp_p) / math.hypot(closed.disp_p, closed.eps_p)
     re_p = abs(numeric.eps_p - closed.eps_p) / closed.eps_p
-    report = EprNumericReport(numeric, closed, rd_x, rd_p, re_p, n, h, params.sigma / h)
+    report = EprNumericReport(numeric, rd_x, rd_p, re_p, n, h, params.sigma / h)
     if validate and max(rd_x, rd_p, re_p) > 1e-3:
         raise GridResolutionError(
             f"EPR grid run deviates from the closed form by up to "
@@ -485,6 +485,11 @@ def _linear_channel(S, N) -> LinearChannel:
                          math.sqrt(N), math.sqrt(S + N))
 
 
+def _joint_cost(cx: LinearChannel, cp: LinearChannel) -> float:
+    """disp_x eps_p + eps_x disp_p + eps_x eps_p of the two linear estimates."""
+    return cx.disp_lin * cp.eps_lin + cx.eps_lin * cp.disp_lin + cx.eps_lin * cp.eps_lin
+
+
 def linear_estimate(inputs: LinearEstimateInputs) -> LinearReport:
     """Best linear estimates lam*m + (1-lam)*prior_mean for both readouts.
 
@@ -494,8 +499,7 @@ def linear_estimate(inputs: LinearEstimateInputs) -> LinearReport:
     """
     cx = _linear_channel(inputs.var_x, inputs.var_xprime)
     cp = _linear_channel(inputs.var_p, inputs.var_pprime)
-    j = cx.disp_lin * cp.eps_lin + cx.eps_lin * cp.disp_lin + cx.eps_lin * cp.eps_lin
-    return LinearReport(cx, cp, j)
+    return LinearReport(cx, cp, _joint_cost(cx, cp))
 
 
 # ---------------------------------------------------------------------------
@@ -554,25 +558,20 @@ class SqueezingReport:
 
 
 def optimize_squeezing(var_x: float, var_p: float, hbar=1.0) -> SqueezingReport:
-    """Minimize disp_x eps_p + eps_x disp_p + eps_x eps_p over the squeezing ratio.
-
-    The auxiliary state keeps var_x' var_p' = hbar^2/4 while the ratio
-    DeltaX'/DeltaP' varies.  A coarse scan plus golden-section refinement
-    covers log ratios in [-12, 12]; the degenerate endpoints (one auxiliary
-    variance exactly zero, cost DeltaX * DeltaP) are evaluated explicitly.
+    """Minimize disp_x eps_p + eps_x disp_p + eps_x eps_p, the joint cost of ``linear_estimate``,
+    over the squeezing ratio.  The auxiliary state keeps var_x' var_p' = hbar^2/4 while the ratio
+    DeltaX'/DeltaP' = u varies: its variances are hbar u/2 and hbar/(2u).  A coarse scan plus
+    golden-section refinement covers log ratios in [-12, 12]; the degenerate endpoints (one
+    auxiliary variance exactly zero, cost DeltaX * DeltaP) are evaluated explicitly.
     """
     if var_x <= 0 or var_p <= 0:
         raise ValueError("prior variances must be positive")
 
+    def channels(u):  # the linear scenario's channels at DeltaX'/DeltaP' = u
+        return _linear_channel(var_x, 0.5 * hbar * u), _linear_channel(var_p, 0.5 * hbar / u)
+
     def cost_of_log_ratio(t):
-        u = math.exp(t)
-        nx = 0.5 * hbar * u
-        npp = 0.5 * hbar / u
-        ex = math.sqrt(var_x * nx / (var_x + nx))
-        ep = math.sqrt(var_p * npp / (var_p + npp))
-        dx = var_x / math.sqrt(var_x + nx)
-        dp = var_p / math.sqrt(var_p + npp)
-        return dx * ep + ex * dp + ex * ep
+        return _joint_cost(*channels(math.exp(t)))
 
     bracket = 12.0  # on the log ratio
     grid = np.linspace(-bracket, bracket, 961)
@@ -585,9 +584,8 @@ def optimize_squeezing(var_x: float, var_p: float, hbar=1.0) -> SqueezingReport:
     j_endpoint = math.sqrt(var_x * var_p)  # either degenerate choice
     matched_ratio = math.sqrt(var_x / var_p)  # DeltaX / DeltaP
     j_matched = cost_of_log_ratio(math.log(matched_ratio))
-    nx = 0.5 * hbar * matched_ratio
-    npp = 0.5 * hbar / matched_ratio
-    disp_matched = (var_x / math.sqrt(var_x + nx)) * (var_p / math.sqrt(var_p + npp))
+    cx, cp = channels(matched_ratio)
+    disp_matched = cx.disp_lin * cp.disp_lin
 
     at_edge = bracket - abs(t_star) < 0.5
     if not at_edge and j_star < j_endpoint - 1e-12 * max(1.0, j_endpoint):

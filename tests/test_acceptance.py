@@ -24,7 +24,6 @@ from pomest.estimation import (
     optimal_estimate,
     optimal_estimate_no_info,
     probabilities,
-    statistical_deviation,
     unbiased_correction,
 )
 from pomest.operators import (
@@ -272,7 +271,7 @@ def test_criterion_09_naimark(capsys):
             a_ext = tensor(a, eye_anc).matrix
             diff = a_ext - f_ext
             lifted_dev = np.real(np.trace(big.matrix @ diff @ diff))
-            direct_dev = statistical_deviation(a, est, rho) ** 2
+            direct_dev = estimate_stats(est, a, rho).inaccuracy ** 2
             worst_dev = max(worst_dev, abs(lifted_dev - direct_dev))
     ok = worst_stat < 1e-10 and worst_dev < 1e-10
     _line(capsys, 9, ok,

@@ -762,10 +762,20 @@ def test_the_environment_sets_no_tolerance(name, value, monkeypatch, capsys):
     (["estimate", "--params", '{"mode": "measurement", "pom": "tetrahedral", "component": Infinity}'],
      "component must be an integer from 0 to 2, not inf"),
     (["scenario", "epr", "--params", "{not json"], "cannot parse --params"),
+    (["estimate", "--params", '{"pom": "bogus"}'], "unknown POM name 'bogus'"),
+    (["estimate", "--params", '{"state": "bogus"}'], "unknown state spec 'bogus'"),
+    (["estimate", "--params", '{"mode": "bogus"}'], "unknown estimate mode 'bogus'"),
+    (["estimate", "--params", '{"operator": []}'], "matrix must be a non-empty list of rows"),
+    (["scenario", "linear", "--params", '{"var_xprime": 0, "var_pprime": 1}'],
+     "a vanishing auxiliary variance requires a divergent conjugate"),
+    (["scenario", "linear", "--params", '{"var_xprime": 1, "var_pprime": 1}'],
+     "auxiliary variances must satisfy var_x' var_p' = hbar^2/4"),
 ], ids=["state-without-matrix", "fractional-dim", "zero-dim", "negative-dim", "zero-outcomes",
         "negative-outcomes", "fractional-fock-dim", "fractional-points",
         "boolean-component", "fractional-component", "text-component", "out-of-range-component",
-        "nan-component", "infinite-component", "malformed-params"])
+        "nan-component", "infinite-component", "malformed-params", "unknown-pom", "unknown-state",
+        "unknown-mode", "empty-operator", "vanishing-variance-finite-conjugate",
+        "auxiliary-state-not-minimum-uncertainty"])
 def test_missing_matrix_fractional_size_or_bad_tolerance_is_a_config_error_naming_it(
         argv, named, capsys):
     assert main(argv) == EXIT_CONFIG

@@ -21,7 +21,6 @@ from pomest.estimation import (
     optimal_estimate_no_info,
     probabilities,
     repeatability_check,
-    statistical_deviation,
     unbiased_correction,
 )
 from pomest.operators import DensityOperator, HermitianOperator, Ket, PAULI_X, PAULI_Z, _cholesky_factor
@@ -69,7 +68,7 @@ def brute_force_optimal_values(a, pom, rho, n_grid=10_000):
         def dev2(v):
             values = np.array(out)  # other coordinates are irrelevant: decoupled
             values[k] = v
-            return statistical_deviation(a, Estimator(pom, values), rho) ** 2
+            return estimate_stats(Estimator(pom, values), a, rho).inaccuracy ** 2
         scans = np.array([dev2(v) for v in grid])
         j = int(np.argmin(scans))
         j = min(max(j, 1), n_grid - 2)
@@ -107,7 +106,7 @@ def test_statistical_deviation_perfect_measurement(rng):
     pom = projective_pom(a)
     est = measurement_estimator(pom)
     rho = random_density(3, rng)
-    assert statistical_deviation(a, est, rho) < 1e-7
+    assert estimate_stats(est, a, rho).inaccuracy < 1e-7
 
 
 def test_statistical_deviation_trivial_pom(rng):
@@ -116,7 +115,7 @@ def test_statistical_deviation_trivial_pom(rng):
     pom = identity_pom(3)
     est = Estimator(pom, [0.0])
     expect = np.sqrt(np.real(np.trace(rho.matrix @ a.matrix @ a.matrix)))
-    assert statistical_deviation(a, est, rho) == pytest.approx(expect, abs=1e-12)
+    assert estimate_stats(est, a, rho).inaccuracy == pytest.approx(expect, abs=1e-12)
 
 
 def test_statistical_deviation_projective_reduces_to_operator_form(rng):
@@ -130,7 +129,7 @@ def test_statistical_deviation_projective_reduces_to_operator_form(rng):
     f_of_m = (pom.kets.T * f) @ pom.kets.conj()
     diff = a.matrix - f_of_m
     expect = np.real(np.trace(rho.matrix @ diff @ diff))
-    assert statistical_deviation(a, est, rho) ** 2 == pytest.approx(expect, abs=1e-12)
+    assert estimate_stats(est, a, rho).inaccuracy ** 2 == pytest.approx(expect, abs=1e-12)
 
 
 def test_statistical_deviation_matches_algebraic_expansion(rng):
@@ -148,7 +147,7 @@ def test_statistical_deviation_matches_algebraic_expansion(rng):
             total -= pom.weights[k] * f[k] * np.real(
                 np.trace(rho.matrix @ (a.matrix @ op + op @ a.matrix))
             )
-        assert statistical_deviation(a, est, rho) ** 2 == pytest.approx(total, abs=1e-12)
+        assert estimate_stats(est, a, rho).inaccuracy ** 2 == pytest.approx(total, abs=1e-12)
 
 
 def test_hs_distance_own_projectors(rng):
@@ -172,7 +171,7 @@ def test_hs_distance_is_dim_times_average_deviation(rng):
     samples = []
     for _ in range(4000):
         rho = random_pure_ket(dim, rng).to_density()
-        samples.append(statistical_deviation(a, est, rho) ** 2)
+        samples.append(estimate_stats(est, a, rho).inaccuracy ** 2)
     mc = dim * np.mean(samples)
     se = dim * np.std(samples) / np.sqrt(len(samples))
     assert abs(hs_distance(a, pom) ** 2 - mc) < 5 * se + 1e-3
@@ -215,10 +214,10 @@ def test_optimal_estimate_beats_perturbations(rng):
     pom = random_pom(3, 4, rng)
     rho = random_density(3, rng)
     est = optimal_estimate(a, pom, rho)
-    base = statistical_deviation(a, est, rho)
+    base = estimate_stats(est, a, rho).inaccuracy
     for _ in range(100):
         noise = rng.normal(size=4) * 0.3
-        worse = statistical_deviation(a, Estimator(pom, est.values + noise), rho)
+        worse = estimate_stats(Estimator(pom, est.values + noise), a, rho).inaccuracy
         assert worse >= base - 1e-12
 
 
@@ -313,7 +312,7 @@ def test_statistics_project_afresh_unless_they_see_the_estimates_own_objects(rng
         with mock.patch.object(Pom, "project", autospec=True,
                                side_effect=lambda self, c: projected.append(self) or project(self, c)):
             stats = estimate_stats(case_est, case_a, case_rho)
-            deviation = statistical_deviation(case_a, case_est, case_rho)
+            deviation = estimate_stats(case_est, case_a, case_rho).inaccuracy
         assert projected == [case_est.pom] * 2
         assert (stats.mean, stats.dispersion, stats.inaccuracy) == _fresh_stats(case_est, case_a, case_rho)
         assert deviation == stats.inaccuracy
@@ -389,7 +388,7 @@ def test_optimal_analysis_matches_separate_calls(rng):
             for got in (an.inaccuracies[j], stats.inaccuracy):
                 assert got == pytest.approx(deviation(ref), rel=0, abs=1e-12)
             assert stats.mean == pytest.approx(mean, rel=0, abs=1e-12)
-            for got in (an.deviation(j, f), statistical_deviation(a, Estimator(pom, f), rho)):
+            for got in (an.deviation(j, f), estimate_stats(Estimator(pom, f), a, rho).inaccuracy):
                 assert got == pytest.approx(deviation(f), rel=0, abs=1e-12)
     # a zero ket has tr M_k = 0: the no-information estimate is undefined, and
     # the analysis flags the outcome as one of zero probability
@@ -532,10 +531,10 @@ def test_optimal_estimate_is_the_per_outcome_formula_and_never_beaten(case):
         if t > 1e-8:  # roundoff in f_k grows as 1/t_k, so compare f_k t_k = Re tr[rho A M_k]
             assert abs(est.values[k] * t - np.real(np.trace(r @ a.matrix @ m))) <= 1e-14
     # D'^2 = D^2 + sum_k w_k tr[rho M_k] (f'_k - f_k)^2 for any other values f'
-    base = statistical_deviation(a, est, rho) ** 2
+    base = estimate_stats(est, a, rho).inaccuracy ** 2
     for scale in (1e-6, 1e-3, 1.0):
         moved = Estimator(pom, est.values + scale * rng.normal(size=pom.n_outcomes))
-        assert statistical_deviation(a, moved, rho) ** 2 >= base - 1e-12
+        assert estimate_stats(moved, a, rho).inaccuracy ** 2 >= base - 1e-12
 
 
 def _one_outcome_case(seed):
@@ -578,7 +577,7 @@ def test_statistics_through_the_carried_analysis_equal_a_fresh_one_bit_for_bit(c
     for est, obs in ((optimal_estimate(a, pom, rho), a), (pair.estimates[1], b)):
         with mock.patch.object(Pom, "project", side_effect=AssertionError("projected afresh")):
             stats = estimate_stats(est, obs, rho)
-            deviation = statistical_deviation(obs, est, rho)
+            deviation = estimate_stats(est, obs, rho).inaccuracy
         assert deviation == stats.inaccuracy
         fresh = _fresh_stats(est, obs, rho)
         if obs is a:
@@ -852,9 +851,9 @@ def test_kets_and_operator_twins_agree(rng):
     references = {
         "optimal_estimate": (lambda pom: optimal_estimate(a, pom, rho).values,
                              [np.real(np.trace(r @ a.matrix @ m) / np.trace(r @ m)) for m in ops]),
-        "statistical_deviation": (lambda pom: statistical_deviation(a, Estimator(pom, f), rho),
-                                  np.sqrt(sum(w * np.real(np.trace(s @ r @ s @ m))
-                                              for w, s, m in zip(weights, shifted, ops)))),
+        "estimate_stats inaccuracy": (lambda pom: estimate_stats(Estimator(pom, f), a, rho).inaccuracy,
+                                      np.sqrt(sum(w * np.real(np.trace(s @ r @ s @ m))
+                                                  for w, s, m in zip(weights, shifted, ops)))),
     }
     for name, (fn, ref) in references.items():
         for pom in (twin_kets, twin_ops):

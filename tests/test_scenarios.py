@@ -295,8 +295,9 @@ def test_epr_numeric_matches_closed_form():
     assert rep.numeric.ungen_lhs == pytest.approx(0.5, abs=1e-3)
     # the momentum estimate is affine in the partner readout
     c0, c1 = rep.numeric.p_estimate_coeff
-    assert c0 == pytest.approx(rep.closed.p_estimate_coeff[0], abs=1e-3)
-    assert c1 == pytest.approx(rep.closed.p_estimate_coeff[1], abs=1e-3)
+    closed = epr_closed_form(params)
+    assert c0 == pytest.approx(closed.p_estimate_coeff[0], abs=1e-3)
+    assert c1 == pytest.approx(closed.p_estimate_coeff[1], abs=1e-3)
 
 
 def test_recommended_epr_grid_reaches_its_half_length():
@@ -528,6 +529,22 @@ def test_squeezing_endpoint_regime_below_threshold():
         assert rep.regime == "endpoint"
         assert rep.j_min == pytest.approx(rep.j_endpoint)
         assert rep.j_matched > rep.j_endpoint
+
+
+@pytest.mark.parametrize("var_x, var_p, hbar, regime", [
+    (5.0, 1.25, 1.0, "interior"), (40.0, 10.0, 2.0, "interior"), (3.0 * 0.5, 3.0 / 0.5, 0.5, "interior"),
+    (0.5, 0.5, 1.0, "endpoint"), (3.0, 0.2, 0.5, "endpoint"), (1.9 * 0.7, 1.9 / 0.7, 1.0, "endpoint"),
+])
+def test_squeezing_matched_candidate_is_the_linear_scenario_at_the_matched_ratio(var_x, var_p, hbar, regime):
+    # one model: the squeezing search reads the linear scenario's cost and channels, bit for bit
+    rep = optimize_squeezing(var_x, var_p, hbar)
+    assert rep.regime == regime  # either side of the 2 hbar threshold
+    u = math.exp(math.log(rep.matched_ratio))
+    linear = linear_estimate(LinearEstimateInputs(0.0, var_x, 0.0, var_p, 0.5 * hbar * u, 0.5 * hbar / u, hbar))
+    assert rep.j_matched == linear.joint_cost
+    u = rep.matched_ratio
+    linear = linear_estimate(LinearEstimateInputs(0.0, var_x, 0.0, var_p, 0.5 * hbar * u, 0.5 * hbar / u, hbar))
+    assert rep.disp_product_matched == linear.x.disp_lin * linear.p.disp_lin
 
 
 def test_squeezing_boundary_product_candidates_tie():
