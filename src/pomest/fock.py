@@ -37,6 +37,14 @@ __all__ = [
 ]
 
 
+_ROW_CHUNK = 1024  # rows per chunk of a pass over (K, d) grid kets: bounds its temporaries to _ROW_CHUNK d
+
+
+def _row_chunks(n: int):
+    """Slices of ``_ROW_CHUNK`` consecutive rows covering n rows, in order."""
+    return (slice(i, i + _ROW_CHUNK) for i in range(0, n, _ROW_CHUNK))
+
+
 def _log_factorials(n: int) -> np.ndarray:
     """The table log k! for k = 0..n-1."""
     return np.array([math.lgamma(k + 1) for k in range(n)])
@@ -75,9 +83,10 @@ def coherent_amplitudes(dim: int, alphas) -> np.ndarray:
     magnitude is exp(-|a|^2/2 + n log|a| - log(n!)/2), which neither
     overflows nor underflows where the amplitude is representable; the phase
     e^{i n arg a} is a running product along n, scaled by the magnitude in
-    place.  The plain recurrence a_n = a_{n-1} a / sqrt(n) from e^{-|a|^2/2}
-    is not used: its start underflows to 0 beyond |a| of about 37.6.  Rows
-    with a = 0 come out as the exact vacuum.
+    place, ``_ROW_CHUNK`` rows at a time.  The plain recurrence
+    a_n = a_{n-1} a / sqrt(n) from e^{-|a|^2/2} is not used: its start
+    underflows to 0 beyond |a| of about 37.6.  Rows with a = 0 come out as the
+    exact vacuum.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     n = np.arange(dim)
@@ -88,10 +97,12 @@ def coherent_amplitudes(dim: int, alphas) -> np.ndarray:
     amp[:, 1:] = np.where(nonzero, np.exp(1j * np.angle(alphas)), 0)[:, None]
     np.cumprod(amp, axis=1, out=amp)
     logmag = np.log(mag, out=np.zeros_like(mag), where=nonzero)
-    logamp = np.outer(logmag, n)
-    logamp += -0.5 * mag[:, None] ** 2
-    logamp -= 0.5 * _log_factorials(dim)
-    amp *= np.exp(logamp, out=logamp)
+    half_logf = 0.5 * _log_factorials(dim)
+    for c in _row_chunks(alphas.size):
+        logamp = np.outer(logmag[c], n)
+        logamp += -0.5 * mag[c, None] ** 2
+        logamp -= half_logf
+        amp[c] *= np.exp(logamp, out=logamp)
     return amp
 
 

@@ -10,6 +10,8 @@ correction is kept on the Pom for reporting.
 
 Every outcome is stored as a factor, M_k = U_k U_k†, which each family
 already knows (kets are rank one); outcome matrices are materialized on demand.
+A grid family renormalizes its amplitude rows in place, so the Pom keeps the
+one (K, r, d) array its builder filled.
 """
 
 from __future__ import annotations
@@ -269,7 +271,9 @@ def validate(pom: Pom) -> ValidationReport:
 
 def _grid_pom(amps, grid: GridSpec, cell, kind) -> Pom:
     """Grid POM of weight cell/pi of the (K, r, d) rows u renormalized together, T^{-1/2}|u> with
-    T = (cell/pi) sum |u><u|, and T's mean and max corrections; a mean one above 0.1 is no correction."""
+    T = (cell/pi) sum |u><u|, and T's mean and max corrections; a mean one above 0.1 is no correction.
+    The rows are renormalized in place, ``fock._ROW_CHUNK`` at a time: ``amps`` is overwritten, and the
+    Pom keeps it as its amplitudes."""
     weight, rows = cell / np.pi, amps.reshape(-1, amps.shape[-1])
     # Re T and Im T from the real Gram r.T @ r of the interleaved (Re, Im) columns (numpy forms it symmetric)
     g = weight * (rows.view(float).T @ rows.view(float))
@@ -287,7 +291,9 @@ def _grid_pom(amps, grid: GridSpec, cell, kind) -> Pom:
             f"renormalization correction {mean_corr:.3f} exceeds 0.10; "
             "enlarge the grid or reduce the Fock dimension"
         )
-    rows = rows @ ((vecs * vals**-0.5) @ vecs.conj().T).T
+    renorm = ((vecs * vals**-0.5) @ vecs.conj().T).T
+    for c in fock._row_chunks(len(rows)):
+        rows[c] = rows[c] @ renorm
     return Pom(amps.shape[-1], None, np.full(len(amps), weight), rows.reshape(amps.shape), kind=kind,
                grid=grid, renorm_correction=mean_corr,
                meta={"max_renorm_correction": float(np.abs(vals - 1.0).max())})

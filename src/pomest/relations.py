@@ -244,6 +244,20 @@ def _spectral_gradient(q, step):
                      np.fft.irfft(ik * np.fft.rfft(q, axis=1), n, axis=1)])
 
 
+def _annihilation_traces(kets: np.ndarray) -> np.ndarray:
+    """tr[a M_k] = <u_k|a|u_k> for (K, d) kets, with a|u>_n = sqrt(n+1) u_{n+1} read from each ket
+    shifted by one level, ``fock._ROW_CHUNK`` rows at a time.  The sum runs over all d levels, the
+    top one a zero, as ``Pom.traces(fock.annihilation(d))`` sums it: the two agree bit for bit."""
+    sqrt_n, traces = np.sqrt(np.arange(1, kets.shape[-1])), np.empty(len(kets), dtype=complex)
+    shifted = np.zeros((fock._ROW_CHUNK, kets.shape[-1]), dtype=complex)
+    for c in fock._row_chunks(len(kets)):
+        u = kets[c]
+        a_u = shifted[: len(u)]
+        np.multiply(u[:, 1:], sqrt_n, out=a_u[:, :-1])
+        traces[c] = np.vecdot(u, a_u)
+    return traces
+
+
 def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     """Optimal quadrature estimates on a grid POM, kept as one ``OptimalAnalysis``, and their Fisher data.
 
@@ -267,7 +281,7 @@ def heterodyne_analysis(rho: DensityOperator, pom: Pom) -> HeterodyneAnalysis:
     p = opt.p
     disp, eps2 = opt.dispersions, tuple(e**2 for e in opt.inaccuracies)
     # tr[a M_k] = tr[X1 M_k] + i tr[X2 M_k]: both no-information traces from one pass
-    t_id, t_a = _outcome_traces(pom), pom.traces(fock.annihilation(pom.dim))
+    t_id, t_a = _outcome_traces(pom), _annihilation_traces(pom.kets)
     noinfo_disp = tuple(opt.dispersion(_no_info_values(t_id, t)) for t in (t_a.real, t_a.imag))
 
     alphas = pom.grid.points()[0]

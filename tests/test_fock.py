@@ -93,6 +93,8 @@ def _coherent_one_expression(dim, alphas):
     (40, GridSpec(0j, 7.0, 160).points()[0]),
     (60, GridSpec(0j, 9.0, 140).points()[0]),
     (1700, [40, 30 + 30j, -25j]),
+    # K below one chunk of rows, a multiple of it, and with a remainder
+    *((40, GridSpec(0j, 7.0, n).points()[0]) for n in (21, 64, 112)),
 ])
 def test_coherent_log_magnitudes_in_place_are_bit_identical(dim, alphas):
     assert np.array_equal(fock.coherent_amplitudes(dim, alphas), _coherent_one_expression(dim, alphas))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pomest import fock
+from pomest import pom as pom_module
 from pomest.estimation import probabilities
 from pomest.operators import DensityOperator, HermitianOperator, partial_trace_ancilla, tensor
 from pomest.pom import (
@@ -32,7 +33,7 @@ from pomest.pom import (
     trine_pom,
     validate,
 )
-from pomest.sampling import random_density, random_hermitian, random_pom
+from pomest.sampling import make_rng, random_density, random_hermitian, random_pom
 
 
 GRID = GridSpec(0j, 6.0, 61)
@@ -83,6 +84,33 @@ def test_grid_pom_amplitudes_are_the_same_bytes_on_one_and_two_blas_threads():
                               capture_output=True, text=True, check=True)
         digests.append(proc.stdout)
     assert len(digests[0].split()) == 2 and digests[0] == digests[1]
+
+
+def _renormalized_in_one_product(amps, cell):
+    """The grid rows renormalized by one product over all K rows, rows @ renorm."""
+    rows = amps.reshape(-1, amps.shape[-1])
+    g = cell / np.pi * (rows.view(float).T @ rows.view(float))
+    vals, vecs = np.linalg.eigh(g[::2, ::2] + g[1::2, 1::2] + 1j * (g[1::2, ::2] - g[::2, 1::2]))
+    return (rows @ ((vecs * vals**-0.5) @ vecs.conj().T).T).reshape(amps.shape)
+
+
+@pytest.mark.parametrize("n", [21, 64, 112])  # K below one chunk, a multiple of it, with a remainder
+@pytest.mark.parametrize("build", [
+    lambda grid: coherent_pom(40, grid),
+    lambda grid: imageband_pom(20, grid, random_density(3, make_rng(7), rank=2)),
+], ids=["coherent", "imageband"])
+def test_grid_rows_renormalized_in_chunks_equal_one_product(build, n, monkeypatch):
+    given = []
+
+    def spy(amps, grid, cell, kind, _original=pom_module._grid_pom):
+        given.append((amps.copy(), cell))
+        return _original(amps, grid, cell, kind)
+
+    monkeypatch.setattr(pom_module, "_grid_pom", spy)
+    pom = build(GridSpec(0j, 7.0, n))
+    (amps, cell), = given
+    assert pom.n_outcomes == n * n
+    assert np.array_equal(pom.amplitudes, _renormalized_in_one_product(amps, cell))
 
 
 def test_coherent_pom_rejects_tiny_grid():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from pomest import fock
 from pomest.estimation import (
+    _no_info_values,
+    _outcome_traces,
     estimate_stats,
     optimal_analysis,
     optimal_estimate_no_info,
@@ -14,6 +16,7 @@ from pomest.pom import GridSpec, Pom, coherent_pom, projective_pom, trine_pom
 from pomest.relations import (
     GridResolutionError,
     UnbiasednessError,
+    _annihilation_traces,
     check_accbound,
     check_geom,
     check_uncanon,
@@ -383,21 +386,26 @@ def test_heterodyne_analysis_matches_reference_route(monkeypatch):
 
 
 def test_heterodyne_analysis_traces_rho_and_the_quadratures_only(monkeypatch):
-    pom = coherent_pom(12, GridSpec(0j, 6.5, 101))
     rho = fock.coherent_ket(12, 0.7 - 0.4j).to_density()
-    traced = []
+    for n in (100, 101):  # an even and an odd grid, each past one chunk of kets with a remainder
+        pom = coherent_pom(12, GridSpec(0j, 6.5, n))
+        traced = []
 
-    def spy(self, x, _original=Pom.traces):
-        traced.append(np.array(x))
-        return _original(self, x)
+        def spy(self, x, _original=Pom.traces):
+            traced.append(np.array(x))
+            return _original(self, x)
 
-    monkeypatch.setattr(Pom, "traces", spy)
-    heterodyne_analysis(rho, pom)
-    # rho reaches the kets through one projection; both quadratures' no-information
-    # traces come from tr[a M_k] = tr[X1 M_k] + i tr[X2 M_k]
-    assert len(traced) == 1
-    assert np.array_equal(traced[0], fock.annihilation(12))
-    assert not any(np.array_equal(x, np.eye(12)) for x in traced)
+        with monkeypatch.context() as patch:
+            patch.setattr(Pom, "traces", spy)
+            an = heterodyne_analysis(rho, pom)
+        # rho reaches the kets through one projection; both quadratures' no-information traces
+        # come from tr[a M_k] = tr[X1 M_k] + i tr[X2 M_k], read from the kets shifted by one level
+        assert traced == []
+        t_a = pom.traces(fock.annihilation(12))
+        assert np.array_equal(_annihilation_traces(pom.kets), t_a)
+        t_id = _outcome_traces(pom)
+        noinfo = (_no_info_values(t_id, t) for t in (t_a.real, t_a.imag))
+        assert an.noinfo_disp == tuple(map(an.optimal.dispersion, noinfo))
 
 
 @st.composite

@@ -10,8 +10,8 @@ import pytest
 from pomest import fock, scenarios
 from pomest.estimation import optimal_estimate, probabilities
 from pomest.operators import HermitianOperator, Ket
-from pomest.pom import projective_pom
-from pomest.relations import GridResolutionError
+from pomest.pom import GridSpec, coherent_pom, projective_pom
+from pomest.relations import GridResolutionError, heterodyne_analysis
 from pomest.scenarios import (
     EprParams,
     GridWavefunction,
@@ -364,6 +364,33 @@ def test_epr_numeric_holds_no_full_grid():
     finally:
         tracemalloc.stop()
     assert peak < n * n * np.dtype(complex).itemsize
+
+
+def _traced_peak(call, *args):
+    """call(*args) and the peak of the memory tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+HETERODYNE_GRID, HETERODYNE_DIM = GridSpec(0j, 7.0, 112), 40
+KETS_BYTES = HETERODYNE_GRID.points_per_axis**2 * HETERODYNE_DIM * np.dtype(complex).itemsize
+
+
+def test_coherent_pom_holds_one_grid_of_kets():
+    # the builder's one (K, d) buffer, renormalized in place, and chunk-sized temporaries
+    _, peak = _traced_peak(coherent_pom, HETERODYNE_DIM, HETERODYNE_GRID)
+    assert peak < 1.25 * KETS_BYTES
+
+
+def test_heterodyne_analysis_allocates_no_grid_of_kets():
+    # the kets are projected onto the state, and shifted by one level in chunks
+    pom = coherent_pom(HETERODYNE_DIM, HETERODYNE_GRID)
+    rho = fock.coherent_ket(HETERODYNE_DIM, 0.8 - 0.5j).to_density()
+    _, peak = _traced_peak(heterodyne_analysis, rho, pom)
+    assert peak < 0.5 * KETS_BYTES
 
 
 @pytest.mark.parametrize("validate", [True, False])

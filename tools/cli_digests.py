@@ -35,6 +35,9 @@ COMMANDS = [
     ["scenario", "heterodyne"],
     ["scenario", "heterodyne", "--params", '{"state": "coherent:0.8,-0.5"}'],
     ["scenario", "heterodyne", "--params", '{"state": "maximally-mixed"}'],
+    # a grid of fewer kets than one row chunk, and an odd grid with a remainder chunk
+    ["scenario", "heterodyne", "--params", '{"fock_dim": 12, "points_per_axis": 31, "radius": 5}'],
+    ["scenario", "heterodyne", "--params", '{"points_per_axis": 161}'],
     ["scenario", "epr"],
     ["scenario", "epr", "--params", '{"sigma": 0.3, "tau": 0.2, "a": 0.4, "p0": 1.3, "hbar": 2.0}'],
     ["scenario", "epr", "--params", '{"numeric": false}'],
