@@ -55,7 +55,7 @@ CSV_COLUMNS = ["scenario", "relation_id", "lhs", "rhs", "slack", "saturated", "t
                "pass_tolerance", "passed"]
 
 # each scenario and the params `suite` runs it at; the parser admits these names only
-SCENARIOS = {"epr": {"points": 2048}, "thermal": {"beta": 1.0},
+SCENARIOS = {"epr": {}, "thermal": {"beta": 1.0},
              "heterodyne": {"points_per_axis": 120, "radius": 6.5, "fock_dim": 30},
              "linear": {}, "squeezing": {"var_x": 1.5, "var_p": 1.5}}
 

@@ -242,12 +242,28 @@ def epr_closed_form(params: EprParams) -> EprReport:
 
 
 def recommended_epr_points(params: EprParams):
-    """Grid size and half-length resolving both length scales with Gaussian margin."""
-    # 4 points per length scale: a uniform grid converges exponentially in the
-    # spacing on a Gaussian, so from there on the reach alone sets the error
-    h_target = min(params.sigma, params.hbar / params.tau) / 4
+    """Grid size and half-length that put each of the grid's two error terms at e^-32.
+
+    The probability |psi|^2 is a Gaussian in the relative coordinate r = x1 - x2
+    (standard deviation sigma) times one in the total X = x1 + x2 (hbar/tau).
+    Sampled on a uniform grid its sums converge exponentially in both the reach
+    and the spacing (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)):
+
+    - tail: the mass beyond the half-length L is about e^{-L^2 / (2 disp_x^2)},
+      disp_x = sqrt(sigma^2 + (hbar/tau)^2) / 2, so L = 8 disp_x gives e^-32;
+    - aliasing: a Gaussian of standard deviation s sampled at step h aliases as
+      e^{-2 pi^2 s^2 / h^2}, so h = (pi/4) min(sigma, hbar/tau) gives e^-32.
+
+    e^-32 ~ 1.3e-14 lies below the rounding noise of the sums.  The size takes
+    the larger of 2 L / h and the momentum-window count below, rounded up to a
+    3-smooth number for the FFT.  At p0 = 0 the window count is 2 L / h times
+    min(sigma, hbar/tau) sqrt(sigma^2 + (hbar/tau)^2) / hbar, a factor between
+    sigma/tau and sqrt(2) sigma/tau: the window sets the size once sigma >= tau,
+    and then the step is finer than h and aliases below e^-32.
+    """
+    h_target = math.pi / 4 * min(params.sigma, params.hbar / params.tau)
     scale_x = math.sqrt(params.sigma**2 + (params.hbar / params.tau) ** 2) / 2
-    length = 5.5 * scale_x
+    length = 8 * scale_x
     # enough points that epr_numeric's balanced half-length n h_bal / 2 reaches length
     n_reach = (4 * length**2 + 2 * length * abs(params.p0)) / (2 * math.pi * params.hbar)
     n_raw = int(math.ceil(max(2 * length / h_target, n_reach)))

@@ -304,8 +304,8 @@ def test_scenario_epr_defaults_run_on_the_recommended_grid(capsys):
     assert main(["scenario", "epr"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert [r["inputs_digest"]["route"] for r in doc["rows"]] == ["closed-form", "grid"]
-    assert doc["rows"][1]["inputs_digest"]["points"] == 2304
-    assert doc["numeric"]["points"] == 2304
+    assert doc["rows"][1]["inputs_digest"]["points"] == 1152
+    assert doc["numeric"]["points"] == 1152
 
 
 def test_scenario_heterodyne_defaults_run_on_the_sized_grid(capsys):

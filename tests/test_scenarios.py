@@ -312,14 +312,28 @@ def test_recommended_epr_grid_reaches_its_half_length():
 
 
 def test_recommended_epr_points_keep_the_default_grid():
-    # 4 points per sigma: 2 * 27.5 / (0.1 / 4) = 2200, rounded up to 2^8 3^2
-    for a, p0 in itertools.product([-0.5, 0.0, 0.5], [0.0, 1.0, 2.0]):
-        assert recommended_epr_points(EprParams(a=a, p0=p0))[0] == 2304
+    # L = 8 disp_x = 40.0; the spacing asks for 2 L / (pi/4 * 0.1) = 1018.6 points and the
+    # momentum window for (4 L^2 + 2 L p0) / (2 pi) = 1018.7 + 12.7 p0, rounded up to a 3-smooth
+    # size: 2^10 at p0 = 0, 2^7 3^2 at p0 = 1 and 2
+    for a, (p0, points) in itertools.product([-0.5, 0.0, 0.5], [(0.0, 1024), (1.0, 1152), (2.0, 1152)]):
+        assert recommended_epr_points(EprParams(a=a, p0=p0))[0] == points
+
+
+def test_recommended_epr_grid_holds_the_closed_form_to_1e_10():
+    # both error terms sit at e^-32; the defaults and a seeded spread of the scenario's a and p0
+    rng = np.random.default_rng(3131)
+    draws = [(0.0, 1.0)] + [(rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0)) for _ in range(10)]
+    for a, p0 in draws:
+        params = EprParams(a=a, p0=p0)
+        rep = epr_numeric(params, recommended_epr_points(params)[0])
+        assert max(rep.rel_err_disp_x, rep.rel_err_disp_p, rep.rel_err_eps_p) <= 1e-10, (a, p0)
 
 
 def test_recommended_epr_points_hold_the_closed_form_across_the_sweep():
-    # the 96-point sweep's grids of at most 2304 points, p0 in {0, 2}: the spacing sets
-    # the size at sigma = tau = 0.1, the reach at tau = 0.05 and sigma >= 0.3
+    # the 96-point sweep's grids of at most 2304 points, p0 in {0, 2}: 48 cases, worst 3.9e-7,
+    # bounded with a 2.5x margin.  That worst is disp_p at sigma = tau = hbar = 1, p0 = 2, where
+    # disp_p vanishes and the square root lifts the rounding of Var P; every other case is
+    # within 1e-11
     worst = 0.0
     for sigma, tau, p0, hbar in itertools.product([0.1, 0.3, 1.0, 3.0], [0.05, 0.1, 0.3, 1.0],
                                                   [0.0, 2.0], [1.0, 2.0]):
@@ -328,15 +342,15 @@ def test_recommended_epr_points_hold_the_closed_form_across_the_sweep():
         if points <= 2304:
             rep = epr_numeric(params, points)
             worst = max(worst, rep.rel_err_disp_x, rep.rel_err_disp_p, rep.rel_err_eps_p)
-    assert worst < 1e-4
+    assert worst < 1e-6
 
 
 def test_epr_numeric_on_the_recommended_grid_of_a_wide_partner():
-    # the spacing alone asks for 486 points, whose balanced half-length 27.4 cuts the 55.1 reach
+    # the spacing alone asks for 216 points, whose balanced half-length 18.2 cuts the 80.1 reach
     params = EprParams(sigma=1.0, tau=0.05)
     points, _ = recommended_epr_points(params)
     rep = epr_numeric(params, points)  # raises beyond 1e-3 relative
-    assert max(rep.rel_err_disp_x, rep.rel_err_disp_p, rep.rel_err_eps_p) < 1e-3
+    assert max(rep.rel_err_disp_x, rep.rel_err_disp_p, rep.rel_err_eps_p) < 1e-10
 
 
 def _leaves(value):
