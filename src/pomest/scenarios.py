@@ -241,33 +241,35 @@ def epr_closed_form(params: EprParams) -> EprReport:
     )
 
 
+def _epr_half_length(params: EprParams, points: int) -> float:
+    """Half-length at which the tail and the row aliasing of an n-point grid are
+    equal, capped at the reach 8 disp_x.
+
+    On a uniform grid of step h = 2 L / n the sums of the Gaussian |psi|^2 converge
+    exponentially (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  The tail beyond L
+    is e^{-L^2 / (2 disp_x^2)}, disp_x = sqrt(sigma^2 + (hbar/tau)^2) / 2.  A grid row,
+    of standard deviation s = (1/sigma^2 + tau^2/hbar^2)^{-1/2} and mean momentum p0/2,
+    aliases as e^{-2 s^2 (pi n / (2 L) - |p0| / (2 hbar))^2}.  They are equal at
+    L = 2 s disp_x (pi / h - |p0| / (2 hbar)), 2 s disp_x = hbar sigma / tau: a quadratic
+    in h, which where sigma = tau reads n h / 2 = pi hbar / h - |p0| / 2.
+    """
+    ratio = params.sigma / params.tau
+    p_half = ratio * abs(params.p0) / 2
+    h = (-p_half + math.sqrt(p_half**2 + 2 * points * math.pi * ratio * params.hbar)) / points
+    return min(points * h / 2, 8 * math.sqrt(params.sigma**2 + (params.hbar / params.tau) ** 2) / 2)
+
+
 def recommended_epr_points(params: EprParams):
     """Grid size and half-length that put each of the grid's two error terms at e^-32.
 
-    The probability |psi|^2 is a Gaussian in the relative coordinate r = x1 - x2
-    (standard deviation sigma) times one in the total X = x1 + x2 (hbar/tau).
-    Sampled on a uniform grid its sums converge exponentially in both the reach
-    and the spacing (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)):
-
-    - tail: the mass beyond the half-length L is about e^{-L^2 / (2 disp_x^2)},
-      disp_x = sqrt(sigma^2 + (hbar/tau)^2) / 2, so L = 8 disp_x gives e^-32;
-    - aliasing: a Gaussian of standard deviation s sampled at step h aliases as
-      e^{-2 pi^2 s^2 / h^2}, so h = (pi/4) min(sigma, hbar/tau) gives e^-32.
-
-    e^-32 ~ 1.3e-14 lies below the rounding noise of the sums.  The size takes
-    the larger of 2 L / h and the momentum-window count below, rounded up to a
-    3-smooth number for the FFT.  At p0 = 0 the window count is 2 L / h times
-    min(sigma, hbar/tau) sqrt(sigma^2 + (hbar/tau)^2) / hbar, a factor between
-    sigma/tau and sqrt(2) sigma/tau: the window sets the size once sigma >= tau,
-    and then the step is finer than h and aliases below e^-32.
+    The reach L = 8 disp_x puts the tail (``_epr_half_length``) at e^-32 ~ 1.3e-14,
+    below the rounding noise of the sums.  n is the smallest 3-smooth size (for the
+    FFT) with n >= 2 L (4/s + |p0| / (2 hbar)) / pi: there the row aliasing at L is
+    e^-32 too, and ``epr_numeric``'s balanced half-length reaches L.
     """
-    h_target = math.pi / 4 * min(params.sigma, params.hbar / params.tau)
-    scale_x = math.sqrt(params.sigma**2 + (params.hbar / params.tau) ** 2) / 2
-    length = 8 * scale_x
-    # enough points that epr_numeric's balanced half-length n h_bal / 2 reaches length
-    n_reach = (4 * length**2 + 2 * length * abs(params.p0)) / (2 * math.pi * params.hbar)
-    n_raw = int(math.ceil(max(2 * length / h_target, n_reach)))
-    # round up to a 3-smooth size for a fast FFT
+    length = 8 * math.sqrt(params.sigma**2 + (params.hbar / params.tau) ** 2) / 2
+    s = 1 / math.sqrt(1 / params.sigma**2 + (params.tau / params.hbar) ** 2)
+    n_raw = math.ceil(2 * length * (4 / s + abs(params.p0) / (2 * params.hbar)) / math.pi)
     best = None
     p2 = 1
     while p2 < 4 * n_raw:
@@ -313,11 +315,7 @@ def epr_numeric(params: EprParams, points: int, length: float | None = None,
     closed = epr_closed_form(params)
     n = int(points)
     if length is None:
-        # balance position coverage n*h/2 against the momentum window pi*hbar/h
-        # (offset by the mean momentum), capped at the fine-grid recommendation
-        hb, p_half = params.hbar, abs(params.p0) / 2
-        h_bal = (-p_half + math.sqrt(p_half**2 + 2 * n * math.pi * hb)) / n
-        length = min(n * h_bal / 2, recommended_epr_points(params)[1])
+        length = _epr_half_length(params, n)
     h = 2 * length / n
     x = -length + h * np.arange(n)
     hb = params.hbar

@@ -301,20 +301,31 @@ def test_epr_numeric_matches_closed_form():
 
 
 def test_recommended_epr_grid_reaches_its_half_length():
-    # arithmetic only: epr_numeric balances the half-length n h_bal / 2 against the momentum window
+    # arithmetic only: at the recommended n the balanced half-length is capped at the 8 disp_x reach
     for sigma, tau, p0, hbar in itertools.product([0.05, 0.3, 1.0, 10.0], [0.05, 0.3, 1.0, 10.0],
                                                   [0.0, -1.0, 2.0, 30.0], [0.5, 1.0, 2.0, 1e4]):
         params = EprParams(sigma=sigma, tau=tau, p0=p0, hbar=hbar)
         n, length = recommended_epr_points(params)
-        p_half = abs(p0) / 2
-        h_bal = (-p_half + math.sqrt(p_half**2 + 2 * n * math.pi * hbar)) / n
-        assert n * h_bal / 2 >= length
+        assert scenarios._epr_half_length(params, n) == length
+
+
+def test_epr_grid_is_the_same_in_any_unit_of_length():
+    # lengths times c and momenta over c, hbar held: the same n, and every half-length c times
+    for c, sigma, tau, p0, a in itertools.product([0.1, 10.0], [0.1, 0.3, 1.0, 3.0], [0.05, 0.1, 0.3, 1.0],
+                                                  [0.0, 1.0, 2.0], [0.0, 0.4]):
+        params = EprParams(sigma=sigma, tau=tau, a=a, p0=p0)
+        scaled = EprParams(sigma=c * sigma, tau=tau / c, a=c * a, p0=p0 / c)
+        n, length = recommended_epr_points(params)
+        assert recommended_epr_points(scaled) == pytest.approx((n, c * length), rel=1e-12), (c, sigma, tau, p0, a)
+        for points in (n, 256):  # capped at the reach, and where the balance binds
+            assert scenarios._epr_half_length(scaled, points) == pytest.approx(
+                c * scenarios._epr_half_length(params, points), rel=1e-12), (c, sigma, tau, p0, a)
 
 
 def test_recommended_epr_points_keep_the_default_grid():
-    # L = 8 disp_x = 40.0; the spacing asks for 2 L / (pi/4 * 0.1) = 1018.6 points and the
-    # momentum window for (4 L^2 + 2 L p0) / (2 pi) = 1018.7 + 12.7 p0, rounded up to a 3-smooth
-    # size: 2^10 at p0 = 0, 2^7 3^2 at p0 = 1 and 2
+    # L = 8 disp_x = 40.0 and a grid row's s = 0.099995; the row aliasing at L reaches e^-32 at
+    # n = 2 L (4/s + p0/2) / pi = 1018.7 + 12.7 p0, rounded up to a 3-smooth size: 2^10 at p0 = 0,
+    # 2^7 3^2 at p0 = 1 and 2
     for a, (p0, points) in itertools.product([-0.5, 0.0, 0.5], [(0.0, 1024), (1.0, 1152), (2.0, 1152)]):
         assert recommended_epr_points(EprParams(a=a, p0=p0))[0] == points
 
@@ -330,9 +341,9 @@ def test_recommended_epr_grid_holds_the_closed_form_to_1e_10():
 
 
 def test_recommended_epr_points_hold_the_closed_form_across_the_sweep():
-    # the 96-point sweep's grids of at most 2304 points, p0 in {0, 2}: 48 cases, worst 3.9e-7,
-    # bounded with a 2.5x margin.  That worst is disp_p at sigma = tau = hbar = 1, p0 = 2, where
-    # disp_p vanishes and the square root lifts the rounding of Var P; every other case is
+    # the 96-point sweep's grids of at most 2304 points, p0 in {0, 2}: 62 of its 64 cases, worst
+    # 3.9e-7, bounded with a 2.5x margin.  That worst is disp_p at sigma = tau = hbar = 1, p0 = 2,
+    # where disp_p vanishes and the square root lifts the rounding of Var P; every other case is
     # within 1e-11
     worst = 0.0
     for sigma, tau, p0, hbar in itertools.product([0.1, 0.3, 1.0, 3.0], [0.05, 0.1, 0.3, 1.0],
@@ -346,9 +357,11 @@ def test_recommended_epr_points_hold_the_closed_form_across_the_sweep():
 
 
 def test_epr_numeric_on_the_recommended_grid_of_a_wide_partner():
-    # the spacing alone asks for 216 points, whose balanced half-length 18.2 cuts the 80.1 reach
+    # a grid row (s = 0.9988) is ten times narrower than disp_x = 10.0: 243 points reach the
+    # full 80.1
     params = EprParams(sigma=1.0, tau=0.05)
     points, _ = recommended_epr_points(params)
+    assert points <= 256
     rep = epr_numeric(params, points)  # raises beyond 1e-3 relative
     assert max(rep.rel_err_disp_x, rep.rel_err_disp_p, rep.rel_err_eps_p) < 1e-10
 

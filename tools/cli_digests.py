@@ -39,9 +39,11 @@ COMMANDS = [
     ["scenario", "heterodyne", "--params", '{"fock_dim": 12, "points_per_axis": 31, "radius": 5}'],
     ["scenario", "heterodyne", "--params", '{"points_per_axis": 161}'],
     ["scenario", "epr"],
-    # a draw of the benchmark's EPR range, and a grid sized by the momentum-window count, not the step
+    # a draw of the benchmark's EPR range, a partner ten times wider than a grid row, and an
+    # explicit size, whose half-length balances the tail against the row aliasing
     ["scenario", "epr", "--params", '{"a": -0.466, "p0": 0.883}'],
     ["scenario", "epr", "--params", '{"sigma": 1.0, "tau": 0.05}'],
+    ["scenario", "epr", "--params", '{"points": 512}'],
     ["scenario", "epr", "--params", '{"sigma": 0.3, "tau": 0.2, "a": 0.4, "p0": 1.3, "hbar": 2.0}'],
     ["scenario", "epr", "--params", '{"numeric": false}'],
     ["scenario", "thermal"],
